@@ -85,6 +85,13 @@ diff <(grep -v '^wrote ' bench/baselines/bench_andrew_stdout.txt) \
 diff <(grep -v '^wrote ' bench/baselines/bench_sort_stdout.txt) \
      <(grep -v '^wrote ' "$baseline_tmp/sort_stdout.txt")
 
+echo "== fleet snapshot: full sweep identical to BENCH_fleet.json =="
+# Every field bench_fleet --json writes is a count or on the virtual clock,
+# so the checked-in snapshot must match a fresh full run exactly (~3 s). A
+# change that means to move it regenerates the file and says why.
+./build/bench/bench_fleet --json="$baseline_tmp/fleet.json" >/dev/null
+diff BENCH_fleet.json "$baseline_tmp/fleet.json"
+
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "== clang-tidy: generic bug patterns (gating) =="
   mapfile -t tidy_sources < <(find src -name '*.cc' | sort)

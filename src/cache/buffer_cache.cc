@@ -7,6 +7,19 @@
 #include "src/trace/trace.h"
 
 namespace cache {
+namespace {
+
+// Appends block bytes [from, to) to `out`, clipped to what the block holds.
+void AppendRange(std::vector<uint8_t>& out, const std::vector<uint8_t>& block, uint64_t from,
+                 uint64_t to) {
+  uint64_t avail = std::min<uint64_t>(to, block.size());
+  if (from < avail) {
+    out.insert(out.end(), block.begin() + static_cast<int64_t>(from),
+               block.begin() + static_cast<int64_t>(avail));
+  }
+}
+
+}  // namespace
 
 BufferCache::BufferCache(sim::Simulator& simulator, BufferCacheParams params)
     : simulator_(simulator),
@@ -338,19 +351,12 @@ sim::Task<base::Result<std::vector<uint8_t>>> BufferCache::Read(int mount, uint6
         if (!direct.ok()) {
           co_return direct.status();
         }
-        const std::vector<uint8_t>& data = *direct;
-        uint64_t avail = std::min<uint64_t>(want_to, data.size());
-        for (uint64_t i = want_from; i < avail; ++i) {
-          out.push_back(data[i]);
-        }
+        AppendRange(out, *direct, want_from, want_to);
         continue;
       }
       Touch(*entry, key);
     }
-    uint64_t avail = std::min<uint64_t>(want_to, entry->data.size());
-    for (uint64_t i = want_from; i < avail; ++i) {
-      out.push_back(entry->data[i]);
-    }
+    AppendRange(out, entry->data, want_from, want_to);
   }
 
   if (read_ahead) {

@@ -130,6 +130,38 @@ std::string_view OpKindName(OpKind kind) {
   return "unknown";
 }
 
+bool IsIdempotent(OpKind kind) {
+  switch (kind) {
+    case OpKind::kNull:
+    case OpKind::kGetAttr:
+    case OpKind::kSetAttr:
+    case OpKind::kLookup:
+    case OpKind::kRead:
+    case OpKind::kWrite:
+    case OpKind::kReadDir:
+    case OpKind::kPing:
+    case OpKind::kReopen:
+    case OpKind::kGetLease:
+    case OpKind::kMetaInval:
+      return true;
+    case OpKind::kCreate:
+    case OpKind::kRemove:
+    case OpKind::kRename:
+    case OpKind::kMkdir:
+    case OpKind::kRmdir:
+    case OpKind::kOpen:
+    case OpKind::kClose:
+    case OpKind::kCallback:
+    case OpKind::kOpCount:
+      break;
+  }
+  return false;
+}
+
+bool CachesReply(OpKind kind) {
+  return !IsIdempotent(kind) || kind == OpKind::kWrite || kind == OpKind::kSetAttr;
+}
+
 OpKind KindOf(const Request& request) {
   struct Visitor {
     OpKind operator()(const NullReq&) const { return OpKind::kNull; }

@@ -53,6 +53,24 @@ constexpr int kNumOpKinds = static_cast<int>(OpKind::kOpCount);
 
 std::string_view OpKindName(OpKind kind);
 
+// Retransmit semantics, decided once per operation kind.
+//
+// IsIdempotent: executing the operation twice is observably the same as
+// executing it once. Reads and attribute fetches change nothing; write and
+// setattr set absolute state (offset writes, absolute sizes); reopen
+// re-asserts absolute per-client counts; getlease re-grants (an extension);
+// metainval drops cache entries. open/close/callback move reference counts
+// and create/remove/rename/mkdir/rmdir change the namespace.
+bool IsIdempotent(OpKind kind);
+
+// CachesReply: the server keeps the reply in its duplicate-request cache
+// (Juszczak [3]), so a retransmission is answered from the cache rather
+// than executed again. Every non-idempotent op, plus write and setattr:
+// each is idempotent alone, but a retransmission replayed after a later
+// write or truncate of the same file would undo it. Every other op runs
+// again when retransmitted.
+bool CachesReply(OpKind kind);
+
 // ---------------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------------

@@ -126,7 +126,9 @@ sim::Task<base::Result<proto::Reply>> Peer::Call(net::Address dst, proto::Reques
       promise.TrySet(proto::ErrorReply(base::ErrTimedOut()));
     });
 
-    proto::Reply reply = co_await promise.GetFuture();
+    // This call is the promise's only consumer, so the reply (a whole read
+    // payload, for reads) is moved out rather than copied.
+    proto::Reply reply = co_await promise.GetFuture().Take();
     if (reply.status != base::ErrTimedOut()) {
       pending_.erase(xid);
       co_await cpu_.Run(PayloadCost(proto::WireSize(reply)));
@@ -170,45 +172,39 @@ void Peer::HandleIncomingReply(net::Packet packet) {
 }
 
 void Peer::HandleIncomingRequest(net::Packet packet) {
-  DupKey key{packet.src.host, packet.envelope.xid};
-  auto it = dup_cache_.find(key);
-  if (it != dup_cache_.end()) {
-    ++duplicates_suppressed_;
-    if (trace::Recorder* recorder = trace::Active()) {
-      recorder->InstantInSpan(packet.envelope.trace_span, "rpc.dup_hit", address_.host,
-                              "from=" + std::to_string(packet.src.host) +
-                                  " xid=" + std::to_string(packet.envelope.xid) +
-                                  " done=" + (it->second.done ? "1" : "0"));
+  // Ops whose replies are not cached are safe to repeat: a retransmission
+  // of one simply runs again.
+  if (proto::CachesReply(proto::KindOf(packet.envelope.request))) {
+    DupKey key{packet.src.host, packet.envelope.xid};
+    auto it = dup_cache_.find(key);
+    if (it != dup_cache_.end()) {
+      ++duplicates_suppressed_;
+      if (trace::Recorder* recorder = trace::Active()) {
+        recorder->InstantInSpan(packet.envelope.trace_span, "rpc.dup_hit", address_.host,
+                                "from=" + std::to_string(packet.src.host) +
+                                    " xid=" + std::to_string(packet.envelope.xid) +
+                                    " done=" + (it->second.done ? "1" : "0"));
+      }
+      if (it->second.done) {
+        // Resend the cached reply without re-executing (exactly-once effect).
+        proto::Envelope env;
+        env.xid = packet.envelope.xid;
+        env.is_reply = true;
+        env.reply = it->second.reply;
+        SendEnvelope(packet.src, std::move(env));
+      }
+      // else: still executing; the client will retry again.
+      return;
     }
-    if (it->second.done) {
-      // Resend the cached reply without re-executing (exactly-once effect).
-      proto::Envelope env;
-      env.xid = packet.envelope.xid;
-      env.is_reply = true;
-      env.reply = it->second.reply;
-      SendEnvelope(packet.src, std::move(env));
+    dup_cache_.emplace(key, DupEntry{});
+    // Evict completed replies oldest-first. In-progress entries join the
+    // eviction FIFO only when their reply is recorded, so they are never
+    // evicted and never rescanned; the cache exceeds dup_cache_entries
+    // only by in-progress entries (bounded by the worker pool + queue).
+    while (dup_cache_.size() > options_.dup_cache_entries && !dup_order_.empty()) {
+      dup_cache_.erase(dup_order_.front());
+      dup_order_.pop_front();
     }
-    // else: still executing; the client will retry again.
-    return;
-  }
-  dup_cache_.emplace(key, DupEntry{});
-  dup_order_.push_back(key);
-  // Evict oldest-first, skipping in-progress entries *in place*: rotating
-  // them to the back would scramble FIFO order and, worse, stop eviction
-  // entirely while any entry is in flight, letting the cache grow without
-  // bound. The deque can only hold more than dup_cache_entries keys while
-  // the excess is all in-progress (bounded by the worker pool + queue).
-  for (auto it = dup_order_.begin();
-       dup_cache_.size() > options_.dup_cache_entries && it != dup_order_.end();) {
-    auto vit = dup_cache_.find(*it);
-    if (vit != dup_cache_.end() && !vit->second.done) {
-      ++it;  // in flight: keep it, and keep its place in line
-      continue;
-    }
-    if (vit != dup_cache_.end()) {
-      dup_cache_.erase(vit);
-    }
-    it = dup_order_.erase(it);
   }
   work_queue_->Send(Incoming{packet.src, packet.envelope.xid, std::move(packet.envelope.request),
                              packet.envelope.trace_span});
@@ -224,13 +220,14 @@ sim::Task<void> Peer::Worker(uint64_t generation) {
       worker_hook_(WorkerEvent{WorkerEvent::Phase::kBeforeHandler, incoming->xid,
                                incoming->from.host, &incoming->request});
     }
+    proto::OpKind kind = proto::KindOf(incoming->request);
     trace::Span handle_span;
     if (trace::Active() != nullptr) {
       // Parent under the client attempt's span (carried in the envelope), so
       // the server-side execution hangs off the call that caused it.
       handle_span.BeginUnder(
           incoming->trace_span, "rpc.handle", address_.host,
-          "op=" + std::string(proto::OpKindName(proto::KindOf(incoming->request))) +
+          "op=" + std::string(proto::OpKindName(kind)) +
               " from=" + std::to_string(incoming->from.host) +
               " xid=" + std::to_string(incoming->xid) + " gen=" + std::to_string(generation));
     }
@@ -243,7 +240,7 @@ sim::Task<void> Peer::Worker(uint64_t generation) {
 
     proto::Reply reply;
     if (handler_) {
-      server_ops_.Add(proto::KindOf(incoming->request));
+      server_ops_.Add(kind);
       // The request is moved into the handler — it arrived by value over the
       // (simulated) wire and nothing else needs it; see the WorkerEvent note
       // about what the kAfterHandler hook may observe.
@@ -268,11 +265,14 @@ sim::Task<void> Peer::Worker(uint64_t generation) {
       co_return;
     }
 
-    DupKey key{incoming->from.host, incoming->xid};
-    auto it = dup_cache_.find(key);
-    if (it != dup_cache_.end()) {
-      it->second.done = true;
-      it->second.reply = reply;
+    if (proto::CachesReply(kind)) {
+      DupKey key{incoming->from.host, incoming->xid};
+      auto it = dup_cache_.find(key);
+      if (it != dup_cache_.end()) {
+        it->second.done = true;
+        it->second.reply = reply;
+        dup_order_.push_back(key);
+      }
     }
 
     bool handler_ok = reply.status.ok();

@@ -6,8 +6,10 @@
 //  * server: a pool of worker threads (simulated) drains a request queue
 //    and runs the registered handler. A duplicate-request cache (after
 //    Juszczak [3], cited by the paper) suppresses re-execution of retried
-//    non-idempotent operations: retransmits of in-progress calls are
-//    dropped, retransmits of completed calls get the cached reply.
+//    operations whose kind proto::CachesReply: retransmits of in-progress
+//    calls are dropped, retransmits of completed calls get the cached
+//    reply. Every other operation is safe to repeat, keeps no entry, and
+//    simply runs again when retransmitted.
 //
 // SNFS needs both roles on both machines: clients must serve the server's
 // callback RPCs (§4.2.2 "we simply use the existing NFS server code").
@@ -123,15 +125,7 @@ class Peer {
 
   // Introspection for the fault harness and regression tests.
   size_t dup_cache_size() const { return dup_cache_.size(); }
-  size_t dup_cache_in_progress() const {
-    size_t n = 0;
-    for (const auto& [key, entry] : dup_cache_) {  // lint: ordered-ok (commutative count)
-      if (!entry.done) {
-        ++n;
-      }
-    }
-    return n;
-  }
+  size_t dup_cache_in_progress() const { return dup_cache_.size() - dup_order_.size(); }
   size_t pending_calls() const { return pending_.size(); }
   uint64_t generation() const { return pool_generation_; }
   bool running() const { return running_; }
@@ -184,7 +178,7 @@ class Peer {
 
   std::unique_ptr<sim::Channel<Incoming>> work_queue_;
   std::unordered_map<DupKey, DupEntry, DupKeyHash> dup_cache_;
-  std::deque<DupKey> dup_order_;  // FIFO eviction
+  std::deque<DupKey> dup_order_;  // completed entries, oldest first (eviction)
 
   metrics::OpCounters client_ops_;
   metrics::OpCounters server_ops_;

@@ -6,6 +6,7 @@
 // loser's value is discarded.
 //
 // Future and Promise share state via shared_ptr and are freely copyable.
+// Each waiter gets its own copy of the value, unless it awaits Take().
 #ifndef SRC_SIM_FUTURE_H_
 #define SRC_SIM_FUTURE_H_
 
@@ -74,6 +75,27 @@ class [[nodiscard]] Future {
   }
 
   bool IsSet() const { return state_->value.has_value(); }
+
+  // Awaiting Take() resumes exactly like awaiting the future, but moves the
+  // value out instead of copying it. Only for a promise with one consumer:
+  // a later waiter would see a moved-from value. The promise stays
+  // fulfilled, so a racing TrySet still loses.
+  class Taker {
+   public:
+    bool await_ready() const noexcept { return state_->value.has_value(); }
+    void await_suspend(std::coroutine_handle<> h) { state_->waiters.push_back(h); }
+    T await_resume() {
+      CHECK(state_->value.has_value());
+      return std::move(*state_->value);
+    }
+
+   private:
+    friend class Future<T>;
+    explicit Taker(std::shared_ptr<typename Promise<T>::State> s) : state_(std::move(s)) {}
+
+    std::shared_ptr<typename Promise<T>::State> state_;
+  };
+  Taker Take() && { return Taker(std::move(state_)); }
 
  private:
   friend class Promise<T>;

@@ -5,6 +5,8 @@
 #include <set>
 #include <string>
 
+#include "src/proto/messages.h"
+
 namespace trace {
 namespace {
 
@@ -51,15 +53,13 @@ struct ClientLease {
 }  // namespace
 
 bool IsIdempotentOp(std::string_view op) {
-  // Reads and attribute ops are trivially idempotent; write and setattr set
-  // absolute state (offset writes, absolute sizes); reopen re-asserts
-  // absolute per-client counts. open/close/callback mutate reference counts
-  // and create/remove/rename/mkdir/rmdir mutate the namespace — re-executing
-  // any of those is observable.
-  // metainval drops cache entries; dropping twice is a no-op.
-  return op == "null" || op == "getattr" || op == "setattr" || op == "lookup" || op == "read" ||
-         op == "write" || op == "readdir" || op == "ping" || op == "reopen" ||
-         op == "getlease" || op == "metainval";
+  for (int i = 0; i < proto::kNumOpKinds; ++i) {
+    auto kind = static_cast<proto::OpKind>(i);
+    if (proto::OpKindName(kind) == op) {
+      return proto::IsIdempotent(kind);
+    }
+  }
+  return false;
 }
 
 std::vector<Violation> CheckTrace(const std::vector<Event>& events) {

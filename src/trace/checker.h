@@ -67,8 +67,8 @@ struct Violation {
   std::string message;
 };
 
-// True for operations whose re-execution is observably equivalent to a
-// single execution (reads, attribute fetches, absolute-state writes).
+// proto::IsIdempotent for the operation named `op` (as the `op=` argument
+// of an `rpc.handle` span spells it); false for an unknown name.
 bool IsIdempotentOp(std::string_view op);
 
 std::vector<Violation> CheckTrace(const std::vector<Event>& events);

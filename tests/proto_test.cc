@@ -38,6 +38,23 @@ TEST(ProtoTest, OpKindNamesAreDistinct) {
   EXPECT_EQ(names.size(), static_cast<size_t>(kNumOpKinds));
 }
 
+TEST(ProtoTest, RetransmitDecisionsPerOpKind) {
+  // Re-executing any of these is observable (reference counts, namespace).
+  const std::set<OpKind> non_idempotent = {OpKind::kCreate, OpKind::kRemove, OpKind::kRename,
+                                           OpKind::kMkdir,  OpKind::kRmdir,  OpKind::kOpen,
+                                           OpKind::kClose,  OpKind::kCallback};
+  // The duplicate-request cache keeps those replies, plus write and setattr:
+  // a late replay of either could undo a later write or truncate. getlease
+  // and metainval are idempotent and stay uncached.
+  std::set<OpKind> cached = non_idempotent;
+  cached.insert({OpKind::kWrite, OpKind::kSetAttr});
+  for (int i = 0; i < kNumOpKinds; ++i) {
+    auto kind = static_cast<OpKind>(i);
+    EXPECT_EQ(IsIdempotent(kind), !non_idempotent.contains(kind)) << OpKindName(kind);
+    EXPECT_EQ(CachesReply(kind), cached.contains(kind)) << OpKindName(kind);
+  }
+}
+
 TEST(ProtoTest, WireSizeIncludesHeadersAndScalesWithNames) {
   LookupReq short_name;
   short_name.name = "a";

@@ -43,6 +43,14 @@ proto::Request MakeLookup(const std::string& name) {
   return req;
 }
 
+// A non-idempotent request: the duplicate-request cache keeps its reply.
+proto::Request MakeCreate(const std::string& name) {
+  proto::CreateReq req;
+  req.dir = proto::FileHandle{1, 1, 0};
+  req.name = name;
+  return req;
+}
+
 TEST(RpcTest, BasicRoundTrip) {
   Rig rig;
   rig.server.set_handler(
@@ -141,7 +149,7 @@ TEST(RpcTest, DuplicateRequestsExecuteExactlyOnce) {
   // Drop every reply-direction packet for a while by making the server slow
   // instead: with loss, a retransmit can arrive while the original is still
   // executing (dropped) or after it completed (cached reply). Either way the
-  // handler must run exactly once per XID.
+  // handler must run exactly once per XID of a non-idempotent op.
   net::NetworkParams params;
   params.loss_rate = 0.4;
   Rig rig(params);
@@ -160,8 +168,7 @@ TEST(RpcTest, DuplicateRequestsExecuteExactlyOnce) {
       CallOptions opts;
       opts.timeout = sim::Msec(300);
       opts.max_attempts = 20;
-      auto reply =
-          co_await rig.client.Call(rig.server.address(), proto::Request(proto::NullReq{}), opts);
+      auto reply = co_await rig.client.Call(rig.server.address(), MakeCreate("f"), opts);
       if (reply.ok() && reply->status.ok()) {
         ++completed;
       }
@@ -341,9 +348,9 @@ TEST(RpcTest, ShutdownClearsPendingCallsImmediately) {
 }
 
 TEST(RpcTest, RetriedCallTracesOneLogicalSpanWithAttemptChildren) {
-  // A handler slower than the client's timeout: attempt 1 times out, the
-  // retransmit lands while the original execution is still in progress (a
-  // dup-cache hit), and the eventual reply completes the call on attempt 2.
+  // A create handler slower than the client's timeout: attempt 1 times out,
+  // the retransmit lands while the original execution is still in progress
+  // (a dup-cache hit), and the eventual reply completes the call on attempt 2.
   // The trace must show ONE logical rpc.call span with two rpc.attempt
   // children, one rpc.handle execution, and the dup-cache hit as an instant
   // attributed to the second attempt.
@@ -362,8 +369,7 @@ TEST(RpcTest, RetriedCallTracesOneLogicalSpanWithAttemptChildren) {
     CallOptions opts;
     opts.timeout = sim::Msec(150);
     opts.max_attempts = 3;
-    auto reply =
-        co_await rig.client.Call(rig.server.address(), proto::Request(proto::NullReq{}), opts);
+    auto reply = co_await rig.client.Call(rig.server.address(), MakeCreate("f"), opts);
     EXPECT_TRUE(reply.ok());
     done = true;
   }(rig, done));
@@ -413,10 +419,11 @@ TEST(RpcTest, RetriedCallTracesOneLogicalSpanWithAttemptChildren) {
 
 TEST(RpcTest, DupCacheEvictionIsBoundedWithInProgressEntries) {
   // Six workers park forever on their first requests; a stream of quick
-  // calls then flows through a 4-entry duplicate cache. Eviction must skip
-  // the in-progress entries in place: the cache may exceed its capacity
-  // only by the number of in-progress entries, no matter how the parked
-  // entries interleave with completed ones in FIFO order.
+  // calls then flows through a 4-entry duplicate cache. Eviction must never
+  // drop the in-progress entries: the cache may exceed its capacity only by
+  // the number of in-progress entries, no matter how the parked entries
+  // interleave with completed ones. Both streams are cached (create and
+  // remove), so both occupy entries.
   PeerOptions server_opts;
   server_opts.num_workers = 8;  // 6 get parked; 2 stay free for quick calls
   server_opts.dup_cache_entries = 4;
@@ -424,7 +431,7 @@ TEST(RpcTest, DupCacheEvictionIsBoundedWithInProgressEntries) {
   rig.server.set_handler(
       // lint: coro-lambda-ok (handler and captures share the test scope)
       [&rig](const proto::Request& req, net::Address) -> sim::Task<proto::Reply> {
-        if (std::holds_alternative<proto::NullReq>(req)) {
+        if (std::holds_alternative<proto::CreateReq>(req)) {
           co_await sim::Sleep(rig.simulator, sim::Sec(5000));  // park
         }
         co_return proto::OkReply(proto::NullRep{});
@@ -438,13 +445,15 @@ TEST(RpcTest, DupCacheEvictionIsBoundedWithInProgressEntries) {
     for (int i = 0; i < 6; ++i) {
       // Fire-and-forget: these occupy all six workers.
       rig.simulator.Spawn([](Rig& rig, CallOptions opts) -> sim::Task<void> {
-        (void)co_await rig.client.Call(rig.server.address(), proto::Request(proto::NullReq{}),
-                                       opts);
+        (void)co_await rig.client.Call(rig.server.address(), MakeCreate("park"), opts);
       }(rig, park_opts));
     }
     co_await sim::Sleep(rig.simulator, sim::Msec(50));
     for (int i = 0; i < 20; ++i) {
-      auto reply = co_await rig.client.Call(rig.server.address(), MakeLookup("q"));
+      proto::RemoveReq remove;
+      remove.dir = proto::FileHandle{1, 1, 0};
+      remove.name = "q";
+      auto reply = co_await rig.client.Call(rig.server.address(), proto::Request(remove));
       EXPECT_TRUE(reply.ok());
       size_t size = rig.server.dup_cache_size();
       size_t in_progress = rig.server.dup_cache_in_progress();
@@ -457,6 +466,45 @@ TEST(RpcTest, DupCacheEvictionIsBoundedWithInProgressEntries) {
   rig.simulator.RunUntil(sim::Sec(20));
   EXPECT_TRUE(done);
   EXPECT_EQ(rig.server.dup_cache_in_progress(), 6u);
+}
+
+TEST(RpcTest, RetransmittedIdempotentCallRunsAgainUncached) {
+  // A read handler slower than the client's timeout: the retransmit is not
+  // held back by the duplicate cache but executes a second time, and no
+  // read reply is ever cached.
+  Rig rig;
+  int executions = 0;
+  rig.server.set_handler(
+      // lint: coro-lambda-ok (handler and captures share the test scope)
+      [&executions, &rig](const proto::Request&, net::Address) -> sim::Task<proto::Reply> {
+        ++executions;
+        co_await sim::Sleep(rig.simulator, sim::Msec(200));
+        proto::ReadRep rep;
+        rep.data.assign(4096, 0x5a);
+        co_return proto::OkReply(std::move(rep));
+      });
+  bool done = false;
+  rig.simulator.Spawn([](Rig& rig, bool& done) -> sim::Task<void> {
+    CallOptions opts;
+    opts.timeout = sim::Msec(150);
+    opts.max_attempts = 3;
+    proto::ReadReq read;
+    read.fh = proto::FileHandle{1, 7, 0};
+    read.count = 4096;
+    auto body = Expect<proto::ReadRep>(
+        co_await rig.client.Call(rig.server.address(), proto::Request(read), opts));
+    EXPECT_TRUE(body.ok());
+    if (body.ok()) {
+      EXPECT_EQ(body->data.size(), 4096u);
+    }
+    done = true;
+  }(rig, done));
+  rig.simulator.Run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(rig.client.retransmissions(), 1u);
+  EXPECT_EQ(executions, 2);
+  EXPECT_EQ(rig.server.duplicates_suppressed(), 0u);
+  EXPECT_EQ(rig.server.dup_cache_size(), 0u);
 }
 
 }  // namespace

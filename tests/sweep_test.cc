@@ -45,7 +45,9 @@ TEST_P(RpcLossSweep, AllCallsCompleteExactlyOnce) {
       rpc::CallOptions opts;
       opts.timeout = sim::Msec(400);
       opts.max_attempts = 25;
-      auto r = co_await client.Call(dst, proto::Request(proto::NullReq{}), opts);
+      proto::CreateReq create;  // non-idempotent: its reply is cached
+      create.name = "f";
+      auto r = co_await client.Call(dst, proto::Request(create), opts);
       if (r.ok() && r->status.ok()) {
         ++completed;
       }

@@ -13,10 +13,15 @@ using testbed::Protocol;
 using testbed::Rig;
 using testbed::RigOptions;
 
+// gtest names each case after the raw bytes of its parameter, so the padding
+// after remote_tmp is spelled out and zeroed: left implicit, it held stack
+// garbage and the test names changed from one build to the next.
 struct RunParam {
   Protocol protocol;
   bool remote_tmp;
+  uint8_t zero_padding[3] = {};
 };
+static_assert(sizeof(RunParam) == 8, "RunParam must have no implicit padding");
 
 std::string ParamName(const ::testing::TestParamInfo<RunParam>& info) {
   std::string name(testbed::ProtocolName(info.param.protocol));
