@@ -10,10 +10,15 @@
 //                              the shards are the bottleneck. Acceptance:
 //                              >= 1.7x aggregate throughput from 1 to 4.
 //   2. Metadata tier           the same hotset and a boot storm with the
-//                              fleet::MetaCache interposed. Acceptance: the
-//                              tier absorbs >= 50% of the getattr+lookup
-//                              RPCs that would reach the shards on the
-//                              boot storm.
+//                              fleet::MetaCache interposed: it answers
+//                              getattr and lookup, passes mutations
+//                              through, and routes reads to the shards,
+//                              which reply to the clients directly.
+//                              Acceptance: hotset throughput with the tier
+//                              is at least the no-tier row's, the tier
+//                              issues no read RPC, and it absorbs >= 50%
+//                              of the getattr+lookup RPCs that would reach
+//                              the shards on the boot storm.
 //   3. Protocol rows           SNFS and NQNFS on the same 4-shard hotset:
 //                              their client-side consistency state makes
 //                              the cache tier unnecessary (no per-open
@@ -287,6 +292,8 @@ FleetRunStats RunFleet(const FleetBenchConfig& config) {
 
   if (rig.meta_cache() != nullptr) {
     fleet::MetaCache& cache = *rig.meta_cache();
+    // Reads are routed to the shards, never re-issued by the tier.
+    CHECK(cache.peer().client_ops().Get(proto::OpKind::kRead) == 0);
     stats.has_cache = true;
     stats.cache_hits = cache.hits();
     stats.cache_misses = cache.misses();
@@ -371,7 +378,7 @@ int main(int argc, char** argv) {
                 hot_ops);
     metrics::Table table(
         {"Config", "ops", "elapsed s", "ops/s", "client RPC", "shard getattr+lookup", "errors"});
-    double thr_first = 0, thr_last = 0;
+    double thr_first = 0, thr_last = 0, thr_cache = 0;
     for (int shards : shard_counts) {
       FleetBenchConfig config;
       config.shards = shards;
@@ -403,6 +410,7 @@ int main(int argc, char** argv) {
       config.shape = shape;
       config.trace_on = trace_on;
       FleetRunStats s = RunFleet(config);
+      thr_cache = s.ops_per_s;
       PrintRunRow(table, "NFS " + std::to_string(max_shards) + " shard+cache", s);
       configs.emplace_back("hotset_nfs_s" + std::to_string(max_shards) + "_cache",
                            FleetRunJson(s));
@@ -431,9 +439,13 @@ int main(int argc, char** argv) {
     double scaling = thr_first > 0 ? thr_last / thr_first : 0;
     std::printf("\nhotset aggregate throughput %d -> %d shards: %.2fx\n", shard_counts.front(),
                 max_shards, scaling);
+    double tier_ratio = thr_last > 0 ? thr_cache / thr_last : 0;
+    std::printf("metadata tier hotset throughput vs no tier: %.2fx\n", tier_ratio);
     if (!flags.smoke) {
-      // Acceptance: >= 1.7x from 1 to 4 shards.
+      // Acceptance: >= 1.7x from 1 to 4 shards, and the tier costs the
+      // hotset no throughput (reads bypass it).
       CHECK(scaling >= 1.7);
+      CHECK(tier_ratio >= 1.0);
     }
     configs.emplace_back("summary_scaling",
                          "{\"shards_low\":" + Int(static_cast<uint64_t>(shard_counts.front())) +

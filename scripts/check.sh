@@ -9,7 +9,11 @@
 #     suppression auditing. (Also runs inside ctest as `lint_repo`.)
 #  3. clang-tidy (if installed): generic bug-pattern checks per .clang-tidy,
 #     driven by the exported compile_commands.json; warnings are errors.
-#  4. ASan/UBSan: rebuild under -fsanitize=address,undefined (the `asan`
+#  4. Deterministic snapshots: bench_andrew/bench_sort against the pinned
+#     baselines, bench_fleet against BENCH_fleet.json, and bench_simperf's
+#     event counts, work units and simulated seconds against
+#     BENCH_simperf.json.
+#  5. ASan/UBSan: rebuild under -fsanitize=address,undefined (the `asan`
 #     CMake preset) and run fault_injection_test — the crash/restart and
 #     fault-injection paths are where lifetime bugs (coroutines outliving
 #     peers, use-after-free on restart) would hide.
@@ -91,6 +95,29 @@ echo "== fleet snapshot: full sweep identical to BENCH_fleet.json =="
 # change that means to move it regenerates the file and says why.
 ./build/bench/bench_fleet --json="$baseline_tmp/fleet.json" >/dev/null
 diff BENCH_fleet.json "$baseline_tmp/fleet.json"
+
+echo "== simperf snapshot: deterministic fields identical to BENCH_simperf.json =="
+# Each load's event count, work units and simulated seconds are fixed by the
+# code; only the wall-clock fields depend on the host. A change that means
+# to move them regenerates the file and says why.
+./build/bench/bench_simperf --json="$baseline_tmp/simperf.json" >/dev/null
+python3 - BENCH_simperf.json "$baseline_tmp/simperf.json" <<'PY'
+import json
+import sys
+
+pinned = json.load(open(sys.argv[1]))["configs"]
+fresh = json.load(open(sys.argv[2]))["configs"]
+failures = []
+if sorted(pinned) != sorted(fresh):
+    failures.append(f"loads differ: {sorted(pinned)} vs {sorted(fresh)}")
+for load in sorted(set(pinned) & set(fresh)):
+    for field in ("events", "work_units", "sim_elapsed_s"):
+        if pinned[load][field] != fresh[load][field]:
+            failures.append(f"{load}.{field}: {pinned[load][field]} -> {fresh[load][field]}")
+for failure in failures:
+    print("FAIL: simperf " + failure, file=sys.stderr)
+sys.exit(1 if failures else 0)
+PY
 
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "== clang-tidy: generic bug patterns (gating) =="

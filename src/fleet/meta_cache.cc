@@ -47,6 +47,20 @@ MetaCache::MetaCache(sim::Simulator& simulator, net::Network& network, std::stri
   peer_->set_handler([this](proto::Request request, net::Address from) {
     return Handle(std::move(request), from);
   });
+  peer_->set_router([this](const proto::Request& request) { return Route(request); });
+}
+
+std::optional<net::Address> MetaCache::Route(const proto::Request& request) {
+  proto::OpKind kind = proto::KindOf(request);
+  if (kind != proto::OpKind::kRead && kind != proto::OpKind::kReadDir) {
+    return std::nullopt;
+  }
+  base::Result<int> shard = ShardForRequest(shards_, request);
+  if (!shard.ok()) {
+    return std::nullopt;  // Handle() forwards it and replies with the error
+  }
+  ++forwarded_;
+  return shards_.shard(*shard).address;
 }
 
 void MetaCache::Start() { peer_->Start(); }
@@ -132,9 +146,6 @@ sim::Task<proto::Reply> MetaCache::Forward(proto::Request request) {
     case proto::OpKind::kSetAttr:
       ctx.fh = std::get<proto::SetAttrReq>(request).fh;
       break;
-    case proto::OpKind::kRead:
-      ctx.fh = std::get<proto::ReadReq>(request).fh;
-      break;
     case proto::OpKind::kWrite:
       ctx.fh = std::get<proto::WriteReq>(request).fh;
       break;
@@ -196,13 +207,6 @@ void MetaCache::Absorb(const AbsorbCtx& ctx, const proto::Reply& reply) {
   switch (ctx.kind) {
     case proto::OpKind::kGetAttr: {
       if (const auto* rep = std::get_if<proto::AttrRep>(&reply.body)) {
-        InsertGuarded(ctx.fh, rep->attr);
-      }
-      break;
-    }
-    case proto::OpKind::kRead: {
-      // Reads piggyback fresh attributes; admit them under the same guard.
-      if (const auto* rep = std::get_if<proto::ReadRep>(&reply.body)) {
         InsertGuarded(ctx.fh, rep->attr);
       }
       break;

@@ -1,18 +1,34 @@
 // fleet::MetaCache — an in-network metadata cache in front of a shard fleet,
 // in the spirit of Fletch's in-switch caching (PAPERS.md): the machine sits
 // on the network path between NFS clients and the shard servers, answers
-// getattr and lookup from a bounded versioned cache, and forwards everything
-// else to the owning shard (routed by the ShardMap).
+// getattr and lookup from a bounded versioned cache, passes every mutation
+// through to the owning shard (routed by the ShardMap), and routes reads
+// and readdirs around itself.
 //
-// Interposition makes the cache coherent by construction: clients mount the
-// shards with the cache's address as the server address, so every mutation's
-// reply passes through the cache — the cache raises that file's committed
-// floor and refreshes (or drops) the affected entries before the client ever
-// sees the reply. A getattr/lookup miss is forwarded once and its reply is
-// admitted only if it is not older than the committed floor, which closes
-// the race where an in-flight miss reply would otherwise re-install
-// pre-mutation attributes. Concurrent misses for the same key coalesce
-// behind one forwarded RPC.
+// Mutations stay interposed, which makes the cache coherent by
+// construction: clients mount the shards with the cache's address as the
+// server address, so every mutation's reply passes through the cache — the
+// cache raises that file's committed floor and refreshes (or drops) the
+// affected entries before the client ever sees the reply. A getattr/lookup
+// miss is forwarded once and its reply is admitted only if it is not older
+// than the committed floor, which closes the race where an in-flight miss
+// reply would otherwise re-install pre-mutation attributes. Concurrent
+// misses for the same key coalesce behind one forwarded RPC.
+//
+// Reads and readdirs take the direct path (direct server return): the
+// peer's router re-sends the request to the owning shard unchanged, with
+// the client as reply-to, and the shard replies to the client directly, so
+// each data byte crosses the wire once instead of twice. The forward takes
+// no worker and charges no tier CPU: a switch forwards at line rate, and
+// the per-call cost models the tier's metadata work. Reads mutate nothing,
+// so the tier needs neither their replies nor any state for them, and the
+// committed floors are untouched. Tier attributes are refreshed only by
+// fills and mutation commits, not by the attributes a read reply carries;
+// on perfbench's fleet load every rejection `stale_fills_rejected` counted
+// was such a read-reply refresh, and the count fell from 72 to 0. Writes
+// stay interposed: their replies are the tier's linearization point, and
+// most of a write's latency is the shard's synchronous disk, not the extra
+// hop.
 //
 // The cache is NFS-only: SNFS/NQNFS servers address callbacks and leases to
 // the network peer they saw the open/lease request from, which would be the
@@ -32,6 +48,7 @@
 #include <deque>
 #include <list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -83,7 +100,7 @@ class MetaCache {
   uint64_t hits() const { return attr_hits_ + lookup_hits_; }
   uint64_t misses() const { return misses_; }        // forwarded fill RPCs
   uint64_t coalesced() const { return coalesced_; }  // joins on in-flight fills
-  uint64_t forwarded() const { return forwarded_; }  // all pass-through RPCs
+  uint64_t forwarded() const { return forwarded_; }  // pass-through and routed RPCs
   uint64_t evictions() const { return evictions_; }
   uint64_t invalidations() const { return invalidations_; }
   uint64_t stale_fills_rejected() const { return stale_fills_rejected_; }
@@ -116,13 +133,16 @@ class MetaCache {
   struct AbsorbCtx {
     proto::OpKind kind = proto::OpKind::kNull;
     int shard = -1;
-    proto::FileHandle fh;   // target of getattr/read/write/setattr
+    proto::FileHandle fh;   // target of getattr/write/setattr
     proto::FileHandle dir;  // parent of lookup/create/remove/mkdir/rmdir/rename-from
     proto::FileHandle dir2; // rename-to parent
     std::string name;
     std::string name2;      // rename-to name
   };
 
+  // The peer's router: read and readdir go straight to the owning shard,
+  // which replies to the client directly.
+  std::optional<net::Address> Route(const proto::Request& request);
   sim::Task<proto::Reply> Handle(proto::Request request, net::Address from);
   // Miss path for getattr/lookup: coalesce on `key`, forward once.
   sim::Task<proto::Reply> MissFill(std::string key, proto::Request request);

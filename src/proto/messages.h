@@ -329,6 +329,12 @@ struct Envelope {
   // the handler's span. Debug metadata — deliberately excluded from
   // WireSize() so enabling tracing cannot change simulated timings.
   uint64_t trace_span = 0;
+  // Host a request's reply goes to; -1 means the packet's sender. A router
+  // that forwards a request (rpc::Peer::set_router) fills in the original
+  // client here, so the server replies to the client directly. Excluded
+  // from WireSize() like an IP source address a forwarding switch leaves
+  // intact.
+  int reply_to = -1;
   Request request;  // valid when !is_reply
   Reply reply;      // valid when is_reply
 
@@ -345,6 +351,7 @@ struct Envelope {
       : xid(other.xid),
         is_reply(other.is_reply),
         trace_span(other.trace_span),
+        reply_to(other.reply_to),
         request(other.request),
         reply(other.reply) {
     ++copies_;
@@ -354,6 +361,7 @@ struct Envelope {
       xid = other.xid;
       is_reply = other.is_reply;
       trace_span = other.trace_span;
+      reply_to = other.reply_to;
       request = other.request;
       reply = other.reply;
       ++copies_;

@@ -172,16 +172,32 @@ void Peer::HandleIncomingReply(net::Packet packet) {
 }
 
 void Peer::HandleIncomingRequest(net::Packet packet) {
+  // The original client: a router upstream names it as reply-to.
+  net::Address from =
+      packet.envelope.reply_to >= 0 ? net::Address{packet.envelope.reply_to} : packet.src;
+  if (router_) {
+    if (std::optional<net::Address> next = router_(packet.envelope.request)) {
+      if (trace::Recorder* recorder = trace::Active()) {
+        recorder->InstantInSpan(packet.envelope.trace_span, "rpc.route", address_.host,
+                                "from=" + std::to_string(from.host) +
+                                    " xid=" + std::to_string(packet.envelope.xid) +
+                                    " to=" + std::to_string(next->host));
+      }
+      packet.envelope.reply_to = from.host;
+      SendEnvelope(*next, std::move(packet.envelope));
+      return;
+    }
+  }
   // Ops whose replies are not cached are safe to repeat: a retransmission
   // of one simply runs again.
   if (proto::CachesReply(proto::KindOf(packet.envelope.request))) {
-    DupKey key{packet.src.host, packet.envelope.xid};
+    DupKey key{from.host, packet.envelope.xid};
     auto it = dup_cache_.find(key);
     if (it != dup_cache_.end()) {
       ++duplicates_suppressed_;
       if (trace::Recorder* recorder = trace::Active()) {
         recorder->InstantInSpan(packet.envelope.trace_span, "rpc.dup_hit", address_.host,
-                                "from=" + std::to_string(packet.src.host) +
+                                "from=" + std::to_string(from.host) +
                                     " xid=" + std::to_string(packet.envelope.xid) +
                                     " done=" + (it->second.done ? "1" : "0"));
       }
@@ -191,7 +207,7 @@ void Peer::HandleIncomingRequest(net::Packet packet) {
         env.xid = packet.envelope.xid;
         env.is_reply = true;
         env.reply = it->second.reply;
-        SendEnvelope(packet.src, std::move(env));
+        SendEnvelope(from, std::move(env));
       }
       // else: still executing; the client will retry again.
       return;
@@ -206,7 +222,7 @@ void Peer::HandleIncomingRequest(net::Packet packet) {
       dup_order_.pop_front();
     }
   }
-  work_queue_->Send(Incoming{packet.src, packet.envelope.xid, std::move(packet.envelope.request),
+  work_queue_->Send(Incoming{from, packet.envelope.xid, std::move(packet.envelope.request),
                              packet.envelope.trace_span});
 }
 

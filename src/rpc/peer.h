@@ -9,7 +9,12 @@
 //    operations whose kind proto::CachesReply: retransmits of in-progress
 //    calls are dropped, retransmits of completed calls get the cached
 //    reply. Every other operation is safe to repeat, keeps no entry, and
-//    simply runs again when retransmitted.
+//    simply runs again when retransmitted;
+//  * router (optional): a hook picks requests to forward to another host
+//    unchanged, which then replies to the original client directly
+//    (direct server return). A served request's client is its envelope's
+//    reply-to host when set, else the packet's sender; that client keys
+//    the duplicate cache, is the handler's `from`, and gets the reply.
 //
 // SNFS needs both roles on both machines: clients must serve the server's
 // callback RPCs (§4.2.2 "we simply use the existing NFS server code").
@@ -20,6 +25,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -79,6 +85,8 @@ class Peer {
   using Handler =
       std::function<sim::Task<proto::Reply>(proto::Request, net::Address from)>;
   using WorkerHook = std::function<void(const WorkerEvent&)>;
+  // Returns where to forward a request, or nullopt to serve it here.
+  using Router = std::function<std::optional<net::Address>(const proto::Request&)>;
 
   Peer(sim::Simulator& simulator, net::Network& network, sim::Cpu& cpu, std::string name,
        PeerOptions options = {});
@@ -92,6 +100,12 @@ class Peer {
   // Server role: install the request handler. May be left unset on pure
   // clients; requests then get kNotSupported replies.
   void set_handler(Handler handler) { handler_ = std::move(handler); }
+
+  // Router role: consulted for every incoming request before the duplicate
+  // cache and the work queue. A routed request is re-sent at line rate —
+  // no worker, no CPU charge, no duplicate-cache entry — with its xid and
+  // trace span intact and the original client as reply-to.
+  void set_router(Router router) { router_ = std::move(router); }
 
   // Fault-injection hook: observe worker dispatches (before the handler
   // starts and after it returns). Unset in production configurations.
@@ -168,6 +182,7 @@ class Peer {
   PeerOptions options_;
   net::Address address_;
   Handler handler_;
+  Router router_;
   WorkerHook worker_hook_;
   bool running_ = false;
   bool receive_loop_spawned_ = false;

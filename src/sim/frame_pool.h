@@ -9,21 +9,27 @@
 //
 // Task's promise types route their frame allocation here via operator
 // new/delete (see task.h). Blocks above kMaxPooledBytes fall through to the
-// global allocator; pooled blocks are kept until process exit (they remain
-// reachable through the class heads, so leak checkers stay quiet).
+// global allocator and are counted; pooled blocks are kept until process
+// exit (they remain reachable through the class heads, so leak checkers
+// stay quiet).
 #ifndef SRC_SIM_FRAME_POOL_H_
 #define SRC_SIM_FRAME_POOL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <new>
 
 namespace sim {
 namespace framepool {
 
-// 64-byte classes up to 2 KB cover every coroutine frame in the repo; the
-// tail of larger frames (if any appear) is rare enough for plain new.
+// 64-byte classes up to 4 KB cover every frame bench_andrew, bench_sort and
+// bench_fleet allocate. The largest are the server handlers' —
+// NfsServer::Handle at ~3.0 KB and SnfsServer::HandleData at ~3.2 KB in a
+// RelWithDebInfo build — which a 2 KB ceiling sent to malloc on every
+// server RPC. FramePoolTest (consistency_test) pins that NFS, SNFS and
+// NQNFS read round trips make no fall-through allocation.
 inline constexpr size_t kClassBytes = 64;
-inline constexpr size_t kMaxPooledBytes = 2048;
+inline constexpr size_t kMaxPooledBytes = 4096;
 inline constexpr size_t kNumClasses = kMaxPooledBytes / kClassBytes;
 
 struct FreeBlock {
@@ -31,6 +37,11 @@ struct FreeBlock {
 };
 
 inline FreeBlock* g_free[kNumClasses] = {};
+inline uint64_t g_unpooled_allocs = 0;
+
+// Frames allocated with plain new because they exceed kMaxPooledBytes,
+// since process start.
+inline uint64_t UnpooledAllocs() { return g_unpooled_allocs; }
 
 // Class index for a request of n bytes; kNumClasses if not pooled.
 inline size_t ClassOf(size_t n) {
@@ -40,6 +51,7 @@ inline size_t ClassOf(size_t n) {
 inline void* Alloc(size_t n) {
   size_t cls = ClassOf(n);
   if (cls >= kNumClasses) {
+    ++g_unpooled_allocs;
     return ::operator new(n);
   }
   FreeBlock* block = g_free[cls];

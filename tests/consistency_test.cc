@@ -20,6 +20,8 @@
 // paper's proviso that consistency holds "provided that some other
 // mechanism (such as file locking) serializes the reads and writes".
 // SNFS and NQNFS must match the oracle on every seed; NFS may go stale.
+// Last, a host-side check: a read round trip on each protocol allocates
+// every coroutine frame from the frame pool.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "src/cache/buffer_cache.h"
+#include "src/sim/frame_pool.h"
 #include "src/sim/random.h"
 #include "src/sim/sync.h"
 #include "src/trace/checker.h"
@@ -389,5 +392,36 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ConsistencyParam>& info) {
       return ProtocolLabel(info.param.protocol) + "Seed" + std::to_string(info.param.seed);
     });
+
+// Every coroutine frame of a read round trip — client stubs, the RPC
+// layer, the server handlers, SNFS callbacks — comes from the frame pool:
+// none is large enough to fall through to plain new.
+TEST(FramePoolTest, ReadRoundTripsAllocateNoUnpooledFrames) {
+  for (ServerProtocol protocol :
+       {ServerProtocol::kNfs, ServerProtocol::kSnfs, ServerProtocol::kNqnfs}) {
+    SCOPED_TRACE(ProtocolLabel(protocol));
+    uint64_t before = sim::framepool::UnpooledAllocs();
+    {
+      World w(protocol, 2);
+      MountData(w, 0, protocol);
+      MountData(w, 1, protocol);
+      bool done = false;
+      w.simulator.Spawn([](World& w, bool& done) -> sim::Task<void> {
+        auto payload = testbed::TestPattern(2 * cache::kBlockSize);
+        EXPECT_TRUE((co_await w.client(0).vfs().WriteFile("/data/f", payload)).ok());
+        // Client 1's cache is cold: its read reaches the server handler.
+        auto got = co_await w.client(1).vfs().ReadFile("/data/f");
+        EXPECT_TRUE(got.ok());
+        if (got.ok()) {
+          EXPECT_EQ(*got, payload);
+        }
+        done = true;
+      }(w, done));
+      w.simulator.Run();
+      EXPECT_TRUE(done);
+    }
+    EXPECT_EQ(sim::framepool::UnpooledAllocs() - before, 0u);
+  }
+}
 
 }  // namespace

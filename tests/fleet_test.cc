@@ -1,9 +1,12 @@
 // Fleet tests: ShardMap routing edges, the N-server x M-client rig topology
 // for all three protocols, and the fleet::MetaCache metadata tier
-// (coherence through interposition, miss coalescing, bounded eviction, and
-// the MetaInval administration RPC).
+// (coherence through interposed mutations, reads routed around the tier,
+// miss coalescing, bounded eviction, and the MetaInval administration RPC).
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "src/fault/plan.h"
 #include "src/fleet/meta_cache.h"
 #include "src/fleet/shard_map.h"
 #include "src/testbed/rig.h"
@@ -219,6 +222,102 @@ TEST(MetaCacheTest, CoherentAcrossClientsAfterWriteThroughCache) {
   }(rig, done));
   rig.simulator().Run();
   EXPECT_TRUE(done);
+}
+
+TEST(MetaCacheTest, ReadsBypassTheTierAndReplyFromTheShard) {
+  Rig rig(FleetOptions(Protocol::kNfs, 2, 2, /*cache=*/true));
+  std::vector<uint8_t> data(3 * 4096 + 100);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 7);
+  }
+  uint64_t forwarded_before = 0;
+  uint64_t misses_before = 0;
+  uint64_t shard_reads_before = 0;
+  bool done = false;
+  rig.simulator().Spawn([](Rig& rig, const std::vector<uint8_t>& data, uint64_t& forwarded,
+                           uint64_t& misses, uint64_t& shard_reads,
+                           bool& done) -> sim::Task<void> {
+    EXPECT_TRUE((co_await rig.client(0).vfs().WriteFile("/data/s1/f", data)).ok());
+    forwarded = rig.meta_cache()->forwarded();
+    misses = rig.meta_cache()->misses();
+    shard_reads = rig.shard(1).peer().server_ops().Get(proto::OpKind::kRead);
+    // Client 1's cache is cold, so every block is a read RPC.
+    auto got = co_await rig.client(1).vfs().ReadFile("/data/s1/f");
+    EXPECT_TRUE(got.ok());
+    if (!got.ok()) {
+      co_return;
+    }
+    EXPECT_EQ(*got, data);
+    done = true;
+  }(rig, data, forwarded_before, misses_before, shard_reads_before, done));
+  rig.simulator().Run();
+  EXPECT_TRUE(done);
+
+  // The shard served the reads; the tier neither handled nor issued one.
+  MetaCache& tier = *rig.meta_cache();
+  uint64_t shard_reads =
+      rig.shard(1).peer().server_ops().Get(proto::OpKind::kRead) - shard_reads_before;
+  EXPECT_GT(shard_reads, 0u);
+  EXPECT_EQ(tier.peer().server_ops().Get(proto::OpKind::kRead), 0u);
+  EXPECT_EQ(tier.peer().client_ops().Get(proto::OpKind::kRead), 0u);
+  // While only reading, the tier forwards its own fills plus the routed reads.
+  EXPECT_EQ(tier.forwarded() - forwarded_before,
+            (tier.misses() - misses_before) + shard_reads);
+}
+
+// A read whose routed hop is cut mid-file — the tier partitioned from the
+// owning shard, or the tier itself down — completes through the client's
+// retransmissions once the fault heals, with the right bytes.
+TEST(MetaCacheTest, ReadRetransmittedAcrossTierOutageReturnsRightBytes) {
+  constexpr sim::Time kReadAt = sim::Sec(10);
+  constexpr sim::Time kFaultAt = kReadAt + sim::Msec(3);
+  constexpr sim::Time kHealAt = sim::Sec(12);
+  for (bool partition : {true, false}) {
+    SCOPED_TRACE(partition ? "tier-shard partition" : "tier down");
+    RigOptions options = FleetOptions(Protocol::kNfs, 2, 2, /*cache=*/true);
+    if (partition) {
+      // Host ids are assigned in construction order; a probe rig reads them.
+      Rig probe(options);
+      auto plan = std::make_shared<fault::FaultPlan>();
+      plan->partitions.push_back(fault::Partition{probe.meta_cache()->address().host,
+                                                  probe.shard(1).address().host, kFaultAt,
+                                                  kHealAt});
+      options.network.faults = plan;
+    }
+    Rig rig(options);
+    if (!partition) {
+      rig.simulator().Spawn([](Rig& rig, sim::Time at, sim::Time heal) -> sim::Task<void> {
+        co_await sim::Sleep(rig.simulator(), at - rig.simulator().Now());
+        rig.network().SetHostUp(rig.meta_cache()->address(), false);
+        co_await sim::Sleep(rig.simulator(), heal - at);
+        rig.network().SetHostUp(rig.meta_cache()->address(), true);
+      }(rig, kFaultAt, kHealAt));
+    }
+    std::vector<uint8_t> data(3 * 4096);
+    for (size_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<uint8_t>(i * 13 + 1);
+    }
+    bool done = false;
+    rig.simulator().Spawn([](Rig& rig, const std::vector<uint8_t>& data, sim::Time read_at,
+                             sim::Time heal, bool& done) -> sim::Task<void> {
+      EXPECT_TRUE((co_await rig.client(0).vfs().WriteFile("/data/s1/f", data)).ok());
+      EXPECT_LT(rig.simulator().Now(), read_at);
+      co_await sim::Sleep(rig.simulator(), read_at - rig.simulator().Now());
+      auto got = co_await rig.client(1).vfs().ReadFile("/data/s1/f");
+      EXPECT_TRUE(got.ok());
+      if (!got.ok()) {
+        co_return;
+      }
+      EXPECT_EQ(*got, data);
+      EXPECT_GE(rig.simulator().Now(), heal);
+      done = true;
+    }(rig, data, kReadAt, kHealAt, done));
+    rig.simulator().Run();
+    EXPECT_TRUE(done);
+    EXPECT_GT(rig.client(1).peer().retransmissions(), 0u);
+    EXPECT_GT(rig.network().packets_dropped(), 0u);
+    EXPECT_EQ(rig.meta_cache()->peer().server_ops().Get(proto::OpKind::kRead), 0u);
+  }
 }
 
 TEST(MetaCacheTest, ConcurrentMissesCoalesceIntoOneFill) {

@@ -3,11 +3,13 @@
 // multi-kilobyte write payloads) by value, so a stray copy anywhere on the
 // send -> deliver -> dispatch path silently doubles the per-RPC memory
 // traffic. proto::Envelope counts its copies; these tests pin the count to
-// zero on the happy path and to exactly one per fault-injected duplicate.
+// zero on the happy path (direct and through a forwarding router) and to
+// exactly one per fault-injected duplicate.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/base/check.h"
@@ -27,8 +29,11 @@ struct EchoRig {
   Network network;
   sim::Cpu client_cpu{simulator};
   sim::Cpu server_cpu{simulator};
+  sim::Cpu router_cpu{simulator};
   rpc::Peer client{simulator, network, client_cpu, "client"};
   rpc::Peer server{simulator, network, server_cpu, "server"};
+  // Forwards every request to the server, which replies to the client.
+  rpc::Peer router{simulator, network, router_cpu, "router"};
 
   explicit EchoRig(NetworkParams params = {}, uint64_t seed = 1)
       : network(simulator, params, seed) {
@@ -42,11 +47,16 @@ struct EchoRig {
       }
       co_return proto::OkReply(proto::NullRep{});
     });
+    router.set_router([this](const proto::Request&) -> std::optional<Address> {
+      return server.address();
+    });
     client.Start();
     server.Start();
+    router.Start();
   }
 
-  void RunCalls(int calls) {
+  void RunCalls(int calls, bool routed = false) {
+    Address dst = routed ? router.address() : server.address();
     int completed = 0;
     for (int i = 0; i < calls; ++i) {
       simulator.Spawn(
@@ -57,7 +67,7 @@ struct EchoRig {
             auto reply = co_await client.Call(dst, std::move(req));
             CHECK(reply.ok());
             ++completed;
-          }(client, server.address(), i, completed));
+          }(client, dst, i, completed));
     }
     simulator.Run();
     EXPECT_EQ(completed, calls);
@@ -70,6 +80,16 @@ TEST(NetworkTest, HappyPathMovesEnvelopesWithoutCopies) {
   rig.RunCalls(50);
   EXPECT_EQ(proto::Envelope::copy_count(), 0u);
   EXPECT_EQ(rig.network.packets_sent(), 100u);  // 50 requests + 50 replies
+}
+
+TEST(NetworkTest, RoutedRequestsMoveEnvelopesWithoutCopies) {
+  // The router re-sends the envelope it received, and the server's reply
+  // goes straight to the client: forwarding adds a hop but no copy.
+  EchoRig rig;
+  proto::Envelope::reset_copy_count();
+  rig.RunCalls(50, /*routed=*/true);
+  EXPECT_EQ(proto::Envelope::copy_count(), 0u);
+  EXPECT_EQ(rig.network.packets_sent(), 150u);  // request, forward, direct reply
 }
 
 TEST(NetworkTest, FaultDuplicationCopiesExactlyOncePerDuplicate) {

@@ -1,13 +1,15 @@
 // Tests for the RPC layer: round trips, timeouts, retransmission under
-// packet loss, duplicate-request suppression, and bidirectional calls
-// (the callback pattern SNFS relies on).
+// packet loss, duplicate-request suppression, bidirectional calls (the
+// callback pattern SNFS relies on), and forwarding through a router.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "src/fault/plan.h"
 #include "src/net/network.h"
 #include "src/proto/messages.h"
 #include "src/rpc/peer.h"
@@ -505,6 +507,140 @@ TEST(RpcTest, RetransmittedIdempotentCallRunsAgainUncached) {
   EXPECT_EQ(executions, 2);
   EXPECT_EQ(rig.server.duplicates_suppressed(), 0u);
   EXPECT_EQ(rig.server.dup_cache_size(), 0u);
+}
+
+// Three hosts for the router role: clients call `router`, which forwards
+// every request to `server` (direct server return).
+struct RoutedRig {
+  sim::Simulator simulator;
+  net::Network network;
+  sim::Cpu client_cpu{simulator};
+  sim::Cpu client2_cpu{simulator};
+  sim::Cpu router_cpu{simulator};
+  sim::Cpu server_cpu{simulator};
+  Peer client{simulator, network, client_cpu, "client"};
+  Peer client2{simulator, network, client2_cpu, "client2"};
+  Peer router{simulator, network, router_cpu, "router"};
+  Peer server{simulator, network, server_cpu, "server"};
+
+  explicit RoutedRig(net::NetworkParams params = {}) : network(simulator, params, /*seed=*/42) {
+    router.set_router([this](const proto::Request&) -> std::optional<net::Address> {
+      return server.address();
+    });
+    client.Start();
+    client2.Start();
+    router.Start();
+    server.Start();
+  }
+};
+
+TEST(RpcRouterTest, RoutedRequestIsServedForTheClientAndRepliedDirectly) {
+  RoutedRig rig;
+  trace::Recorder recorder(rig.simulator);
+  trace::SetActive(&recorder);
+  std::vector<int> froms;
+  rig.server.set_handler(
+      // lint: coro-lambda-ok (handler and captures share the test scope)
+      [&froms](const proto::Request&, net::Address from) -> sim::Task<proto::Reply> {
+        froms.push_back(from.host);
+        co_return proto::OkReply(proto::CreateRep{});
+      });
+  bool done = false;
+  rig.simulator.Spawn([](RoutedRig& rig, bool& done) -> sim::Task<void> {
+    auto reply = co_await rig.client.Call(rig.router.address(), MakeCreate("f"));
+    EXPECT_TRUE(reply.ok());
+    if (!reply.ok()) {
+      co_return;
+    }
+    EXPECT_TRUE(reply->status.ok());
+    done = true;
+  }(rig, done));
+  rig.simulator.Run();
+  trace::SetActive(nullptr);
+  EXPECT_TRUE(done);
+
+  // The server saw the original client, and keyed its dup cache by it.
+  EXPECT_EQ(froms, std::vector<int>{rig.client.address().host});
+  EXPECT_EQ(rig.server.dup_cache_size(), 1u);
+  // Request, forward, and one reply straight to the client.
+  EXPECT_EQ(rig.network.packets_sent(), 3u);
+  // The router ran no handler, kept no dup-cache entry, charged no CPU.
+  EXPECT_EQ(rig.router.server_ops().Total(), 0u);
+  EXPECT_EQ(rig.router.dup_cache_size(), 0u);
+  EXPECT_EQ(rig.router_cpu.busy_time(), 0);
+
+  // The hop shows in the trace under the client's attempt, and the server's
+  // handler parents directly under that attempt.
+  uint64_t attempt_span = 0;
+  uint64_t route_span = 0;
+  std::string route_args;
+  uint64_t handle_parent = 0;
+  for (const trace::Event& e : recorder.events()) {
+    if (e.kind == trace::EventKind::kSpanBegin && e.name == "rpc.attempt") {
+      attempt_span = e.span;
+    } else if (e.name == "rpc.route") {
+      route_span = e.span;
+      route_args = e.args;
+    } else if (e.kind == trace::EventKind::kSpanBegin && e.name == "rpc.handle") {
+      handle_parent = e.parent;
+    }
+  }
+  ASSERT_NE(attempt_span, 0u);
+  EXPECT_EQ(route_span, attempt_span);
+  EXPECT_EQ(trace::ArgValue(route_args, "from"), std::to_string(rig.client.address().host));
+  EXPECT_EQ(trace::ArgValue(route_args, "to"), std::to_string(rig.server.address().host));
+  EXPECT_EQ(handle_parent, attempt_span);
+}
+
+TEST(RpcRouterTest, RoutedRetransmissionHitsServerDupCacheKeyedByClient) {
+  // Two clients each issue their first call, so both carry xid 1, through
+  // one router to a server slower than their timeout, and the server's
+  // first replies are lost. Keyed by the router (the packets' sender), the
+  // second client's create would be taken for a retransmission of the
+  // first; keyed by the original client, each create runs exactly once,
+  // the retransmission during execution is dropped, and the one after it
+  // gets the cached reply, sent to the client.
+  net::NetworkParams params;
+  {
+    RoutedRig probe;  // host ids are assigned in construction order
+    auto plan = std::make_shared<fault::FaultPlan>();
+    for (Peer* client : {&probe.client, &probe.client2}) {
+      plan->partitions.push_back(fault::Partition{probe.server.address().host,
+                                                  client->address().host, sim::Msec(100),
+                                                  sim::Msec(300)});
+    }
+    params.faults = plan;
+  }
+  RoutedRig rig(params);
+  std::vector<int> froms;
+  rig.server.set_handler(
+      // lint: coro-lambda-ok (handler and captures share the test scope)
+      [&froms, &rig](const proto::Request&, net::Address from) -> sim::Task<proto::Reply> {
+        froms.push_back(from.host);
+        co_await sim::Sleep(rig.simulator, sim::Msec(200));
+        co_return proto::OkReply(proto::CreateRep{});
+      });
+  int completed = 0;
+  for (Peer* client : {&rig.client, &rig.client2}) {
+    rig.simulator.Spawn([](RoutedRig& rig, Peer& client, int& completed) -> sim::Task<void> {
+      CallOptions opts;
+      opts.timeout = sim::Msec(150);
+      opts.max_attempts = 5;
+      auto reply = co_await client.Call(rig.router.address(), MakeCreate("f"), opts);
+      if (reply.ok() && reply->status.ok()) {
+        ++completed;
+      }
+    }(rig, *client, completed));
+  }
+  rig.simulator.Run();
+  EXPECT_EQ(completed, 2);
+  std::sort(froms.begin(), froms.end());
+  EXPECT_EQ(froms, (std::vector<int>{rig.client.address().host, rig.client2.address().host}));
+  EXPECT_GT(rig.client.retransmissions(), 0u);
+  EXPECT_GT(rig.client2.retransmissions(), 0u);
+  EXPECT_EQ(rig.server.duplicates_suppressed(), 4u);  // per client: in progress, then done
+  EXPECT_EQ(rig.router.server_ops().Total(), 0u);
+  EXPECT_EQ(rig.router.dup_cache_size(), 0u);
 }
 
 }  // namespace
