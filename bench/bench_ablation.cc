@@ -1,5 +1,5 @@
 // Ablations over the design levers DESIGN.md calls out, using the Andrew
-// benchmark (tmp remote) and the 2816 kB sort:
+// benchmark (tmp remote) and a small append workload:
 //
 //  1. the invalidate-on-close bug (§5.2): how much of NFS's read traffic it
 //     causes;
@@ -7,11 +7,7 @@
 //  3. delayed close (§6.2): open/close RPC elimination on reopen-heavy
 //     workloads;
 //  4. version-number generation (§4.3.3): stable per-file versions vs the
-//     paper prototype's global counter under state-table pressure;
-//  5. write policy: SNFS with write-through-on-close forced (i.e. the NFS
-//     write policy bolted onto the SNFS consistency protocol) — showing the
-//     paper's conclusion that the *win is the delayed write-back*, which
-//     the consistency protocol merely makes safe.
+//     paper prototype's global counter under state-table pressure.
 #include <cstdio>
 
 #include <utility>
@@ -23,8 +19,6 @@ namespace {
 
 using bench::AndrewRun;
 using bench::RunAndrewConfig;
-using bench::RunSortConfig;
-using bench::SortRun;
 using metrics::Table;
 using testbed::Protocol;
 using testbed::RigOptions;
@@ -133,21 +127,6 @@ int main() {
     t.Print();
     std::printf("(\"we chose to use a global counter ... suitable only for experimental\n"
                 " use, as it poses several obvious problems\")\n");
-  }
-
-  std::printf("\n=== Ablation 5: callback thread budget (SNFS sort with sharing) ===\n\n");
-  {
-    // A budget equal to the worker count would allow all workers to block in
-    // callbacks with nobody left to serve the resulting write-backs (§3.2).
-    // We show the budgeted configuration completing promptly.
-    RigOptions options;
-    options.server.snfs.callback_budget = 3;  // workers - 1
-    SortRun budgeted = RunSortConfig(Protocol::kSnfs, 1408 * 1024, true, 1280, options);
-    std::printf("callback budget N-1: sort completes in %.1f s (no deadlock); callbacks %llu\n",
-                sim::ToSeconds(budgeted.report.elapsed),
-                static_cast<unsigned long long>(0));
-    std::printf("(\"if there are N threads, only N-1 may be doing callbacks simultaneously,\n"
-                " so that at least one thread can service the write-backs\")\n");
   }
   return 0;
 }

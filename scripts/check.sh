@@ -129,11 +129,12 @@ fi
 
 echo "== sanitizers: ASan/UBSan on the fault harness =="
 cmake --preset asan
-# fs_test and hybrid_test carry the stale-pointer regressions (remove racing
-# a suspended create/read, lease expiry mid-upgrade): their bugs only show
-# as use-after-free, so they run under the sanitizers too.
+# fs_test carries the stale-pointer regressions (remove racing a suspended
+# create/read): their bugs only show as use-after-free, so it runs under the
+# sanitizers too. consistency_test runs every protocol client over the one
+# remote-client core against its server (the conformance matrix).
 cmake --build build-asan -j --target fault_injection_test rpc_test recovery_test \
-  fs_test hybrid_test nqnfs_test fleet_test
+  fs_test consistency_test nqnfs_test fleet_test
 # Leak detection stays off: coroutine frames still suspended when a Simulator
 # is torn down are reported as leaks. This is a pre-existing, codebase-wide
 # pattern (the seed's sim_test reports the same under ASan); ASan/UBSan still
@@ -143,7 +144,7 @@ export ASAN_OPTIONS=detect_leaks=0
 ./build-asan/tests/recovery_test
 ./build-asan/tests/fault_injection_test
 ./build-asan/tests/fs_test
-./build-asan/tests/hybrid_test
+./build-asan/tests/consistency_test
 # NQNFS lease expiry races whole-file flushes and vacate callbacks race
 # crashes: one more place lifetime bugs only show as use-after-free.
 ./build-asan/tests/nqnfs_test

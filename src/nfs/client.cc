@@ -12,75 +12,30 @@ using cache::kBlockSize;
 
 NfsClient::NfsClient(sim::Simulator& simulator, rpc::Peer& peer, net::Address server,
                      proto::FileHandle root_fh, cache::BufferCache& cache, NfsClientParams params)
-    : simulator_(simulator),
-      peer_(peer),
-      server_(server),
-      root_fh_(root_fh),
-      cache_(cache),
+    : RemoteClient(simulator, peer, server, root_fh, cache, "nfs"),
       params_(params),
-      biods_(simulator, params.num_biods) {
-  cache::Backing backing;
-  backing.fetch = [this](uint64_t fileid, uint64_t block)
-      -> sim::Task<base::Result<std::vector<uint8_t>>> {
-    auto it = nodes_.find(fileid);
-    if (it == nodes_.end()) {
-      co_return base::ErrStale();
-    }
-    NodeRef node = it->second;
-    proto::ReadReq req;
-    req.fh = node->fh;
-    req.offset = block * kBlockSize;
-    req.count = kBlockSize;
-    auto rep = rpc::Expect<proto::ReadRep>(co_await peer_.Call(server_, req));
-    if (!rep.ok()) {
-      co_return rep.status();
-    }
-    UpdateAttrs(*node, rep->attr);
-    if (node->cached_data_mtime < 0) {
-      node->cached_data_mtime = rep->attr.mtime;
-    }
-    co_return std::move(rep->data);
-  };
-  // NFS never write-backs through the cache (the client writes through via
-  // biods); the store hook only exists for interface completeness.
-  backing.store = [this](uint64_t fileid, uint64_t block,
-                         std::vector<uint8_t> data) -> sim::Task<base::Result<void>> {
-    auto it = nodes_.find(fileid);
-    if (it == nodes_.end()) {
-      co_return base::ErrStale();
-    }
-    proto::WriteReq req;
-    req.fh = it->second->fh;
-    req.offset = block * kBlockSize;
-    req.data = std::move(data);
-    auto rep = rpc::Expect<proto::AttrRep>(co_await peer_.Call(server_, req));
-    if (!rep.ok()) {
-      co_return rep.status();
-    }
-    co_return base::OkStatus();
-  };
-  backing.trace_name = "nfs";
-  backing.trace_machine = peer_.address().host;
-  mount_id_ = cache_.RegisterMount(std::move(backing));
-}
+      biods_(simulator, kNumBiods) {}
 
-NfsClient::NodeRef NfsClient::AsNode(const vfs::GnodeRef& node) {
-  return std::static_pointer_cast<NfsNode>(node);
-}
-
-NfsClient::NodeRef NfsClient::Intern(const proto::FileHandle& fh, const proto::Attr& attr) {
-  auto it = nodes_.find(fh.fileid);
-  if (it != nodes_.end() && it->second->fh == fh) {
-    UpdateAttrs(*it->second, attr);
-    return it->second;
-  }
+vfs::GnodeRef NfsClient::NewNode() {
   auto node = std::make_shared<NfsNode>();
-  node->fh = fh;
-  node->attr = attr;
   node->attr_fetched = simulator_.Now();
-  node->attr_timeout = params_.attr_timeout_min;
-  nodes_[fh.fileid] = node;
   return node;
+}
+
+void NfsClient::MergeAttrs(vfs::Gnode& node, const proto::Attr& attr) {
+  UpdateAttrs(static_cast<NfsNode&>(node), attr);
+}
+
+void NfsClient::OnFetched(vfs::Gnode& gnode, const proto::Attr& attr) {
+  auto& node = static_cast<NfsNode&>(gnode);
+  UpdateAttrs(node, attr);
+  if (node.cached_data_mtime < 0) {
+    node.cached_data_mtime = attr.mtime;
+  }
+}
+
+void NfsClient::OnCreated(vfs::Gnode& node, const proto::Attr& attr) {
+  static_cast<NfsNode&>(node).cached_data_mtime = attr.mtime;
 }
 
 void NfsClient::UpdateAttrs(NfsNode& node, const proto::Attr& attr) {
@@ -95,9 +50,9 @@ void NfsClient::UpdateAttrs(NfsNode& node, const proto::Attr& attr) {
 
 void NfsClient::AdaptTimeout(NfsNode& node, bool changed) {
   if (changed) {
-    node.attr_timeout = params_.attr_timeout_min;
+    node.attr_timeout = kAttrTimeoutMin;
   } else {
-    node.attr_timeout = std::min<sim::Duration>(node.attr_timeout * 2, params_.attr_timeout_max);
+    node.attr_timeout = std::min<sim::Duration>(node.attr_timeout * 2, kAttrTimeoutMax);
   }
 }
 
@@ -113,7 +68,7 @@ sim::Task<base::Result<void>> NfsClient::Probe(NodeRef node) {
   ++attr_probes_;
   proto::GetAttrReq req;
   req.fh = node->fh;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await peer_.Call(server_, req));
+  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(req)));
   if (!rep.ok()) {
     co_return rep.status();
   }
@@ -152,7 +107,7 @@ sim::Task<void> NfsClient::AsyncWriteBody(NodeRef node, uint64_t offset,
   req.fh = node->fh;
   req.offset = offset;
   req.data = std::move(data);
-  auto rep = rpc::Expect<proto::AttrRep>(co_await peer_.Call(server_, req));
+  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(req)));
   biods_.Release();
   if (rep.ok()) {
     // The write bumped the server mtime; adopt it so our own writes don't
@@ -187,62 +142,8 @@ sim::Task<void> NfsClient::DrainWrites(NodeRef node) {
 
 // --- FileSystem interface ------------------------------------------------------
 
-sim::Task<base::Result<vfs::GnodeRef>> NfsClient::Root() {
-  auto it = nodes_.find(root_fh_.fileid);
-  if (it != nodes_.end()) {
-    co_return vfs::GnodeRef(it->second);
-  }
-  proto::GetAttrReq req;
-  req.fh = root_fh_;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return vfs::GnodeRef(Intern(root_fh_, rep->attr));
-}
-
-sim::Task<base::Result<vfs::GnodeRef>> NfsClient::Lookup(vfs::GnodeRef dir,
-                                                         std::string name) {
-  proto::LookupReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  auto rep = rpc::Expect<proto::LookupRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return vfs::GnodeRef(Intern(rep->fh, rep->attr));
-}
-
-sim::Task<base::Result<vfs::GnodeRef>> NfsClient::Create(vfs::GnodeRef dir,
-                                                         std::string name,
-                                                         bool exclusive) {
-  proto::CreateReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  req.exclusive = exclusive;
-  auto rep = rpc::Expect<proto::CreateRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  NodeRef node = Intern(rep->fh, rep->attr);
-  node->cached_data_mtime = rep->attr.mtime;  // fresh file: we know its (empty) content
-  co_return vfs::GnodeRef(node);
-}
-
-sim::Task<base::Result<vfs::GnodeRef>> NfsClient::Mkdir(vfs::GnodeRef dir,
-                                                        std::string name) {
-  proto::MkdirReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  auto rep = rpc::Expect<proto::CreateRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return vfs::GnodeRef(Intern(rep->fh, rep->attr));
-}
-
 sim::Task<base::Result<void>> NfsClient::Open(vfs::GnodeRef gnode, bool write) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<NfsNode>(gnode);
   // "The check is also made each time the client opens a file."
   CO_RETURN_IF_ERROR(co_await Probe(node));
   if (write) {
@@ -254,7 +155,7 @@ sim::Task<base::Result<void>> NfsClient::Open(vfs::GnodeRef gnode, bool write) {
 }
 
 sim::Task<base::Result<void>> NfsClient::Close(vfs::GnodeRef gnode, bool write) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<NfsNode>(gnode);
   // Push out delayed partial blocks, then synchronously finish all pending
   // write-throughs.
   CO_RETURN_IF_ERROR(co_await FlushPartials(node));
@@ -276,7 +177,7 @@ sim::Task<base::Result<void>> NfsClient::Close(vfs::GnodeRef gnode, bool write) 
 
 sim::Task<base::Result<std::vector<uint8_t>>> NfsClient::Read(vfs::GnodeRef gnode,
                                                               uint64_t offset, uint32_t count) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<NfsNode>(gnode);
   // Periodic consistency check while the file is in use.
   CO_RETURN_IF_ERROR(co_await ProbeIfStale(node));
   co_return co_await cache_.Read(mount_id_, node->fh.fileid, offset, count, node->attr.size,
@@ -285,7 +186,7 @@ sim::Task<base::Result<std::vector<uint8_t>>> NfsClient::Read(vfs::GnodeRef gnod
 
 sim::Task<base::Result<void>> NfsClient::Write(vfs::GnodeRef gnode, uint64_t offset,
                                                std::vector<uint8_t> data) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<NfsNode>(gnode);
   if (data.empty()) {
     co_return base::OkStatus();
   }
@@ -346,19 +247,19 @@ sim::Task<base::Result<void>> NfsClient::Write(vfs::GnodeRef gnode, uint64_t off
 }
 
 sim::Task<base::Result<proto::Attr>> NfsClient::GetAttr(vfs::GnodeRef gnode) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<NfsNode>(gnode);
   CO_RETURN_IF_ERROR(co_await ProbeIfStale(node));
   co_return node->attr;
 }
 
 sim::Task<base::Result<void>> NfsClient::Truncate(vfs::GnodeRef gnode, uint64_t size) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<NfsNode>(gnode);
   node->partial.clear();
   co_await DrainWrites(node);
   proto::SetAttrReq req;
   req.fh = node->fh;
   req.size = size;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await peer_.Call(server_, req));
+  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(req)));
   if (!rep.ok()) {
     co_return rep.status();
   }
@@ -370,75 +271,18 @@ sim::Task<base::Result<void>> NfsClient::Truncate(vfs::GnodeRef gnode, uint64_t 
 
 sim::Task<base::Result<void>> NfsClient::Remove(vfs::GnodeRef dir, std::string name,
                                                 vfs::GnodeRef target) {
-  NodeRef victim = AsNode(target);
+  NodeRef victim = AsNode<NfsNode>(target);
   // NFS cannot cancel anything: data was written through already. Just make
   // sure nothing is still in flight, then drop the cached copies.
   victim->partial.clear();
   co_await DrainWrites(victim);
-  proto::RemoveReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  auto rep = rpc::Expect<proto::NullRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
+  CO_RETURN_IF_ERROR(co_await RemoveName(dir, std::move(name), victim->fh.fileid));
   cache_.InvalidateFile(mount_id_, victim->fh.fileid);
-  nodes_.erase(victim->fh.fileid);
   co_return base::OkStatus();
-}
-
-sim::Task<base::Result<void>> NfsClient::Rmdir(vfs::GnodeRef dir, std::string name) {
-  proto::RmdirReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  auto rep = rpc::Expect<proto::NullRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return base::OkStatus();
-}
-
-sim::Task<base::Result<void>> NfsClient::Rename(vfs::GnodeRef from_dir,
-                                                std::string from_name,
-                                                vfs::GnodeRef to_dir,
-                                                std::string to_name) {
-  proto::RenameReq req;
-  req.from_dir = from_dir->fh;
-  req.from_name = from_name;
-  req.to_dir = to_dir->fh;
-  req.to_name = to_name;
-  auto rep = rpc::Expect<proto::NullRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return base::OkStatus();
-}
-
-sim::Task<base::Result<std::vector<proto::DirEntry>>> NfsClient::ReadDir(vfs::GnodeRef dir) {
-  std::vector<proto::DirEntry> all;
-  uint64_t cookie = 0;
-  while (true) {
-    proto::ReadDirReq req;
-    req.dir = dir->fh;
-    req.cookie = cookie;
-    req.count = 64;
-    auto rep = rpc::Expect<proto::ReadDirRep>(co_await peer_.Call(server_, req));
-    if (!rep.ok()) {
-      co_return rep.status();
-    }
-    for (auto& e : rep->entries) {
-      cookie = e.cookie;
-      all.push_back(std::move(e));
-    }
-    if (rep->eof) {
-      break;
-    }
-  }
-  co_return all;
 }
 
 sim::Task<base::Result<void>> NfsClient::Fsync(vfs::GnodeRef gnode) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<NfsNode>(gnode);
   CO_RETURN_IF_ERROR(co_await FlushPartials(node));
   co_await DrainWrites(node);
   base::Status err = node->write_error;

@@ -23,11 +23,11 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cache/buffer_cache.h"
 #include "src/net/network.h"
+#include "src/nfs/remote_client.h"
 #include "src/proto/messages.h"
 #include "src/rpc/peer.h"
 #include "src/sim/simulator.h"
@@ -36,25 +36,22 @@
 
 namespace nfs {
 
+// The adaptive attribute-probe window (3–60 s) and the biod pool size.
+inline constexpr sim::Duration kAttrTimeoutMin = sim::Sec(3);
+inline constexpr sim::Duration kAttrTimeoutMax = sim::Sec(60);
+inline constexpr int kNumBiods = 8;
+
 struct NfsClientParams {
-  sim::Duration attr_timeout_min = sim::Sec(3);
-  sim::Duration attr_timeout_max = sim::Sec(60);
-  int num_biods = 8;
   bool invalidate_on_close = true;   // the Ultrix bug (§5.2)
   bool delay_partial_writes = true;  // reference-port optimization
 };
 
-class NfsClient : public vfs::FileSystem {
+class NfsClient : public RemoteClient {
  public:
   NfsClient(sim::Simulator& simulator, rpc::Peer& peer, net::Address server,
             proto::FileHandle root_fh, cache::BufferCache& cache, NfsClientParams params = {});
 
   // --- vfs::FileSystem ------------------------------------------------------
-  sim::Task<base::Result<vfs::GnodeRef>> Root() override;
-  sim::Task<base::Result<vfs::GnodeRef>> Lookup(vfs::GnodeRef dir, std::string name) override;
-  sim::Task<base::Result<vfs::GnodeRef>> Create(vfs::GnodeRef dir, std::string name,
-                                                bool exclusive) override;
-  sim::Task<base::Result<vfs::GnodeRef>> Mkdir(vfs::GnodeRef dir, std::string name) override;
   sim::Task<base::Result<void>> Open(vfs::GnodeRef node, bool write) override;
   sim::Task<base::Result<void>> Close(vfs::GnodeRef node, bool write) override;
   sim::Task<base::Result<std::vector<uint8_t>>> Read(vfs::GnodeRef node, uint64_t offset,
@@ -65,31 +62,32 @@ class NfsClient : public vfs::FileSystem {
   sim::Task<base::Result<void>> Truncate(vfs::GnodeRef node, uint64_t size) override;
   sim::Task<base::Result<void>> Remove(vfs::GnodeRef dir, std::string name,
                                        vfs::GnodeRef target) override;
-  sim::Task<base::Result<void>> Rmdir(vfs::GnodeRef dir, std::string name) override;
-  sim::Task<base::Result<void>> Rename(vfs::GnodeRef from_dir, std::string from_name,
-                                       vfs::GnodeRef to_dir, std::string to_name) override;
-  sim::Task<base::Result<std::vector<proto::DirEntry>>> ReadDir(vfs::GnodeRef dir) override;
   sim::Task<base::Result<void>> Fsync(vfs::GnodeRef node) override;
 
-  int mount_id() const { return mount_id_; }
   uint64_t attr_probes() const { return attr_probes_; }
   uint64_t cache_invalidations() const { return cache_invalidations_; }
 
  private:
   struct NfsNode : vfs::Gnode {
-    sim::Time attr_fetched = -1;             // virtual time of last server attrs
-    sim::Duration attr_timeout = 0;          // current adaptive timeout
-    sim::Time cached_data_mtime = -1;        // mtime the cached blocks match (-1: none)
-    int pending_writes = 0;                  // async write RPCs in flight
-    base::Status write_error;                // first async write failure (reported at close)
+    sim::Time attr_fetched = -1;                   // virtual time of last server attrs
+    sim::Duration attr_timeout = kAttrTimeoutMin;  // current adaptive timeout
+    sim::Time cached_data_mtime = -1;              // mtime the cached blocks match (-1: none)
+    int pending_writes = 0;                        // async write RPCs in flight
+    base::Status write_error;  // first async write failure (reported at close)
     std::vector<std::coroutine_handle<>> write_waiters;
     // Delayed partial-block buffers: block -> bytes [block start, len).
     std::map<uint64_t, std::vector<uint8_t>> partial;
   };
   using NodeRef = std::shared_ptr<NfsNode>;
 
-  static NodeRef AsNode(const vfs::GnodeRef& node);
-  NodeRef Intern(const proto::FileHandle& fh, const proto::Attr& attr);
+  // --- RemoteClient hooks ------------------------------------------------------
+  vfs::GnodeRef NewNode() override;
+  void MergeAttrs(vfs::Gnode& node, const proto::Attr& attr) override;
+  // Record the mtime the cached data matches: a block fetch's (unless one
+  // is already recorded) and a create's, whose content the reply gives.
+  void OnFetched(vfs::Gnode& node, const proto::Attr& attr) override;
+  void OnCreated(vfs::Gnode& node, const proto::Attr& attr) override;
+
   void UpdateAttrs(NfsNode& node, const proto::Attr& attr);
   void AdaptTimeout(NfsNode& node, bool changed);
   void InvalidateData(NfsNode& node);
@@ -111,15 +109,8 @@ class NfsClient : public vfs::FileSystem {
     void await_resume() const noexcept {}
   };
 
-  sim::Simulator& simulator_;
-  rpc::Peer& peer_;
-  net::Address server_;
-  proto::FileHandle root_fh_;
-  cache::BufferCache& cache_;
   NfsClientParams params_;
-  int mount_id_;
   sim::Semaphore biods_;
-  std::unordered_map<uint64_t, NodeRef> nodes_;
   uint64_t attr_probes_ = 0;
   uint64_t cache_invalidations_ = 0;
 };

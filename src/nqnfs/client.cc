@@ -8,122 +8,38 @@
 
 namespace nqnfs {
 
-using cache::kBlockSize;
-
 NqnfsClient::NqnfsClient(sim::Simulator& simulator, rpc::Peer& peer, net::Address server,
                          proto::FileHandle root_fh, cache::BufferCache& cache,
                          NqnfsClientParams params)
-    : simulator_(simulator),
-      peer_(peer),
-      server_(server),
-      root_fh_(root_fh),
-      cache_(cache),
-      params_(params) {
-  cache::Backing backing;
-  backing.fetch = [this](uint64_t fileid, uint64_t block)
-      -> sim::Task<base::Result<std::vector<uint8_t>>> {
-    auto it = nodes_.find(fileid);
-    if (it == nodes_.end()) {
-      co_return base::ErrStale();
-    }
-    proto::ReadReq req;
-    req.fh = it->second->fh;
-    req.offset = block * kBlockSize;
-    req.count = kBlockSize;
-    auto rep = rpc::Expect<proto::ReadRep>(co_await Call(proto::Request(req)));
-    if (!rep.ok()) {
-      co_return rep.status();
-    }
-    co_return std::move(rep->data);
-  };
-  backing.store = [this](uint64_t fileid, uint64_t block,
-                         std::vector<uint8_t> data) -> sim::Task<base::Result<void>> {
-    auto it = nodes_.find(fileid);
-    if (it == nodes_.end()) {
-      co_return base::ErrStale();
-    }
-    proto::WriteReq req;
-    req.fh = it->second->fh;
-    req.offset = block * kBlockSize;
-    req.data = std::move(data);
-    auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(req)));
-    if (!rep.ok()) {
-      co_return rep.status();
-    }
-    co_return base::OkStatus();
-  };
-  // Attribute this mount's dirty-state transitions to the NQNFS protocol on
-  // this host, so the trace checker can enforce single-writer caching.
-  backing.trace_name = "nqnfs";
-  backing.trace_machine = peer_.address().host;
-  mount_id_ = cache_.RegisterMount(std::move(backing));
+    : RemoteClient(simulator, peer, server, root_fh, cache, "nqnfs"), params_(params) {}
+
+void NqnfsClient::SpawnDaemons(uint64_t generation) {
+  simulator_.Spawn(ExpiryDaemon(generation));
 }
 
-void NqnfsClient::Start() {
-  if (running_) {
-    return;
-  }
-  running_ = true;
-  ++daemon_generation_;
-  simulator_.Spawn(ExpiryDaemon(daemon_generation_));
-}
-
-void NqnfsClient::Stop() { running_ = false; }
-
-void NqnfsClient::Reset() {
+void NqnfsClient::OnCrash() {
   // Workload code may hold GnodeRefs across a crash; unlike SNFS (where the
   // server holds the authority), an NQNFS node's lease_expires IS the
   // client's licence to serve cached data, so it must not survive a reboot.
-  for (auto& [fileid, node] : nodes_) {  // lint: ordered-ok (independent field resets)
+  for (uint64_t fileid : NodeIds()) {
+    NodeRef node = AsNode<NqnfsNode>(FindNode(fileid));
     node->lease_expires = 0;
     node->lease_write = false;
     node->have_cached_data = false;
     node->retry_grant_after = 0;
   }
-  nodes_.clear();
-}
-
-NqnfsClient::NodeRef NqnfsClient::AsNode(const vfs::GnodeRef& node) {
-  return std::static_pointer_cast<NqnfsNode>(node);
-}
-
-NqnfsClient::NodeRef NqnfsClient::Intern(const proto::FileHandle& fh, const proto::Attr& attr) {
-  auto it = nodes_.find(fh.fileid);
-  if (it != nodes_.end() && it->second->fh == fh) {
-    // Attributes for files we hold dirty data on are locally authoritative.
-    if (!cache_.HasDirty(mount_id_, fh.fileid)) {
-      proto::Attr merged = attr;
-      merged.size = std::max(merged.size, it->second->attr.size);
-      it->second->attr = merged;
-    }
-    return it->second;
-  }
-  auto node = std::make_shared<NqnfsNode>();
-  node->fh = fh;
-  node->attr = attr;
-  nodes_[fh.fileid] = node;
-  return node;
 }
 
 // --- lease machinery ---------------------------------------------------------
 
-sim::Task<base::Result<proto::Reply>> NqnfsClient::Call(proto::Request request) {
-  auto reply = co_await peer_.Call(server_, std::move(request));
-  if (reply.ok()) {
-    ApplyExtension(*reply);
-  }
-  co_return reply;
-}
-
-void NqnfsClient::ApplyExtension(const proto::Reply& reply) {
+void NqnfsClient::OnReply(const proto::Reply& reply) {
   if (reply.lease_file == 0) {
     return;
   }
-  auto it = nodes_.find(reply.lease_file);
-  if (it == nodes_.end()) {
+  NodeRef node = AsNode<NqnfsNode>(FindNode(reply.lease_file));
+  if (node == nullptr) {
     return;
   }
-  NodeRef node = it->second;
   // Only a still-live lease can be extended: a vacate or local expiry that
   // raced this reply wins.
   if (node->lease_expires != 0 && reply.lease_expires > node->lease_expires) {
@@ -224,25 +140,18 @@ sim::Task<void> NqnfsClient::EnsureLease(NodeRef node, bool write) {
 }
 
 sim::Task<void> NqnfsClient::ExpiryDaemon(uint64_t generation) {
-  while (running_ && generation == daemon_generation_) {
+  while (DaemonRunning(generation)) {
     co_await sim::Sleep(simulator_, params_.lease_scan, /*background=*/true);
-    if (!running_ || generation != daemon_generation_) {
+    if (!DaemonRunning(generation)) {
       break;
     }
     // Flushes are awaited RPCs, so walk in fileid order to keep the event
     // queue independent of hash order.
-    std::vector<uint64_t> fileids;
-    fileids.reserve(nodes_.size());
-    for (const auto& [fileid, node] : nodes_) {  // lint: ordered-ok (sorted below)
-      fileids.push_back(fileid);
-    }
-    std::sort(fileids.begin(), fileids.end());
-    for (uint64_t fileid : fileids) {
-      auto it = nodes_.find(fileid);
-      if (it == nodes_.end()) {
+    for (uint64_t fileid : NodeIds()) {
+      NodeRef node = AsNode<NqnfsNode>(FindNode(fileid));  // hold a ref across the awaits
+      if (node == nullptr) {
         continue;  // removed while an earlier flush was in flight
       }
-      NodeRef node = it->second;  // hold a ref: awaits below may mutate nodes_
       if (node->lease_expires == 0) {
         continue;
       }
@@ -265,7 +174,7 @@ sim::Task<void> NqnfsClient::ExpiryDaemon(uint64_t generation) {
         // whole file here would write through delayed data that a remove or
         // the sync daemon may still handle for free — a large regression on
         // temp-file workloads.
-        while (running_ && cache_.HasDirty(mount_id_, fileid)) {
+        while (running() && cache_.HasDirty(mount_id_, fileid)) {
           now = simulator_.Now();
           if (node->lease_expires <= now || node->lease_expires - now > params_.flush_margin) {
             break;  // lapsed (next scan write-through-flushes) or extended
@@ -288,11 +197,10 @@ sim::Task<proto::Reply> NqnfsClient::HandleCallback(proto::CallbackReq req) {
                          " wb=" + (req.writeback ? "1" : "0") +
                          " inv=" + (req.invalidate ? "1" : "0"));
   }
-  auto it = nodes_.find(req.fh.fileid);
-  if (it == nodes_.end() || !(it->second->fh == req.fh)) {
+  NodeRef node = AsNode<NqnfsNode>(FindNode(req.fh));
+  if (node == nullptr) {
     co_return proto::OkReply(proto::CallbackRep{});
   }
-  NodeRef node = it->second;
   if (req.writeback) {
     // "The client should not return from the callback RPC until all the
     // dirty blocks have been written back to the server."
@@ -308,62 +216,10 @@ sim::Task<proto::Reply> NqnfsClient::HandleCallback(proto::CallbackReq req) {
   co_return proto::OkReply(proto::CallbackRep{});
 }
 
-// --- namespace & data ----------------------------------------------------------
-
-sim::Task<base::Result<vfs::GnodeRef>> NqnfsClient::Root() {
-  auto it = nodes_.find(root_fh_.fileid);
-  if (it != nodes_.end()) {
-    co_return vfs::GnodeRef(it->second);
-  }
-  proto::GetAttrReq req;
-  req.fh = root_fh_;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(req)));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return vfs::GnodeRef(Intern(root_fh_, rep->attr));
-}
-
-sim::Task<base::Result<vfs::GnodeRef>> NqnfsClient::Lookup(vfs::GnodeRef dir,
-                                                           std::string name) {
-  proto::LookupReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  auto rep = rpc::Expect<proto::LookupRep>(co_await Call(proto::Request(req)));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return vfs::GnodeRef(Intern(rep->fh, rep->attr));
-}
-
-sim::Task<base::Result<vfs::GnodeRef>> NqnfsClient::Create(vfs::GnodeRef dir,
-                                                           std::string name,
-                                                           bool exclusive) {
-  proto::CreateReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  req.exclusive = exclusive;
-  auto rep = rpc::Expect<proto::CreateRep>(co_await Call(proto::Request(req)));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return vfs::GnodeRef(Intern(rep->fh, rep->attr));
-}
-
-sim::Task<base::Result<vfs::GnodeRef>> NqnfsClient::Mkdir(vfs::GnodeRef dir,
-                                                          std::string name) {
-  proto::MkdirReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  auto rep = rpc::Expect<proto::CreateRep>(co_await Call(proto::Request(req)));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return vfs::GnodeRef(Intern(rep->fh, rep->attr));
-}
+// --- data ----------------------------------------------------------------------
 
 sim::Task<base::Result<void>> NqnfsClient::Open(vfs::GnodeRef gnode, bool write) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<NqnfsNode>(gnode);
   co_await EnsureLease(node, write);
   if (write) {
     ++node->open_writes;
@@ -374,7 +230,7 @@ sim::Task<base::Result<void>> NqnfsClient::Open(vfs::GnodeRef gnode, bool write)
 }
 
 sim::Task<base::Result<void>> NqnfsClient::Close(vfs::GnodeRef gnode, bool write) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<NqnfsNode>(gnode);
   if (write) {
     CHECK_GT(node->open_writes, 0u);
     --node->open_writes;
@@ -389,7 +245,7 @@ sim::Task<base::Result<void>> NqnfsClient::Close(vfs::GnodeRef gnode, bool write
 
 sim::Task<base::Result<std::vector<uint8_t>>> NqnfsClient::Read(vfs::GnodeRef gnode,
                                                                 uint64_t offset, uint32_t count) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<NqnfsNode>(gnode);
   co_await EnsureLease(node, /*write=*/false);
   if (node->lease_expires <= simulator_.Now()) {
     // No lease: every read goes through to the server, read-ahead disabled.
@@ -421,7 +277,7 @@ sim::Task<base::Result<std::vector<uint8_t>>> NqnfsClient::Read(vfs::GnodeRef gn
 
 sim::Task<base::Result<void>> NqnfsClient::Write(vfs::GnodeRef gnode, uint64_t offset,
                                                  std::vector<uint8_t> data) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<NqnfsNode>(gnode);
   co_await EnsureLease(node, /*write=*/true);
   if (node->lease_expires <= simulator_.Now() || !node->lease_write) {
     // No write lease: revert to synchronous write-through. Our own cached
@@ -456,7 +312,7 @@ sim::Task<base::Result<void>> NqnfsClient::Write(vfs::GnodeRef gnode, uint64_t o
 }
 
 sim::Task<base::Result<proto::Attr>> NqnfsClient::GetAttr(vfs::GnodeRef gnode) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<NqnfsNode>(gnode);
   if (node->lease_expires > simulator_.Now()) {
     // A live lease keeps the attribute cache valid: any foreign write would
     // have vacated us first.
@@ -475,7 +331,7 @@ sim::Task<base::Result<proto::Attr>> NqnfsClient::GetAttr(vfs::GnodeRef gnode) {
 }
 
 sim::Task<base::Result<void>> NqnfsClient::Truncate(vfs::GnodeRef gnode, uint64_t size) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<NqnfsNode>(gnode);
   cache_.CancelDirty(mount_id_, node->fh.fileid);
   cache_.InvalidateFile(mount_id_, node->fh.fileid);
   node->have_cached_data = false;
@@ -492,75 +348,17 @@ sim::Task<base::Result<void>> NqnfsClient::Truncate(vfs::GnodeRef gnode, uint64_
 
 sim::Task<base::Result<void>> NqnfsClient::Remove(vfs::GnodeRef dir, std::string name,
                                                   vfs::GnodeRef target) {
-  NodeRef victim = AsNode(target);
+  NodeRef victim = AsNode<NqnfsNode>(target);
   // Deleting a file cancels its delayed writes, exactly as in Sprite/SNFS.
   cache_.CancelDirty(mount_id_, victim->fh.fileid);
   cache_.InvalidateFile(mount_id_, victim->fh.fileid);
   victim->have_cached_data = false;
   DropLease(victim, "remove");
-  proto::RemoveReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  auto rep = rpc::Expect<proto::NullRep>(co_await Call(proto::Request(req)));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  nodes_.erase(victim->fh.fileid);
-  co_return base::OkStatus();
-}
-
-sim::Task<base::Result<void>> NqnfsClient::Rmdir(vfs::GnodeRef dir, std::string name) {
-  proto::RmdirReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  auto rep = rpc::Expect<proto::NullRep>(co_await Call(proto::Request(req)));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return base::OkStatus();
-}
-
-sim::Task<base::Result<void>> NqnfsClient::Rename(vfs::GnodeRef from_dir,
-                                                  std::string from_name,
-                                                  vfs::GnodeRef to_dir,
-                                                  std::string to_name) {
-  proto::RenameReq req;
-  req.from_dir = from_dir->fh;
-  req.from_name = from_name;
-  req.to_dir = to_dir->fh;
-  req.to_name = to_name;
-  auto rep = rpc::Expect<proto::NullRep>(co_await Call(proto::Request(req)));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return base::OkStatus();
-}
-
-sim::Task<base::Result<std::vector<proto::DirEntry>>> NqnfsClient::ReadDir(vfs::GnodeRef dir) {
-  std::vector<proto::DirEntry> all;
-  uint64_t cookie = 0;
-  while (true) {
-    proto::ReadDirReq req;
-    req.dir = dir->fh;
-    req.cookie = cookie;
-    req.count = 64;
-    auto rep = rpc::Expect<proto::ReadDirRep>(co_await Call(proto::Request(req)));
-    if (!rep.ok()) {
-      co_return rep.status();
-    }
-    for (auto& e : rep->entries) {
-      cookie = e.cookie;
-      all.push_back(std::move(e));
-    }
-    if (rep->eof) {
-      break;
-    }
-  }
-  co_return all;
+  co_return co_await RemoveName(dir, std::move(name), victim->fh.fileid);
 }
 
 sim::Task<base::Result<void>> NqnfsClient::Fsync(vfs::GnodeRef gnode) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<NqnfsNode>(gnode);
   co_return co_await cache_.FlushFile(mount_id_, node->fh.fileid);
 }
 

@@ -27,11 +27,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cache/buffer_cache.h"
 #include "src/net/network.h"
+#include "src/nfs/remote_client.h"
 #include "src/proto/messages.h"
 #include "src/rpc/peer.h"
 #include "src/sim/simulator.h"
@@ -49,35 +49,16 @@ struct NqnfsClientParams {
   sim::Duration denied_retry = sim::Sec(1);
 };
 
-class NqnfsClient : public vfs::FileSystem {
+class NqnfsClient : public nfs::RemoteClient {
  public:
   NqnfsClient(sim::Simulator& simulator, rpc::Peer& peer, net::Address server,
               proto::FileHandle root_fh, cache::BufferCache& cache,
               NqnfsClientParams params = {});
 
-  // Spawns the lease-expiry daemon.
-  void Start();
-  void Stop();
-
-  // Crash simulation: lease state lives in kernel memory and dies with the
-  // machine. The buffer cache is dropped separately by the machine.
-  void Reset();
-
-  bool Owns(const proto::FileHandle& fh) const {
-    auto it = nodes_.find(fh.fileid);
-    return it != nodes_.end() && it->second->fh == fh;
-  }
-
-  // Service a vacate callback from the server (routed by the testbed over
-  // the same channel as SNFS callbacks).
-  sim::Task<proto::Reply> HandleCallback(proto::CallbackReq req);
+  // Service a vacate callback from the server.
+  sim::Task<proto::Reply> HandleCallback(proto::CallbackReq req) override;
 
   // --- vfs::FileSystem ------------------------------------------------------
-  sim::Task<base::Result<vfs::GnodeRef>> Root() override;
-  sim::Task<base::Result<vfs::GnodeRef>> Lookup(vfs::GnodeRef dir, std::string name) override;
-  sim::Task<base::Result<vfs::GnodeRef>> Create(vfs::GnodeRef dir, std::string name,
-                                                bool exclusive) override;
-  sim::Task<base::Result<vfs::GnodeRef>> Mkdir(vfs::GnodeRef dir, std::string name) override;
   sim::Task<base::Result<void>> Open(vfs::GnodeRef node, bool write) override;
   sim::Task<base::Result<void>> Close(vfs::GnodeRef node, bool write) override;
   sim::Task<base::Result<std::vector<uint8_t>>> Read(vfs::GnodeRef node, uint64_t offset,
@@ -88,14 +69,8 @@ class NqnfsClient : public vfs::FileSystem {
   sim::Task<base::Result<void>> Truncate(vfs::GnodeRef node, uint64_t size) override;
   sim::Task<base::Result<void>> Remove(vfs::GnodeRef dir, std::string name,
                                        vfs::GnodeRef target) override;
-  sim::Task<base::Result<void>> Rmdir(vfs::GnodeRef dir, std::string name) override;
-  sim::Task<base::Result<void>> Rename(vfs::GnodeRef from_dir, std::string from_name,
-                                       vfs::GnodeRef to_dir, std::string to_name) override;
-  sim::Task<base::Result<std::vector<proto::DirEntry>>> ReadDir(vfs::GnodeRef dir) override;
   sim::Task<base::Result<void>> Fsync(vfs::GnodeRef node) override;
 
-  int mount_id() const { return mount_id_; }
-  uint32_t fsid() const { return root_fh_.fsid; }
   uint64_t leases_acquired() const { return leases_acquired_; }
   uint64_t grants_denied_seen() const { return grants_denied_seen_; }
   uint64_t lease_expiries() const { return lease_expiries_; }
@@ -113,13 +88,14 @@ class NqnfsClient : public vfs::FileSystem {
   };
   using NodeRef = std::shared_ptr<NqnfsNode>;
 
-  static NodeRef AsNode(const vfs::GnodeRef& node);
-  NodeRef Intern(const proto::FileHandle& fh, const proto::Attr& attr);
-
-  // All data RPCs go through here so piggybacked lease extensions on the
-  // replies are applied — including the cache's own flush traffic.
-  sim::Task<base::Result<proto::Reply>> Call(proto::Request request);
-  void ApplyExtension(const proto::Reply& reply);
+  // --- RemoteClient hooks ------------------------------------------------------
+  vfs::GnodeRef NewNode() override { return std::make_shared<NqnfsNode>(); }
+  // Applies the lease extension the server piggybacks on a data reply.
+  void OnReply(const proto::Reply& reply) override;
+  // Spawns the lease-expiry daemon.
+  void SpawnDaemons(uint64_t generation) override;
+  // Lease state lives in kernel memory and dies with the machine.
+  void OnCrash() override;
 
   // Make sure a lease covering `write` access is in hand if the server will
   // give us one. Never fails the operation: on denial or RPC failure the
@@ -129,18 +105,7 @@ class NqnfsClient : public vfs::FileSystem {
   void DropLease(NodeRef node, const char* reason);
   sim::Task<void> ExpiryDaemon(uint64_t generation);
 
-  sim::Simulator& simulator_;
-  rpc::Peer& peer_;
-  net::Address server_;
-  proto::FileHandle root_fh_;
-  cache::BufferCache& cache_;
   NqnfsClientParams params_;
-  int mount_id_;
-  bool running_ = false;
-  // Bumped on every Start: daemons from a previous incarnation observe the
-  // change and exit instead of running alongside their replacements.
-  uint64_t daemon_generation_ = 0;
-  std::unordered_map<uint64_t, NodeRef> nodes_;
   uint64_t leases_acquired_ = 0;
   uint64_t grants_denied_seen_ = 0;
   uint64_t lease_expiries_ = 0;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/base/log.h"
+#include "src/snfs/server.h"
 #include "src/trace/trace.h"
 
 namespace nqnfs {
@@ -14,7 +15,7 @@ NqnfsServer::NqnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& 
       fs_(fs),
       peer_(peer),
       params_(params),
-      vacate_budget_(simulator, params.vacate_budget) {
+      vacate_budget_(simulator, snfs::CallbackBudget(peer)) {
   nfs_ = std::make_unique<nfs::NfsServer>(fs, peer);
   // NfsServer installed itself; take over the dispatch.
   peer_.set_handler([this](const proto::Request& request, net::Address from) {
@@ -57,8 +58,7 @@ sim::Task<void> NqnfsServer::LeaseDaemon() {
   }
 }
 
-sim::Task<void> NqnfsServer::VacateOne(proto::FileHandle fh, snfs::LeaseKey key,
-                                       snfs::Lease lease) {
+sim::Task<void> NqnfsServer::VacateOne(proto::FileHandle fh, LeaseKey key, Lease lease) {
   ++vacates_issued_;
   co_await vacate_budget_.Acquire();
   uint64_t in_progress_key = (key.fileid << 16) ^ static_cast<uint64_t>(key.host);
@@ -73,7 +73,7 @@ sim::Task<void> NqnfsServer::VacateOne(proto::FileHandle fh, snfs::LeaseKey key,
   req.fh = fh;
   req.writeback = lease.write;
   req.invalidate = true;
-  auto reply = co_await peer_.Call(net::Address{key.host}, req, params_.vacate_call);
+  auto reply = co_await peer_.Call(net::Address{key.host}, req, snfs::kCallbackCall);
   bool delivered = reply.ok() && reply->status.ok();
   span.End(std::string("ok=") + (delivered ? "1" : "0"));
   vacate_budget_.Release();
@@ -90,7 +90,7 @@ sim::Task<void> NqnfsServer::VacateOne(proto::FileHandle fh, snfs::LeaseKey key,
     // the lease after every sleep so an extension that landed before the
     // marker went up is waited out too — a live lease is never erased.
     while (true) {
-      snfs::Lease* current = leases_.Find(key.fileid, key.host);
+      Lease* current = leases_.Find(key.fileid, key.host);
       if (current == nullptr || current->expires <= simulator_.Now()) {
         break;
       }
@@ -114,8 +114,8 @@ sim::Task<void> NqnfsServer::VacateConflicting(proto::FileHandle fh, int host, b
   // arbitrarily while we wait (expiry scans, piggybacked extensions).
   while (true) {
     bool found = false;
-    snfs::LeaseKey victim_key;
-    snfs::Lease victim;
+    LeaseKey victim_key;
+    Lease victim;
     sim::Time now = simulator_.Now();
     for (const auto& [key, lease] : leases_.HoldersOf(fh.fileid)) {
       if (key.host == host || (!write && !lease.write)) {
@@ -147,7 +147,7 @@ sim::Task<sim::Mutex*> NqnfsServer::PrepareForeignWrite(proto::FileHandle fh, in
   if (VacateInProgress(fh.fileid, host)) {
     co_return nullptr;  // a write-back we requested; covered by the lease being vacated
   }
-  snfs::Lease* mine = leases_.Find(fh.fileid, host);
+  Lease* mine = leases_.Find(fh.fileid, host);
   if (mine != nullptr && mine->write && mine->expires > simulator_.Now()) {
     co_return nullptr;  // lease-covered flush: the grant already bumped the version
   }
@@ -193,7 +193,7 @@ sim::Task<proto::Reply> NqnfsServer::HandleGetLease(proto::GetLeaseReq req, net:
   co_await lock.Acquire();
   co_await VacateConflicting(req.fh, from.host, req.write_mode);
 
-  snfs::Lease* mine = leases_.Find(req.fh.fileid, from.host);
+  Lease* mine = leases_.Find(req.fh.fileid, from.host);
   if (mine != nullptr && mine->expires <= simulator_.Now()) {
     // Our previous grant to this host lapsed while we vacated; start fresh
     // (counting the expiry, exactly as the daemon's scan would have).
@@ -234,7 +234,7 @@ sim::Task<proto::Reply> NqnfsServer::HandleGetLease(proto::GetLeaseReq req, net:
   }
   sim::Time expires = simulator_.Now() + params_.lease_term;
   bool write_mode = req.write_mode || already_writing;
-  leases_.Put(req.fh.fileid, from.host, snfs::Lease{req.fh, write_mode, expires});
+  leases_.Put(req.fh.fileid, from.host, Lease{req.fh, write_mode, expires});
   ++leases_granted_;
   bool inconsistent = inconsistent_files_.erase(req.fh.fileid) > 0;
   // Vacated write-backs may have changed size and mtime.
@@ -309,7 +309,7 @@ sim::Task<proto::Reply> NqnfsServer::Handle(proto::Request request, net::Address
   // actively-used files never pay a lease-renewal round trip. Never extend
   // a lease we are in the middle of vacating.
   if (reply.status.ok() && data_target != 0 && !VacateInProgress(data_target, from.host)) {
-    snfs::Lease* lease = leases_.Find(data_target, from.host);
+    Lease* lease = leases_.Find(data_target, from.host);
     if (lease != nullptr && lease->expires > simulator_.Now()) {
       lease->expires = simulator_.Now() + params_.lease_term;
       reply.lease_file = data_target;

@@ -26,11 +26,11 @@
 #include "src/fs/local_fs.h"
 #include "src/net/network.h"
 #include "src/nfs/server.h"
+#include "src/nqnfs/lease_table.h"
 #include "src/proto/messages.h"
 #include "src/rpc/peer.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
-#include "src/snfs/lease_table.h"
 
 namespace nqnfs {
 
@@ -38,17 +38,12 @@ struct NqnfsServerParams {
   // Maximum lease term; also the length of the post-reboot quiet window.
   sim::Duration lease_term = sim::Sec(30);
   sim::Duration lease_scan = sim::Sec(1);
-  // At most workers-1 concurrent vacate callbacks, so one worker always
-  // remains to service the write-backs the vacates trigger (§3.2's budget
-  // argument applies unchanged to leases).
-  int vacate_budget = 3;
-  rpc::CallOptions vacate_call{.timeout = sim::Sec(2), .max_attempts = 4, .backoff = 2.0};
 };
 
 class NqnfsServer {
  public:
-  // Installs itself as `peer`'s request handler (owning an NfsServer whose
-  // handler it overrides, hybrid-server style).
+  // Installs itself as `peer`'s request handler (owning an NfsServer that
+  // serves every NFS operation, whose handler it overrides).
   NqnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& peer,
               NqnfsServerParams params = {});
 
@@ -87,7 +82,7 @@ class NqnfsServer {
   // One vacate callback under the budget. On delivery failure the server
   // cannot force the holder off the file, so it waits out the remainder of
   // the lease — the one promise it can still keep.
-  sim::Task<void> VacateOne(proto::FileHandle fh, snfs::LeaseKey key, snfs::Lease lease);
+  sim::Task<void> VacateOne(proto::FileHandle fh, LeaseKey key, Lease lease);
 
   // Leaseless writes (write-through clients, post-expiry flushes) must
   // vacate other holders and bump the file version so stale caches can
@@ -111,7 +106,10 @@ class NqnfsServer {
   rpc::Peer& peer_;
   NqnfsServerParams params_;
   std::unique_ptr<nfs::NfsServer> nfs_;
-  snfs::LeaseTable leases_;
+  LeaseTable leases_;
+  // At most workers-1 concurrent vacates, so one worker always remains to
+  // service the write-backs they trigger (§3.2's budget argument applies
+  // unchanged to leases).
   sim::Semaphore vacate_budget_;
   std::unordered_map<uint64_t, std::unique_ptr<sim::Mutex>> file_locks_;
   std::unordered_set<uint64_t> vacates_in_progress_;

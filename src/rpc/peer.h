@@ -96,6 +96,7 @@ class Peer {
 
   net::Address address() const { return address_; }
   const std::string& name() const { return name_; }
+  int num_workers() const { return options_.num_workers; }
 
   // Server role: install the request handler. May be left unset on pure
   // clients; requests then get kNotSupported replies.

@@ -8,98 +8,18 @@
 
 namespace snfs {
 
-using cache::kBlockSize;
-
 SnfsClient::SnfsClient(sim::Simulator& simulator, rpc::Peer& peer, net::Address server,
                        proto::FileHandle root_fh, cache::BufferCache& cache,
                        SnfsClientParams params)
-    : simulator_(simulator),
-      peer_(peer),
-      server_(server),
-      root_fh_(root_fh),
-      cache_(cache),
-      params_(params) {
-  cache::Backing backing;
-  backing.fetch = [this](uint64_t fileid, uint64_t block)
-      -> sim::Task<base::Result<std::vector<uint8_t>>> {
-    auto it = nodes_.find(fileid);
-    if (it == nodes_.end()) {
-      co_return base::ErrStale();
-    }
-    proto::ReadReq req;
-    req.fh = it->second->fh;
-    req.offset = block * kBlockSize;
-    req.count = kBlockSize;
-    auto rep = rpc::Expect<proto::ReadRep>(co_await peer_.Call(server_, req));
-    if (!rep.ok()) {
-      co_return rep.status();
-    }
-    co_return std::move(rep->data);
-  };
-  backing.store = [this](uint64_t fileid, uint64_t block,
-                         std::vector<uint8_t> data) -> sim::Task<base::Result<void>> {
-    auto it = nodes_.find(fileid);
-    if (it == nodes_.end()) {
-      co_return base::ErrStale();
-    }
-    proto::WriteReq req;
-    req.fh = it->second->fh;
-    req.offset = block * kBlockSize;
-    req.data = std::move(data);
-    auto rep = rpc::Expect<proto::AttrRep>(co_await peer_.Call(server_, req));
-    if (!rep.ok()) {
-      co_return rep.status();
-    }
-    co_return base::OkStatus();
-  };
-  // Attribute this mount's dirty-state transitions to the SNFS protocol on
-  // this host, so the trace checker can enforce single-writer caching.
-  backing.trace_name = "snfs";
-  backing.trace_machine = peer_.address().host;
-  mount_id_ = cache_.RegisterMount(std::move(backing));
-}
+    : RemoteClient(simulator, peer, server, root_fh, cache, "snfs"), params_(params) {}
 
-void SnfsClient::Start() {
-  if (running_) {
-    return;
-  }
-  running_ = true;
-  ++daemon_generation_;
+void SnfsClient::SpawnDaemons(uint64_t generation) {
   if (params_.delayed_close) {
-    simulator_.Spawn(DelayedCloseDaemon(daemon_generation_));
+    simulator_.Spawn(DelayedCloseDaemon(generation));
   }
   if (params_.enable_recovery) {
-    simulator_.Spawn(KeepaliveDaemon(daemon_generation_));
+    simulator_.Spawn(KeepaliveDaemon(generation));
   }
-}
-
-void SnfsClient::Stop() { running_ = false; }
-
-void SnfsClient::Reset() {
-  nodes_.clear();
-  last_seen_epoch_ = 0;
-}
-
-SnfsClient::NodeRef SnfsClient::AsNode(const vfs::GnodeRef& node) {
-  return std::static_pointer_cast<SnfsNode>(node);
-}
-
-SnfsClient::NodeRef SnfsClient::Intern(const proto::FileHandle& fh, const proto::Attr& attr) {
-  auto it = nodes_.find(fh.fileid);
-  if (it != nodes_.end() && it->second->fh == fh) {
-    // Attributes for files we hold dirty data on are locally authoritative.
-    if (!cache_.HasDirty(mount_id_, fh.fileid)) {
-      proto::Attr merged = attr;
-      merged.size = std::max(merged.size, it->second->attr.size);
-      it->second->attr = merged;
-    }
-    return it->second;
-  }
-  auto node = std::make_shared<SnfsNode>();
-  node->fh = fh;
-  node->attr = attr;
-  nodes_[fh.fileid] = node;
-  return node;
 }
 
 // --- open/close --------------------------------------------------------------
@@ -109,11 +29,11 @@ sim::Task<base::Result<void>> SnfsClient::SendOpen(NodeRef node, bool write) {
   req.fh = node->fh;
   req.write_mode = write;
   for (int attempt = 0;; ++attempt) {
-    auto rep = rpc::Expect<proto::OpenRep>(co_await peer_.Call(server_, req));
+    auto rep = rpc::Expect<proto::OpenRep>(co_await Call(proto::Request(req)));
     if (!rep.ok()) {
-      if (rep.status() == base::ErrUnavailable() && attempt < params_.open_retry_limit) {
+      if (rep.status() == base::ErrUnavailable() && attempt < kOpenRetryLimit) {
         // Server is rebooting / in its recovery grace period.
-        co_await sim::Sleep(simulator_, params_.open_retry_delay);
+        co_await sim::Sleep(simulator_, kOpenRetryDelay);
         continue;
       }
       co_return rep.status();
@@ -169,7 +89,7 @@ sim::Task<void> SnfsClient::SendClose(NodeRef node, bool write) {
   req.fh = node->fh;
   req.write_mode = write;
   req.has_dirty = cache_.HasDirty(mount_id_, node->fh.fileid);
-  (void)co_await peer_.Call(server_, req);
+  (void)co_await Call(proto::Request(req));
   if (write) {
     CHECK_GT(node->server_writes, 0u);
     --node->server_writes;
@@ -189,7 +109,7 @@ sim::Task<void> SnfsClient::FlushOwedCloses(NodeRef node) {
 }
 
 sim::Task<base::Result<void>> SnfsClient::Open(vfs::GnodeRef gnode, bool write) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<SnfsNode>(gnode);
   bool need_rpc = true;
   if (params_.delayed_close) {
     // Reuse a server-side open we never closed, if its mode covers us.
@@ -210,7 +130,7 @@ sim::Task<base::Result<void>> SnfsClient::Open(vfs::GnodeRef gnode, bool write) 
 }
 
 sim::Task<base::Result<void>> SnfsClient::Close(vfs::GnodeRef gnode, bool write) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<SnfsNode>(gnode);
   if (write) {
     CHECK_GT(node->open_writes, 0u);
     --node->open_writes;
@@ -229,22 +149,21 @@ sim::Task<base::Result<void>> SnfsClient::Close(vfs::GnodeRef gnode, bool write)
 }
 
 sim::Task<void> SnfsClient::DelayedCloseDaemon(uint64_t generation) {
-  while (running_ && generation == daemon_generation_) {
-    co_await sim::Sleep(simulator_, params_.delayed_close_scan, /*background=*/true);
-    if (!running_ || generation != daemon_generation_) {
+  while (DaemonRunning(generation)) {
+    co_await sim::Sleep(simulator_, kDelayedCloseScan, /*background=*/true);
+    if (!DaemonRunning(generation)) {
       break;
     }
-    sim::Time cutoff = simulator_.Now() - params_.delayed_close_timeout;
-    // Spontaneously close files not reopened for a while (§6.2). Close RPCs
-    // are issued in fileid order so the scan is hash-order independent.
+    sim::Time cutoff = simulator_.Now() - kDelayedCloseTimeout;
+    // Spontaneously close files not reopened for a while (§6.2), in fileid
+    // order so the scan is hash-order independent.
     std::vector<NodeRef> victims;
-    for (const auto& [fileid, node] : nodes_) {  // lint: ordered-ok (sorted below)
+    for (uint64_t fileid : NodeIds()) {
+      NodeRef node = AsNode<SnfsNode>(FindNode(fileid));
       if ((OwedReads(*node) > 0 || OwedWrites(*node) > 0) && node->last_close <= cutoff) {
         victims.push_back(node);
       }
     }
-    std::sort(victims.begin(), victims.end(),
-              [](const NodeRef& a, const NodeRef& b) { return a->fh.fileid < b->fh.fileid; });
     if (!victims.empty()) {
       TRACE_INSTANT("snfs.delayed_close_scan", peer_.address().host,
                     "victims=" + std::to_string(victims.size()));
@@ -267,11 +186,10 @@ sim::Task<proto::Reply> SnfsClient::HandleCallback(proto::CallbackReq req) {
                          " inv=" + (req.invalidate ? "1" : "0") +
                          " rel=" + (req.relinquish ? "1" : "0"));
   }
-  auto it = nodes_.find(req.fh.fileid);
-  if (it == nodes_.end() || !(it->second->fh == req.fh)) {
+  NodeRef node = AsNode<SnfsNode>(FindNode(req.fh));
+  if (node == nullptr) {
     co_return proto::OkReply(proto::CallbackRep{});
   }
-  NodeRef node = it->second;
   if (req.writeback) {
     // "The client should not return from the callback RPC until all the
     // dirty blocks have been written back to the server."
@@ -307,18 +225,18 @@ sim::Task<void> SnfsClient::KeepaliveDaemon(uint64_t generation) {
   rpc::CallOptions ping_opts;
   ping_opts.timeout = sim::Sec(2);
   ping_opts.max_attempts = 2;
-  while (running_ && generation == daemon_generation_) {
+  while (DaemonRunning(generation)) {
     if (!first) {
       co_await sim::Sleep(simulator_, params_.keepalive_interval, /*background=*/true);
     }
     first = false;
-    if (!running_ || generation != daemon_generation_) {
+    if (!DaemonRunning(generation)) {
       break;
     }
     proto::PingReq req;
     req.sender_epoch = 1;
-    auto rep = rpc::Expect<proto::PingRep>(co_await peer_.Call(server_, req, ping_opts));
-    if (!running_ || generation != daemon_generation_) {
+    auto rep = rpc::Expect<proto::PingRep>(co_await peer_.Call(server(), req, ping_opts));
+    if (!DaemonRunning(generation)) {
       co_return;  // the client crashed while the ping was in flight
     }
     if (!rep.ok()) {
@@ -343,18 +261,11 @@ sim::Task<void> SnfsClient::RunRecovery() {
   ++recoveries_run_;
   // Reopen files in fileid order: each reopen is an awaited RPC, so the
   // walk order feeds the event queue and must not depend on hashing.
-  std::vector<uint64_t> fileids;
-  fileids.reserve(nodes_.size());
-  for (const auto& [fileid, node] : nodes_) {  // lint: ordered-ok (sorted below)
-    fileids.push_back(fileid);
-  }
-  std::sort(fileids.begin(), fileids.end());
-  for (uint64_t fileid : fileids) {
-    auto node_it = nodes_.find(fileid);
-    if (node_it == nodes_.end()) {
+  for (uint64_t fileid : NodeIds()) {
+    NodeRef node = AsNode<SnfsNode>(FindNode(fileid));  // hold a ref across the awaits
+    if (node == nullptr) {
       continue;
     }
-    NodeRef node = node_it->second;  // hold a ref: awaits below may mutate nodes_
     bool has_dirty = cache_.HasDirty(mount_id_, fileid);
     if (node->server_reads == 0 && node->server_writes == 0 && !has_dirty) {
       continue;
@@ -365,7 +276,7 @@ sim::Task<void> SnfsClient::RunRecovery() {
     req.write_count = node->server_writes;
     req.has_dirty = has_dirty;
     req.cached_version = node->cached_version;
-    auto rep = rpc::Expect<proto::ReopenRep>(co_await peer_.Call(server_, req));
+    auto rep = rpc::Expect<proto::ReopenRep>(co_await Call(proto::Request(req)));
     if (!rep.ok()) {
       LOG_INFO("snfs", "reopen for file %llu failed: %s",
                static_cast<unsigned long long>(fileid),
@@ -390,70 +301,18 @@ sim::Task<void> SnfsClient::RunRecovery() {
   }
 }
 
-// --- namespace & data ----------------------------------------------------------
-
-sim::Task<base::Result<vfs::GnodeRef>> SnfsClient::Root() {
-  auto it = nodes_.find(root_fh_.fileid);
-  if (it != nodes_.end()) {
-    co_return vfs::GnodeRef(it->second);
-  }
-  proto::GetAttrReq req;
-  req.fh = root_fh_;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return vfs::GnodeRef(Intern(root_fh_, rep->attr));
-}
-
-sim::Task<base::Result<vfs::GnodeRef>> SnfsClient::Lookup(vfs::GnodeRef dir,
-                                                          std::string name) {
-  proto::LookupReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  auto rep = rpc::Expect<proto::LookupRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return vfs::GnodeRef(Intern(rep->fh, rep->attr));
-}
-
-sim::Task<base::Result<vfs::GnodeRef>> SnfsClient::Create(vfs::GnodeRef dir,
-                                                          std::string name,
-                                                          bool exclusive) {
-  proto::CreateReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  req.exclusive = exclusive;
-  auto rep = rpc::Expect<proto::CreateRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return vfs::GnodeRef(Intern(rep->fh, rep->attr));
-}
-
-sim::Task<base::Result<vfs::GnodeRef>> SnfsClient::Mkdir(vfs::GnodeRef dir,
-                                                         std::string name) {
-  proto::MkdirReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  auto rep = rpc::Expect<proto::CreateRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return vfs::GnodeRef(Intern(rep->fh, rep->attr));
-}
+// --- data ----------------------------------------------------------------------
 
 sim::Task<base::Result<std::vector<uint8_t>>> SnfsClient::Read(vfs::GnodeRef gnode,
                                                                uint64_t offset, uint32_t count) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<SnfsNode>(gnode);
   if (!node->cache_enabled) {
     // Write-shared: every read goes to the server, read-ahead disabled.
     proto::ReadReq req;
     req.fh = node->fh;
     req.offset = offset;
     req.count = count;
-    auto rep = rpc::Expect<proto::ReadRep>(co_await peer_.Call(server_, req));
+    auto rep = rpc::Expect<proto::ReadRep>(co_await Call(proto::Request(req)));
     if (!rep.ok()) {
       co_return rep.status();
     }
@@ -475,7 +334,7 @@ sim::Task<base::Result<std::vector<uint8_t>>> SnfsClient::Read(vfs::GnodeRef gno
 
 sim::Task<base::Result<void>> SnfsClient::Write(vfs::GnodeRef gnode, uint64_t offset,
                                                 std::vector<uint8_t> data) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<SnfsNode>(gnode);
   if (!node->cache_enabled) {
     // Reverts to (synchronous) write-through, giving single-copy
     // consistency between writer and server.
@@ -483,7 +342,7 @@ sim::Task<base::Result<void>> SnfsClient::Write(vfs::GnodeRef gnode, uint64_t of
     req.fh = node->fh;
     req.offset = offset;
     req.data = data;
-    auto rep = rpc::Expect<proto::AttrRep>(co_await peer_.Call(server_, req));
+    auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(req)));
     if (!rep.ok()) {
       co_return rep.status();
     }
@@ -499,7 +358,7 @@ sim::Task<base::Result<void>> SnfsClient::Write(vfs::GnodeRef gnode, uint64_t of
 }
 
 sim::Task<base::Result<proto::Attr>> SnfsClient::GetAttr(vfs::GnodeRef gnode) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<SnfsNode>(gnode);
   if (node->cache_enabled) {
     // "In SNFS, the attributes cache needs no refreshing if the file is
     // cachable."
@@ -507,7 +366,7 @@ sim::Task<base::Result<proto::Attr>> SnfsClient::GetAttr(vfs::GnodeRef gnode) {
   }
   proto::GetAttrReq req;
   req.fh = node->fh;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await peer_.Call(server_, req));
+  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(req)));
   if (!rep.ok()) {
     co_return rep.status();
   }
@@ -516,14 +375,14 @@ sim::Task<base::Result<proto::Attr>> SnfsClient::GetAttr(vfs::GnodeRef gnode) {
 }
 
 sim::Task<base::Result<void>> SnfsClient::Truncate(vfs::GnodeRef gnode, uint64_t size) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<SnfsNode>(gnode);
   cache_.CancelDirty(mount_id_, node->fh.fileid);
   cache_.InvalidateFile(mount_id_, node->fh.fileid);
   node->have_cached_data = false;
   proto::SetAttrReq req;
   req.fh = node->fh;
   req.size = size;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await peer_.Call(server_, req));
+  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(req)));
   if (!rep.ok()) {
     co_return rep.status();
   }
@@ -533,7 +392,7 @@ sim::Task<base::Result<void>> SnfsClient::Truncate(vfs::GnodeRef gnode, uint64_t
 
 sim::Task<base::Result<void>> SnfsClient::Remove(vfs::GnodeRef dir, std::string name,
                                                  vfs::GnodeRef target) {
-  NodeRef victim = AsNode(target);
+  NodeRef victim = AsNode<SnfsNode>(target);
   // "Sprite and SNFS take advantage of this behavior by 'cancelling'
   // delayed writes when a file is deleted."
   cache_.CancelDirty(mount_id_, victim->fh.fileid);
@@ -542,69 +401,11 @@ sim::Task<base::Result<void>> SnfsClient::Remove(vfs::GnodeRef dir, std::string 
   if (params_.delayed_close) {
     co_await FlushOwedCloses(victim);
   }
-  proto::RemoveReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  auto rep = rpc::Expect<proto::NullRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  nodes_.erase(victim->fh.fileid);
-  co_return base::OkStatus();
-}
-
-sim::Task<base::Result<void>> SnfsClient::Rmdir(vfs::GnodeRef dir, std::string name) {
-  proto::RmdirReq req;
-  req.dir = dir->fh;
-  req.name = name;
-  auto rep = rpc::Expect<proto::NullRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return base::OkStatus();
-}
-
-sim::Task<base::Result<void>> SnfsClient::Rename(vfs::GnodeRef from_dir,
-                                                 std::string from_name,
-                                                 vfs::GnodeRef to_dir,
-                                                 std::string to_name) {
-  proto::RenameReq req;
-  req.from_dir = from_dir->fh;
-  req.from_name = from_name;
-  req.to_dir = to_dir->fh;
-  req.to_name = to_name;
-  auto rep = rpc::Expect<proto::NullRep>(co_await peer_.Call(server_, req));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  co_return base::OkStatus();
-}
-
-sim::Task<base::Result<std::vector<proto::DirEntry>>> SnfsClient::ReadDir(vfs::GnodeRef dir) {
-  std::vector<proto::DirEntry> all;
-  uint64_t cookie = 0;
-  while (true) {
-    proto::ReadDirReq req;
-    req.dir = dir->fh;
-    req.cookie = cookie;
-    req.count = 64;
-    auto rep = rpc::Expect<proto::ReadDirRep>(co_await peer_.Call(server_, req));
-    if (!rep.ok()) {
-      co_return rep.status();
-    }
-    for (auto& e : rep->entries) {
-      cookie = e.cookie;
-      all.push_back(std::move(e));
-    }
-    if (rep->eof) {
-      break;
-    }
-  }
-  co_return all;
+  co_return co_await RemoveName(dir, std::move(name), victim->fh.fileid);
 }
 
 sim::Task<base::Result<void>> SnfsClient::Fsync(vfs::GnodeRef gnode) {
-  NodeRef node = AsNode(gnode);
+  NodeRef node = AsNode<SnfsNode>(gnode);
   // "If reliability is more important than performance, an application can
   // use explicit file-flushing operations to cause write-through."
   co_return co_await cache_.FlushFile(mount_id_, node->fh.fileid);

@@ -21,11 +21,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cache/buffer_cache.h"
 #include "src/net/network.h"
+#include "src/nfs/remote_client.h"
 #include "src/proto/messages.h"
 #include "src/rpc/peer.h"
 #include "src/sim/simulator.h"
@@ -33,51 +33,31 @@
 
 namespace snfs {
 
+// §6.2 delayed close: a file not reopened for kDelayedCloseTimeout is
+// closed spontaneously by a scan every kDelayedCloseScan.
+inline constexpr sim::Duration kDelayedCloseTimeout = sim::Sec(180);
+inline constexpr sim::Duration kDelayedCloseScan = sim::Sec(30);
+// Open retries while the server is in its recovery grace period.
+inline constexpr int kOpenRetryLimit = 90;
+inline constexpr sim::Duration kOpenRetryDelay = sim::Sec(1);
+
 struct SnfsClientParams {
-  // §6.2 delayed close.
-  bool delayed_close = false;
-  sim::Duration delayed_close_timeout = sim::Sec(180);  // spontaneous close after this
-  sim::Duration delayed_close_scan = sim::Sec(30);
+  bool delayed_close = false;  // §6.2
   // Crash-recovery extension (§2.4).
   bool enable_recovery = false;
   sim::Duration keepalive_interval = sim::Sec(30);
-  // Retry policy while the server is in its recovery grace period.
-  int open_retry_limit = 90;
-  sim::Duration open_retry_delay = sim::Sec(1);
 };
 
-class SnfsClient : public vfs::FileSystem {
+class SnfsClient : public nfs::RemoteClient {
  public:
   SnfsClient(sim::Simulator& simulator, rpc::Peer& peer, net::Address server,
              proto::FileHandle root_fh, cache::BufferCache& cache, SnfsClientParams params = {});
 
-  // Spawns the keepalive / delayed-close daemons when enabled.
-  void Start();
-  void Stop();
-
-  // Crash simulation: the client kernel's per-file state (cached-data
-  // flags, versions, open counts the server was told about) dies with the
-  // machine. The buffer cache is dropped separately by the machine.
-  void Reset();
-
-  // True when this mount instance tracks the file (used by the machine's
-  // callback dispatcher when several mounts come from the same server).
-  bool Owns(const proto::FileHandle& fh) const {
-    auto it = nodes_.find(fh.fileid);
-    return it != nodes_.end() && it->second->fh == fh;
-  }
-
-  // Service a callback RPC from the server (the testbed routes CallbackReq
-  // with our fsid here). Must not issue close RPCs inline — see §3.2's
-  // deadlock discussion — so relinquish work is deferred.
-  sim::Task<proto::Reply> HandleCallback(proto::CallbackReq req);
+  // Must not issue close RPCs inline — see §3.2's deadlock discussion — so
+  // relinquish work is deferred.
+  sim::Task<proto::Reply> HandleCallback(proto::CallbackReq req) override;
 
   // --- vfs::FileSystem ------------------------------------------------------
-  sim::Task<base::Result<vfs::GnodeRef>> Root() override;
-  sim::Task<base::Result<vfs::GnodeRef>> Lookup(vfs::GnodeRef dir, std::string name) override;
-  sim::Task<base::Result<vfs::GnodeRef>> Create(vfs::GnodeRef dir, std::string name,
-                                                bool exclusive) override;
-  sim::Task<base::Result<vfs::GnodeRef>> Mkdir(vfs::GnodeRef dir, std::string name) override;
   sim::Task<base::Result<void>> Open(vfs::GnodeRef node, bool write) override;
   sim::Task<base::Result<void>> Close(vfs::GnodeRef node, bool write) override;
   sim::Task<base::Result<std::vector<uint8_t>>> Read(vfs::GnodeRef node, uint64_t offset,
@@ -88,14 +68,8 @@ class SnfsClient : public vfs::FileSystem {
   sim::Task<base::Result<void>> Truncate(vfs::GnodeRef node, uint64_t size) override;
   sim::Task<base::Result<void>> Remove(vfs::GnodeRef dir, std::string name,
                                        vfs::GnodeRef target) override;
-  sim::Task<base::Result<void>> Rmdir(vfs::GnodeRef dir, std::string name) override;
-  sim::Task<base::Result<void>> Rename(vfs::GnodeRef from_dir, std::string from_name,
-                                       vfs::GnodeRef to_dir, std::string to_name) override;
-  sim::Task<base::Result<std::vector<proto::DirEntry>>> ReadDir(vfs::GnodeRef dir) override;
   sim::Task<base::Result<void>> Fsync(vfs::GnodeRef node) override;
 
-  int mount_id() const { return mount_id_; }
-  uint32_t fsid() const { return root_fh_.fsid; }
   uint64_t callbacks_served() const { return callbacks_served_; }
   uint64_t delayed_close_hits() const { return delayed_close_hits_; }
   uint64_t recoveries_run() const { return recoveries_run_; }
@@ -115,8 +89,14 @@ class SnfsClient : public vfs::FileSystem {
   };
   using NodeRef = std::shared_ptr<SnfsNode>;
 
-  static NodeRef AsNode(const vfs::GnodeRef& node);
-  NodeRef Intern(const proto::FileHandle& fh, const proto::Attr& attr);
+  // --- RemoteClient hooks ------------------------------------------------------
+  vfs::GnodeRef NewNode() override { return std::make_shared<SnfsNode>(); }
+  // Spawns the keepalive / delayed-close daemons when enabled.
+  void SpawnDaemons(uint64_t generation) override;
+  // The cached-data flags, versions and open counts the server was told
+  // about die with the machine, and so does the server epoch last seen.
+  void OnCrash() override { last_seen_epoch_ = 0; }
+
   sim::Task<base::Result<void>> SendOpen(NodeRef node, bool write);
   sim::Task<void> SendClose(NodeRef node, bool write);
   sim::Task<void> FlushOwedCloses(NodeRef node);
@@ -131,19 +111,8 @@ class SnfsClient : public vfs::FileSystem {
     return node.server_writes - node.open_writes;
   }
 
-  sim::Simulator& simulator_;
-  rpc::Peer& peer_;
-  net::Address server_;
-  proto::FileHandle root_fh_;
-  cache::BufferCache& cache_;
   SnfsClientParams params_;
-  int mount_id_;
-  bool running_ = false;
-  // Bumped on every Start: daemons from a previous incarnation observe the
-  // change and exit instead of running alongside their replacements.
-  uint64_t daemon_generation_ = 0;
   uint64_t last_seen_epoch_ = 0;
-  std::unordered_map<uint64_t, NodeRef> nodes_;
   uint64_t callbacks_served_ = 0;
   uint64_t delayed_close_hits_ = 0;
   uint64_t recoveries_run_ = 0;

@@ -6,24 +6,11 @@
 #include "src/trace/trace.h"
 
 namespace snfs {
-namespace {
 
-template <typename T>
-proto::Reply FromResult(base::Result<T> result) {
-  if (!result.ok()) {
-    return proto::ErrorReply(result.status());
-  }
-  return proto::OkReply(std::move(*result));
+int CallbackBudget(const rpc::Peer& peer) {
+  CHECK_GE(peer.num_workers(), 2);
+  return peer.num_workers() - 1;
 }
-
-proto::Reply FromStatus(base::Result<void> result) {
-  if (!result.ok()) {
-    return proto::ErrorReply(result.status());
-  }
-  return proto::OkReply(proto::NullRep{});
-}
-
-}  // namespace
 
 SnfsServer::SnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& peer,
                        SnfsServerParams params)
@@ -32,7 +19,9 @@ SnfsServer::SnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& pe
       peer_(peer),
       params_(params),
       table_(StateTableParams{params.max_state_entries}),
-      callback_budget_(simulator, params.callback_budget) {
+      callback_budget_(simulator, CallbackBudget(peer)) {
+  nfs_ = std::make_unique<nfs::NfsServer>(fs, peer);
+  // NfsServer installed itself; take over the dispatch.
   peer_.set_handler([this](const proto::Request& request, net::Address from) {
     return Handle(request, from);
   });
@@ -65,8 +54,6 @@ sim::Task<void> SnfsServer::IssueCallback(proto::FileHandle fh,
   }
   ++callbacks_issued_;
   co_await callback_budget_.Acquire();
-  uint64_t in_progress_key = (fh.fileid << 16) ^ static_cast<uint64_t>(action.host);
-  callbacks_in_progress_.insert(in_progress_key);
   trace::Span cb_span;
   if (trace::Active() != nullptr) {
     cb_span.Begin("snfs.callback", peer_.address().host,
@@ -80,9 +67,8 @@ sim::Task<void> SnfsServer::IssueCallback(proto::FileHandle fh,
   req.writeback = action.writeback;
   req.invalidate = action.invalidate;
   req.relinquish = action.relinquish;
-  auto reply = co_await peer_.Call(net::Address{action.host}, req, params_.callback_call);
+  auto reply = co_await peer_.Call(net::Address{action.host}, req, kCallbackCall);
   cb_span.End(std::string("ok=") + (reply.ok() && reply->status.ok() ? "1" : "0"));
-  callbacks_in_progress_.erase(in_progress_key);
   callback_budget_.Release();
   if (!reply.ok() || !reply->status.ok()) {
     // "If the client 'serving' the callback is down, the SNFS server can
@@ -205,81 +191,6 @@ sim::Task<void> SnfsServer::ReclaimEntries() {
   }
 }
 
-sim::Task<proto::Reply> SnfsServer::HandleData(proto::Request request, net::Address from) {
-  switch (proto::KindOf(request)) {
-    case proto::OpKind::kNull:
-      co_return proto::OkReply(proto::NullRep{});
-    case proto::OpKind::kGetAttr: {
-      const auto& req = std::get<proto::GetAttrReq>(request);
-      auto attr = fs_.GetAttr(req.fh);
-      if (!attr.ok()) {
-        co_return proto::ErrorReply(attr.status());
-      }
-      co_return proto::OkReply(proto::AttrRep{*attr});
-    }
-    case proto::OpKind::kSetAttr: {
-      const auto& req = std::get<proto::SetAttrReq>(request);
-      auto attr = co_await fs_.SetAttr(req.fh, req);
-      if (!attr.ok()) {
-        co_return proto::ErrorReply(attr.status());
-      }
-      co_return proto::OkReply(proto::AttrRep{*attr});
-    }
-    case proto::OpKind::kLookup: {
-      const auto& req = std::get<proto::LookupReq>(request);
-      co_return FromResult(co_await fs_.Lookup(req.dir, req.name));
-    }
-    case proto::OpKind::kRead: {
-      const auto& req = std::get<proto::ReadReq>(request);
-      co_return FromResult(co_await fs_.Read(req.fh, req.offset, req.count));
-    }
-    case proto::OpKind::kWrite: {
-      const auto& req = std::get<proto::WriteReq>(request);
-      // Client write-backs are synchronous with the disk at the server
-      // ("writes are always synchronous with the disk at the server").
-      auto attr = co_await fs_.Write(req.fh, req.offset, req.data, fs::LocalFs::WriteMode::kSync);
-      if (!attr.ok()) {
-        co_return proto::ErrorReply(attr.status());
-      }
-      co_return proto::OkReply(proto::AttrRep{*attr});
-    }
-    case proto::OpKind::kCreate: {
-      const auto& req = std::get<proto::CreateReq>(request);
-      co_return FromResult(co_await fs_.Create(req.dir, req.name, req.exclusive));
-    }
-    case proto::OpKind::kRemove: {
-      const auto& req = std::get<proto::RemoveReq>(request);
-      // Forget consistency state for the victim so stale write-backs from
-      // its last writer are rejected with ESTALE rather than resurrecting
-      // the file.
-      auto looked = co_await fs_.Lookup(req.dir, req.name);
-      if (looked.ok()) {
-        table_.Forget(looked->fh);
-      }
-      co_return FromStatus(co_await fs_.Remove(req.dir, req.name));
-    }
-    case proto::OpKind::kRename: {
-      const auto& req = std::get<proto::RenameReq>(request);
-      co_return FromStatus(
-          co_await fs_.Rename(req.from_dir, req.from_name, req.to_dir, req.to_name));
-    }
-    case proto::OpKind::kMkdir: {
-      const auto& req = std::get<proto::MkdirReq>(request);
-      co_return FromResult(co_await fs_.Mkdir(req.dir, req.name));
-    }
-    case proto::OpKind::kRmdir: {
-      const auto& req = std::get<proto::RmdirReq>(request);
-      co_return FromStatus(co_await fs_.Rmdir(req.dir, req.name));
-    }
-    case proto::OpKind::kReadDir: {
-      const auto& req = std::get<proto::ReadDirReq>(request);
-      co_return FromResult(co_await fs_.ReadDir(req.dir, req.cookie, req.count));
-    }
-    default:
-      co_return proto::ErrorReply(base::ErrNotSupported());
-  }
-}
-
 sim::Task<proto::Reply> SnfsServer::Handle(proto::Request request, net::Address from) {
   switch (proto::KindOf(request)) {
     case proto::OpKind::kOpen:
@@ -294,9 +205,21 @@ sim::Task<proto::Reply> SnfsServer::Handle(proto::Request request, net::Address 
       rep.in_recovery = in_recovery();
       co_return proto::OkReply(rep);
     }
+    case proto::OpKind::kRemove: {
+      // Forget consistency state for the victim so stale write-backs from
+      // its last writer are rejected with ESTALE rather than resurrecting
+      // the file.
+      const auto& req = std::get<proto::RemoveReq>(request);
+      auto looked = co_await fs_.Lookup(req.dir, req.name);
+      if (looked.ok()) {
+        table_.Forget(looked->fh);
+      }
+      break;
+    }
     default:
-      co_return co_await HandleData(request, from);
+      break;  // every other operation is plain NFS
   }
+  co_return co_await nfs_->Handle(std::move(request), from);
 }
 
 }  // namespace snfs

@@ -9,10 +9,10 @@
 
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/fs/local_fs.h"
 #include "src/net/network.h"
+#include "src/nfs/server.h"
 #include "src/proto/messages.h"
 #include "src/rpc/peer.h"
 #include "src/sim/simulator.h"
@@ -28,18 +28,23 @@ namespace snfs {
 // version with the file (as Sprite does) and never invalidates spuriously.
 enum class VersionMode { kStable, kGlobalCounter };
 
+// How many callbacks a server may have outstanding at once: "if there are
+// N threads, only N-1 may be doing callbacks simultaneously, so that at
+// least one thread can service the write-backs" (§3.2). N is the worker
+// pool of the server's `peer`, which must have a worker to spare.
+int CallbackBudget(const rpc::Peer& peer);
+
+// Callbacks trigger write-backs that are themselves multi-RPC operations,
+// so the callback call must be patient ("usually the callback, together
+// with any required write-backs, should finish long before the RPC times
+// out, but this is not guaranteed"). The opener's own retry budget covers
+// the wait; a truly dead client costs ~30 s before the file is flagged.
+inline constexpr rpc::CallOptions kCallbackCall{
+    .timeout = sim::Sec(2), .max_attempts = 4, .backoff = 2.0};
+
 struct SnfsServerParams {
   size_t max_state_entries = 1000;
   VersionMode version_mode = VersionMode::kStable;
-  // At most workers-1 concurrent callbacks, so one worker always remains to
-  // service the write-backs the callbacks trigger.
-  int callback_budget = 3;
-  // Callbacks trigger write-backs that are themselves multi-RPC operations,
-  // so the callback call must be patient ("usually the callback, together
-  // with any required write-backs, should finish long before the RPC times
-  // out, but this is not guaranteed"). The opener's own retry budget covers
-  // the wait; a truly dead client costs ~30 s before the file is flagged.
-  rpc::CallOptions callback_call{.timeout = sim::Sec(2), .max_attempts = 4, .backoff = 2.0};
   // Recovery: how long after a reboot the server accepts only reopen
   // traffic while clients re-assert their state.
   sim::Duration recovery_grace = sim::Sec(45);
@@ -48,7 +53,8 @@ struct SnfsServerParams {
 
 class SnfsServer {
  public:
-  // Installs itself as `peer`'s request handler.
+  // Installs itself as `peer`'s request handler (owning an NfsServer that
+  // serves every NFS operation, whose handler it overrides).
   SnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& peer,
              SnfsServerParams params = {});
 
@@ -71,13 +77,6 @@ class SnfsServer {
   // brings the host back up and calls peer.Start().
   void Restart();
 
-  // True while a callback for (fh -> host) is outstanding. The hybrid
-  // server uses this to let the resulting write-backs through without
-  // treating them as fresh NFS accesses.
-  bool CallbackInProgress(const proto::FileHandle& fh, int host) const {
-    return callbacks_in_progress_.contains((fh.fileid << 16) ^ static_cast<uint64_t>(host));
-  }
-
   uint64_t callbacks_issued() const { return callbacks_issued_; }
   uint64_t callbacks_failed() const { return callbacks_failed_; }
   uint64_t reclaims() const { return reclaims_; }
@@ -86,7 +85,6 @@ class SnfsServer {
   sim::Task<proto::Reply> HandleOpen(proto::OpenReq req, net::Address from);
   sim::Task<proto::Reply> HandleClose(proto::CloseReq req, net::Address from);
   sim::Task<proto::Reply> HandleReopen(proto::ReopenReq req, net::Address from);
-  sim::Task<proto::Reply> HandleData(proto::Request request, net::Address from);
 
   // Issue one callback under the thread budget; marks the file inconsistent
   // and drops the client if the callback cannot be delivered.
@@ -101,6 +99,7 @@ class SnfsServer {
   fs::LocalFs& fs_;
   rpc::Peer& peer_;
   SnfsServerParams params_;
+  std::unique_ptr<nfs::NfsServer> nfs_;
   StateTable table_;
   sim::Semaphore callback_budget_;
   std::unordered_map<uint64_t, std::unique_ptr<sim::Mutex>> file_locks_;
@@ -108,7 +107,6 @@ class SnfsServer {
   uint64_t global_version_counter_ = 1;
   sim::Time recovery_until_ = 0;
   bool reclaim_scheduled_ = false;
-  std::unordered_set<uint64_t> callbacks_in_progress_;
   uint64_t callbacks_issued_ = 0;
   uint64_t callbacks_failed_ = 0;
   uint64_t reclaims_ = 0;

@@ -23,15 +23,12 @@ ClientMachine::ClientMachine(sim::Simulator& simulator, net::Network& network, s
 sim::Task<proto::Reply> ClientMachine::HandleRequest(proto::Request request,
                                                      net::Address from) {
   // Client machines only serve the callback RPC (§4.2.2) — SNFS callbacks
-  // and NQNFS vacates arrive over the same channel.
+  // and NQNFS vacates arrive over the same channel. Match the sender as
+  // well as the handle: every server numbers its files from the same start,
+  // so mounts of two servers can both track a handle.
   if (const auto* cb = std::get_if<proto::CallbackReq>(&request)) {
-    for (snfs::SnfsClient* client : snfs_clients_) {
-      if (client->Owns(cb->fh)) {
-        co_return co_await client->HandleCallback(*cb);
-      }
-    }
-    for (nqnfs::NqnfsClient* client : nqnfs_clients_) {
-      if (client->Owns(cb->fh)) {
+    for (nfs::RemoteClient* client : callback_mounts_) {
+      if (client->server() == from && client->Owns(cb->fh)) {
         co_return co_await client->HandleCallback(*cb);
       }
     }
@@ -45,51 +42,27 @@ sim::Task<proto::Reply> ClientMachine::HandleRequest(proto::Request request,
 nfs::NfsClient& ClientMachine::MountNfs(const std::string& path, net::Address server,
                                         proto::FileHandle root_fh,
                                         nfs::NfsClientParams params) {
-  auto client =
-      std::make_unique<nfs::NfsClient>(simulator_, *peer_, server, root_fh, *cache_, params);
-  nfs::NfsClient& ref = *client;
-  vfs_->Mount(path, client.get());
-  mounts_.push_back(std::move(client));
-  return ref;
+  return AddMount(path, std::make_unique<nfs::NfsClient>(simulator_, *peer_, server, root_fh,
+                                                         *cache_, params));
 }
 
 snfs::SnfsClient& ClientMachine::MountSnfs(const std::string& path, net::Address server,
                                            proto::FileHandle root_fh,
                                            snfs::SnfsClientParams params) {
-  auto client =
-      std::make_unique<snfs::SnfsClient>(simulator_, *peer_, server, root_fh, *cache_, params);
-  snfs::SnfsClient& ref = *client;
-  snfs_clients_.push_back(client.get());
-  vfs_->Mount(path, client.get());
-  mounts_.push_back(std::move(client));
-  if (started_) {
-    ref.Start();
-  }
-  return ref;
+  return AddCallbackMount(path, std::make_unique<snfs::SnfsClient>(simulator_, *peer_, server,
+                                                                   root_fh, *cache_, params));
 }
 
 nqnfs::NqnfsClient& ClientMachine::MountNqnfs(const std::string& path, net::Address server,
                                               proto::FileHandle root_fh,
                                               nqnfs::NqnfsClientParams params) {
-  auto client =
-      std::make_unique<nqnfs::NqnfsClient>(simulator_, *peer_, server, root_fh, *cache_, params);
-  nqnfs::NqnfsClient& ref = *client;
-  nqnfs_clients_.push_back(client.get());
-  vfs_->Mount(path, client.get());
-  mounts_.push_back(std::move(client));
-  if (started_) {
-    ref.Start();
-  }
-  return ref;
+  return AddCallbackMount(path, std::make_unique<nqnfs::NqnfsClient>(simulator_, *peer_, server,
+                                                                     root_fh, *cache_, params));
 }
 
 fs::LocalMount& ClientMachine::MountLocal(const std::string& path) {
   CHECK(local_fs_ != nullptr);
-  auto mount = std::make_unique<fs::LocalMount>(simulator_, *local_fs_, *cache_, &cpu_);
-  fs::LocalMount& ref = *mount;
-  vfs_->Mount(path, mount.get());
-  mounts_.push_back(std::move(mount));
-  return ref;
+  return AddMount(path, std::make_unique<fs::LocalMount>(simulator_, *local_fs_, *cache_, &cpu_));
 }
 
 void ClientMachine::Start() {
@@ -99,10 +72,7 @@ void ClientMachine::Start() {
   started_ = true;
   peer_->Start();
   cache_->Start();
-  for (snfs::SnfsClient* client : snfs_clients_) {
-    client->Start();
-  }
-  for (nqnfs::NqnfsClient* client : nqnfs_clients_) {
+  for (nfs::RemoteClient* client : callback_mounts_) {
     client->Start();
   }
 }
@@ -111,13 +81,8 @@ void ClientMachine::Crash(net::Network& network) {
   TRACE_INSTANT("machine.crash", address().host, "kind=client");
   network.SetHostUp(address(), false);
   peer_->Shutdown();
-  for (snfs::SnfsClient* client : snfs_clients_) {
-    client->Stop();
-    client->Reset();
-  }
-  for (nqnfs::NqnfsClient* client : nqnfs_clients_) {
-    client->Stop();
-    client->Reset();
+  for (nfs::RemoteClient* client : callback_mounts_) {
+    client->Crash();
   }
   cache_->Stop();
   cache_->DropAll();  // cached blocks, clean and dirty, die with the kernel

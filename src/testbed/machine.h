@@ -2,9 +2,9 @@
 //
 // A ClientMachine bundles CPU, RPC endpoint, buffer cache, VFS, and an
 // optional local disk; helpers mount NFS/SNFS/NQNFS/local file systems and
-// route incoming callbacks (SNFS and NQNFS share the channel) to the right
-// client by fsid. A ServerMachine bundles CPU, disk, LocalFs, and an NFS,
-// SNFS, or NQNFS server.
+// route incoming callbacks (SNFS and NQNFS share the channel) to the mount
+// of the server that sent them. A ServerMachine bundles CPU, disk,
+// LocalFs, and an NFS, SNFS, or NQNFS server.
 //
 // Default parameters approximate the paper's testbed: Titan-class CPUs,
 // a 10 Mbit/s Ethernet, RA81-class disks, a 16 MB client cache and a
@@ -60,7 +60,7 @@ class ClientMachine {
                                  proto::FileHandle root_fh, nqnfs::NqnfsClientParams params = {});
   fs::LocalMount& MountLocal(const std::string& path);
 
-  // Bring daemons up (RPC endpoint, sync daemon, SNFS client daemons).
+  // Bring daemons up (RPC endpoint, sync daemon, SNFS/NQNFS client daemons).
   void Start();
   // Crash simulation: drop off the network and lose all cached state.
   void Crash(net::Network& network);
@@ -87,6 +87,25 @@ class ClientMachine {
  private:
   sim::Task<proto::Reply> HandleRequest(proto::Request request, net::Address from);
 
+  template <typename Fs>
+  Fs& AddMount(const std::string& path, std::unique_ptr<Fs> fs) {
+    Fs& ref = *fs;
+    vfs_->Mount(path, fs.get());
+    mounts_.push_back(std::move(fs));
+    return ref;
+  }
+  // A mount whose server calls back: it gets its callbacks routed to it,
+  // and its daemons run while the machine is up.
+  template <typename Client>
+  Client& AddCallbackMount(const std::string& path, std::unique_ptr<Client> client) {
+    Client& ref = AddMount(path, std::move(client));
+    callback_mounts_.push_back(&ref);
+    if (started_) {
+      ref.Start();
+    }
+    return ref;
+  }
+
   sim::Simulator& simulator_;
   std::string name_;
   sim::Cpu cpu_;
@@ -96,8 +115,7 @@ class ClientMachine {
   std::unique_ptr<disk::Disk> disk_;
   std::unique_ptr<fs::LocalFs> local_fs_;
   std::vector<std::unique_ptr<vfs::FileSystem>> mounts_;
-  std::vector<snfs::SnfsClient*> snfs_clients_;
-  std::vector<nqnfs::NqnfsClient*> nqnfs_clients_;
+  std::vector<nfs::RemoteClient*> callback_mounts_;  // SNFS and NQNFS mounts
   bool started_ = false;
   int crash_generation_ = 0;
 };

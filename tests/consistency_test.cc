@@ -13,7 +13,11 @@
 //                       leases via vacates, NFS has no mechanism at all;
 //  crash during dirty   a server crash while a client holds dirty delayed
 //                       writes — afterwards every reader sees exactly the
-//                       old or the new version, never a mix.
+//                       old or the new version, never a mix;
+//  namespace            the operations all three share through the
+//                       remote-client core: exclusive create, rmdir of a
+//                       full and an empty directory, rename, and a readdir
+//                       longer than one reply.
 //
 // Plus the original property test: random multi-client workloads against an
 // in-memory oracle, serialized by a (simulated) global lock, mirroring the
@@ -29,6 +33,7 @@
 #include <vector>
 
 #include "src/cache/buffer_cache.h"
+#include "src/metrics/op_counters.h"
 #include "src/sim/frame_pool.h"
 #include "src/sim/random.h"
 #include "src/sim/sync.h"
@@ -203,6 +208,59 @@ sim::Task<void> CrashDuringDirtyScenario(World& w, bool* finished) {
   *finished = true;
 }
 
+// --- scenario 5: namespace operations ----------------------------------------
+
+sim::Task<void> NamespaceScenario(World& w, vfs::FileSystem& fs, bool* finished) {
+  vfs::Vfs& v = w.client(0).vfs();
+  EXPECT_TRUE((co_await v.WriteFile("/data/f", testbed::TestBytes("payload"))).ok());
+
+  // The server, not the client, refuses an exclusive create of a taken name.
+  auto root = co_await fs.Root();
+  EXPECT_TRUE(root.ok());
+  if (!root.ok()) {
+    co_return;
+  }
+  EXPECT_EQ((co_await fs.Create(*root, "f", /*exclusive=*/true)).status(), base::ErrExist());
+
+  EXPECT_TRUE((co_await v.MkdirPath("/data/d")).ok());
+  EXPECT_TRUE((co_await v.WriteFile("/data/d/g", testbed::TestBytes("x"))).ok());
+  EXPECT_EQ((co_await v.RmdirPath("/data/d")).status(), base::ErrNotEmpty());
+  EXPECT_TRUE((co_await v.Unlink("/data/d/g")).ok());
+  EXPECT_TRUE((co_await v.RmdirPath("/data/d")).ok());
+
+  EXPECT_TRUE((co_await v.Rename("/data/f", "/data/h")).ok());
+  auto moved = co_await v.ReadFile("/data/h");
+  EXPECT_TRUE(moved.ok());
+  if (moved.ok()) {
+    EXPECT_EQ(testbed::TestStr(*moved), "payload");
+  }
+  EXPECT_EQ((co_await v.Stat("/data/f")).status(), base::ErrNoEnt());
+
+  // 150 entries need three replies of at most 64, chained by cookie.
+  constexpr int kEntries = 150;
+  EXPECT_TRUE((co_await v.MkdirPath("/data/many")).ok());
+  for (int i = 0; i < kEntries; ++i) {
+    EXPECT_TRUE((co_await v.WriteFile("/data/many/e" + std::to_string(i), {})).ok());
+  }
+  const metrics::OpCounters& ops = w.client(0).peer().client_ops();
+  uint64_t readdirs_before = ops.Get(proto::OpKind::kReadDir);
+  auto listed = co_await v.ReadDir("/data/many");
+  EXPECT_TRUE(listed.ok());
+  if (!listed.ok()) {
+    co_return;
+  }
+  EXPECT_EQ(ops.Get(proto::OpKind::kReadDir) - readdirs_before, 3u);
+  std::map<std::string, int> seen;
+  for (const proto::DirEntry& entry : *listed) {
+    ++seen[entry.name];
+  }
+  EXPECT_EQ(seen.size(), static_cast<size_t>(kEntries));
+  for (int i = 0; i < kEntries; ++i) {
+    EXPECT_EQ(seen["e" + std::to_string(i)], 1) << "entry e" << i;
+  }
+  *finished = true;
+}
+
 class ProtocolConformance : public ::testing::TestWithParam<ServerProtocol> {};
 
 TEST_P(ProtocolConformance, SequentialSharingIsConsistent) {
@@ -269,6 +327,17 @@ TEST_P(ProtocolConformance, CrashDuringDirtyNeverTearsData) {
   MountData(w, 1, GetParam());
   bool finished = false;
   w.simulator.Spawn(CrashDuringDirtyScenario(w, &finished));
+  w.simulator.Run();
+  EXPECT_TRUE(finished);
+  trace_check.Check();
+}
+
+TEST_P(ProtocolConformance, NamespaceOperationsBehaveAlike) {
+  World w(GetParam(), 1);
+  ScopedTraceCheck trace_check(w.simulator);
+  nfs::RemoteClient& fs = MountData(w, 0, GetParam());
+  bool finished = false;
+  w.simulator.Spawn(NamespaceScenario(w, fs, &finished));
   w.simulator.Run();
   EXPECT_TRUE(finished);
   trace_check.Check();

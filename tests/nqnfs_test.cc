@@ -1,8 +1,10 @@
 // NQNFS protocol tests: the lease lifecycle (grant, piggybacked extension,
-// expiry), the write-lease eviction callback, expiry interleaving with
-// in-flight writes under pathologically short leases, the vacate-failure
-// path (the server waits out the lease it cannot revoke), the post-reboot
-// quiet window, and a pinned checker-clean fault-sweep seed.
+// expiry), the write-lease eviction callback, an NFS client's write
+// vacating an NQNFS cache, expiry interleaving with in-flight writes under
+// pathologically short leases, the vacate-failure path (the server waits
+// out the lease it cannot revoke), the post-reboot quiet window, callback
+// routing between mounts of different servers, and a pinned checker-clean
+// fault-sweep seed.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -18,6 +20,7 @@ namespace {
 
 using testbed::ServerProtocol;
 using testbed::TestBytes;
+using testbed::TestPattern;
 using testbed::TestStr;
 using testbed::World;
 
@@ -115,6 +118,54 @@ TEST(NqnfsLeaseTest, ReaderVacatesWriteLeaseAndSeesDelayedWrites) {
     EXPECT_GE(a.callbacks_served(), 1u);
     done = true;
   }(w, a, done));
+  w.simulator.Run();
+  EXPECT_TRUE(done);
+}
+
+// An NFS client shares the export with an NQNFS client (the write half of
+// §6.1's coexistence, which the lease server keeps): the NFS write-through
+// is a leaseless foreign write, so the server vacates the NQNFS client's
+// lease, and its next read through the still-open fd sees the new data.
+TEST(NqnfsLeaseTest, NfsWriteVacatesNqnfsClientCache) {
+  World w(ServerProtocol::kNqnfs, 2);
+  nqnfs::NqnfsClient& q =
+      w.client(0).MountNqnfs("/data", w.server->address(), w.server->root());
+  w.client(1).MountNfs("/data", w.server->address(), w.server->root());
+  bool done = false;
+  w.simulator.Spawn([](World& w, nqnfs::NqnfsClient& q, bool& done) -> sim::Task<void> {
+    vfs::Vfs& s = w.client(0).vfs();
+    vfs::Vfs& n = w.client(1).vfs();
+    // Full-block payloads: NFS delays partial-block writes client-side, so
+    // only block-sized writes are guaranteed to reach the server promptly.
+    std::vector<uint8_t> v1 = TestPattern(cache::kBlockSize, 1);
+    std::vector<uint8_t> v2 = TestPattern(cache::kBlockSize, 2);
+    EXPECT_TRUE((co_await s.WriteFile("/data/f", v1)).ok());
+    auto fd = co_await s.Open("/data/f", vfs::OpenFlags::ReadOnly());
+    EXPECT_TRUE(fd.ok());
+    if (!fd.ok()) {
+      co_return;
+    }
+    (void)co_await s.Pread(*fd, 0, 8);  // served from the leased cache
+
+    auto nfd = co_await n.Open("/data/f", vfs::OpenFlags::ReadWrite());
+    EXPECT_TRUE(nfd.ok());
+    if (!nfd.ok()) {
+      co_return;
+    }
+    EXPECT_TRUE((co_await n.Pwrite(*nfd, 0, v2)).ok());
+    co_await sim::Sleep(w.simulator, sim::Sec(1));
+
+    auto got = co_await s.Pread(*fd, 0, cache::kBlockSize);
+    EXPECT_TRUE(got.ok());
+    if (got.ok()) {
+      EXPECT_EQ(*got, v2);
+    }
+    EXPECT_GE(q.callbacks_served(), 1u);
+    EXPECT_GE(Server(w).vacates_issued(), 1u);
+    EXPECT_TRUE((co_await n.Close(*nfd)).ok());
+    EXPECT_TRUE((co_await s.Close(*fd)).ok());
+    done = true;
+  }(w, q, done));
   w.simulator.Run();
   EXPECT_TRUE(done);
 }
@@ -278,6 +329,55 @@ TEST(NqnfsLeaseTest, QuietWindowDeniesGrantsButServesDataImmediately) {
     done = true;
   }(w, a, done));
   w.simulator.Run();
+  EXPECT_TRUE(done);
+}
+
+// --- callback routing ----------------------------------------------------------
+
+// Every server numbers its files from the same start, so the first file on
+// an SNFS server and the first on an NQNFS server have equal handles. Client
+// A mounts both; a vacate from the NQNFS server must reach A's NQNFS mount
+// (which then writes its delayed data back), not the SNFS mount that
+// tracks an equal handle.
+TEST(CallbackRoutingTest, VacateReachesTheMountOfTheServerThatSentIt) {
+  sim::Simulator simulator;
+  net::Network network(simulator, {}, /*seed=*/7);
+  testbed::ServerMachine snfs_server(simulator, network, "snfs-server", ServerProtocol::kSnfs);
+  testbed::ServerMachine nqnfs_server(simulator, network, "nqnfs-server",
+                                      ServerProtocol::kNqnfs);
+  testbed::ClientMachine a(simulator, network, "a");
+  testbed::ClientMachine b(simulator, network, "b");
+  snfs::SnfsClient& a_snfs = a.MountSnfs("/s", snfs_server.address(), snfs_server.root());
+  nqnfs::NqnfsClient& a_nqnfs = a.MountNqnfs("/q", nqnfs_server.address(), nqnfs_server.root());
+  b.MountNqnfs("/q", nqnfs_server.address(), nqnfs_server.root());
+  snfs_server.Start();
+  nqnfs_server.Start();
+  a.Start();
+  b.Start();
+  bool done = false;
+  simulator.Spawn([](testbed::ClientMachine& a, testbed::ClientMachine& b,
+                     snfs::SnfsClient& a_snfs, nqnfs::NqnfsClient& a_nqnfs,
+                     bool& done) -> sim::Task<void> {
+    EXPECT_TRUE((co_await a.vfs().WriteFile("/s/f", TestBytes("snfs-data"))).ok());
+    EXPECT_TRUE((co_await a.vfs().WriteFile("/q/f", TestBytes("nqnfs-data"))).ok());
+    auto s_attr = co_await a.vfs().Stat("/s/f");
+    auto q_attr = co_await a.vfs().Stat("/q/f");
+    EXPECT_TRUE(s_attr.ok() && q_attr.ok());
+    if (!s_attr.ok() || !q_attr.ok()) {
+      co_return;
+    }
+    EXPECT_EQ(s_attr->fileid, q_attr->fileid);  // the collision under test
+
+    auto got = co_await b.vfs().ReadFile("/q/f");
+    EXPECT_TRUE(got.ok());
+    if (got.ok()) {
+      EXPECT_EQ(TestStr(*got), "nqnfs-data");
+    }
+    EXPECT_EQ(a_snfs.callbacks_served(), 0u);
+    EXPECT_GE(a_nqnfs.callbacks_served(), 1u);
+    done = true;
+  }(a, b, a_snfs, a_nqnfs, done));
+  simulator.Run();
   EXPECT_TRUE(done);
 }
 

@@ -40,19 +40,17 @@ struct World {
 };
 
 // Mount the server's export on client `i` with the matching protocol client.
-inline void MountData(World& w, int i, ServerProtocol protocol,
-                      const std::string& path = "/data") {
+inline nfs::RemoteClient& MountData(World& w, int i, ServerProtocol protocol,
+                                    const std::string& path = "/data") {
   switch (protocol) {
     case ServerProtocol::kNfs:
-      w.client(i).MountNfs(path, w.server->address(), w.server->root());
-      break;
+      return w.client(i).MountNfs(path, w.server->address(), w.server->root());
     case ServerProtocol::kSnfs:
-      w.client(i).MountSnfs(path, w.server->address(), w.server->root());
-      break;
+      return w.client(i).MountSnfs(path, w.server->address(), w.server->root());
     case ServerProtocol::kNqnfs:
-      w.client(i).MountNqnfs(path, w.server->address(), w.server->root());
       break;
   }
+  return w.client(i).MountNqnfs(path, w.server->address(), w.server->root());
 }
 
 inline std::string ProtocolLabel(ServerProtocol protocol) {
