@@ -249,7 +249,6 @@ sim::Task<void> BufferCache::AsyncStore(Key key, std::vector<uint8_t> data) {
 
 // Dirty victims hand their block to a spawned AsyncStore with the
 // flush-behind slot still held; the spawned coroutine releases it.
-// lint: lock-escapes
 sim::Task<void> BufferCache::EvictIfNeeded() {
   while (entries_.size() > params_.capacity_blocks) {
     // Find the least-recently-used entry. Dirty victims are handed to the

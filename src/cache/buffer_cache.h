@@ -195,7 +195,7 @@ class BufferCache {
   void NoteDirtyTransition(const FileKey& fk, bool was_dirty);
   // May exit holding a flush-behind slot that the spawned AsyncStore
   // releases when the write-back lands.
-  sim::Task<void> EvictIfNeeded();  // lint: lock-escapes
+  sim::Task<void> EvictIfNeeded();
   sim::Task<void> AsyncStore(Key key, std::vector<uint8_t> data);
   sim::Task<void> SyncDaemon();
   // In-flight store registration must be synchronous with the decision to

@@ -142,7 +142,6 @@ sim::Task<void> NqnfsServer::VacateConflicting(proto::FileHandle fh, int host, b
 
 // Ownership of the file lock transfers out through the return value on the
 // leaseless path; Handle releases it after the delegated write lands.
-// lint: lock-escapes
 sim::Task<sim::Mutex*> NqnfsServer::PrepareForeignWrite(proto::FileHandle fh, int host) {
   if (VacateInProgress(fh.fileid, host)) {
     co_return nullptr;  // a write-back we requested; covered by the lease being vacated

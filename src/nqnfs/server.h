@@ -90,7 +90,6 @@ class NqnfsServer {
   // still held, when it took that path — the caller releases it only after
   // the delegated write has landed, so no grant can slip between the bump
   // and the write — or nullptr when the write was already lease-covered.
-  // lint: lock-escapes
   sim::Task<sim::Mutex*> PrepareForeignWrite(proto::FileHandle fh, int host);
 
   sim::Task<void> LeaseDaemon();

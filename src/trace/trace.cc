@@ -89,14 +89,7 @@ int Recorder::SpanMachine(uint64_t span) const {
   if (span == 0 || span >= next_span_) {
     return -1;
   }
-  return spans_[span - 1].machine;
-}
-
-uint64_t Recorder::SpanParent(uint64_t span) const {
-  if (span == 0 || span >= next_span_) {
-    return 0;
-  }
-  return spans_[span - 1].parent;
+  return span_machines_[span - 1];
 }
 
 uint64_t Recorder::BeginSpan(std::string name, int machine, std::string args) {
@@ -107,7 +100,7 @@ uint64_t Recorder::BeginSpanUnder(uint64_t parent, std::string name, int machine
                                   std::string args) {
   uint64_t id = next_span_++;
   int resolved = ResolveMachine(machine, parent);
-  spans_.push_back(SpanInfo{resolved, parent});
+  span_machines_.push_back(resolved);
   events_.push_back(Event{EventKind::kSpanBegin, Now(), resolved, id, parent, std::move(name),
                           std::move(args), 0.0});
   sim::tracectx::current_span = id;
@@ -118,14 +111,8 @@ void Recorder::EndSpan(uint64_t span, std::string args) {
   if (span == 0 || span >= next_span_) {
     return;
   }
-  events_.push_back(Event{EventKind::kSpanEnd, Now(), spans_[span - 1].machine, span, 0,
+  events_.push_back(Event{EventKind::kSpanEnd, Now(), span_machines_[span - 1], span, 0,
                           std::string(), std::move(args), 0.0});
-}
-
-void Recorder::EndSpanRestore(uint64_t span, std::string args) {
-  uint64_t parent = SpanParent(span);
-  EndSpan(span, std::move(args));
-  sim::tracectx::current_span = parent;
 }
 
 void Recorder::Instant(std::string name, int machine, std::string args) {

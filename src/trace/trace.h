@@ -71,11 +71,9 @@ class Recorder {
   // parents its handler span from the span id carried in the envelope).
   uint64_t BeginSpanUnder(uint64_t parent, std::string name, int machine, std::string args = {});
 
-  // Ends `span`. Does not touch the ambient context (the Span guard and the
-  // TRACE_SPAN_END macro restore it).
+  // Ends `span`. Does not touch the ambient context (the Span guard
+  // restores it).
   void EndSpan(uint64_t span, std::string args = {});
-  // Macro form: ends the span and restores the ambient context to its parent.
-  void EndSpanRestore(uint64_t span, std::string args = {});
 
   void Instant(std::string name, int machine = kInheritMachine, std::string args = {});
   // Instant attributed to an explicit span (for code holding a captured span
@@ -87,7 +85,6 @@ class Recorder {
   uint64_t spans_begun() const { return next_span_ - 1; }
   // Machine a span was begun on (-1 for unknown span / unattributed).
   int SpanMachine(uint64_t span) const;
-  uint64_t SpanParent(uint64_t span) const;
 
   // Deterministic one-line-per-event form, and its FNV-1a 64 checksum.
   std::string ToCompactText() const;
@@ -109,17 +106,12 @@ class Recorder {
       std::string_view name, std::string_view key) const;
 
  private:
-  struct SpanInfo {
-    int machine = -1;
-    uint64_t parent = 0;
-  };
-
   sim::Time Now() const;
   int ResolveMachine(int machine, uint64_t parent) const;
 
   sim::Simulator& simulator_;
   std::vector<Event> events_;
-  std::vector<SpanInfo> spans_;  // index = span id - 1
+  std::vector<int> span_machines_;  // index = span id - 1
   uint64_t next_span_ = 1;
 };
 
@@ -158,23 +150,6 @@ class Span {
 };
 
 }  // namespace trace
-
-// Manual span macros, for spans that cannot be scoped to a C++ block (e.g.
-// one iteration of a daemon loop with early exits). Every TRACE_SPAN_BEGIN
-// must reach a matching TRACE_SPAN_END on all paths — enforced by the
-// snfslint `trace-span-balance` rule; prefer the trace::Span RAII guard
-// where a block scope fits.
-#define TRACE_SPAN_BEGIN(var, name, machine, args)                                       \
-  uint64_t var = trace::Active() != nullptr                                              \
-                     ? trace::Active()->BeginSpan((name), (machine), (args))             \
-                     : 0
-
-#define TRACE_SPAN_END(var, args)                                                        \
-  do {                                                                                   \
-    if (trace::Active() != nullptr && (var) != 0) {                                      \
-      trace::Active()->EndSpanRestore((var), (args));                                    \
-    }                                                                                    \
-  } while (0)
 
 #define TRACE_INSTANT(name, machine, args)                                               \
   do {                                                                                   \

@@ -202,6 +202,24 @@ TEST(SyncMutexDeathTest, ReacquireByOwnerChecksInsteadOfHanging) {
   EXPECT_DEATH(ReacquireHeldMutex(), "owner_ != coroctx::current_activity");
 }
 
+void ReacquireInAwaitedCallee() {
+  Simulator s;
+  Mutex m(s);
+  s.Spawn([](Mutex& m) -> Task<void> {
+    co_await m.Acquire();
+    // The awaited child runs in the holder's activity, so its acquire is a
+    // re-acquire by the owner.
+    co_await [](Mutex& inner) -> Task<void> {
+      co_await inner.Acquire();
+    }(m);
+  }(m));
+  s.Run();
+}
+
+TEST(SyncMutexDeathTest, ReacquireInAwaitedCalleeChecks) {
+  EXPECT_DEATH(ReacquireInAwaitedCallee(), "owner_ != coroctx::current_activity");
+}
+
 void ReleaseFromForeignActivity() {
   Simulator s;
   Mutex m(s);

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace lint {
@@ -241,28 +242,18 @@ struct FileScan {
 
 }  // namespace
 
-Function& CallGraph::Intern(const std::string& qual, const std::string& name,
-                            const std::string& file, int line, bool is_definition) {
+Function& CallGraph::Intern(const std::string& qual, const std::string& name) {
   auto [it, inserted] = by_qual_.try_emplace(qual, fns_.size());
   if (inserted) {
     Function f;
     f.qual = qual;
-    f.name = name;
-    f.file = file;
-    f.line = line;
     fns_.push_back(std::move(f));
     by_name_[name].push_back(it->second);
   }
-  Function& f = fns_[it->second];
-  if (is_definition && !f.has_body) {
-    // Prefer the definition site for display.
-    f.file = file;
-    f.line = line;
-  }
-  return f;
+  return fns_[it->second];
 }
 
-void CallGraph::AddFile(const std::string& path, const LexResult& lex) {
+void CallGraph::AddFile(const LexResult& lex) {
   const std::vector<Token>& t = lex.tokens;
   FileScan scan(t);
 
@@ -335,60 +326,7 @@ void CallGraph::AddFile(const std::string& path, const LexResult& lex) {
     } else if (!scan.cls[name].empty()) {
       qual = scan.cls[name] + "::" + last;
     }
-    Function& f = Intern(qual, last, path, t[name].line, /*is_definition=*/false);
-    f.returns_task = true;
-    if (lex.no_suspend_lines.count(t[name].line) > 0) {
-      f.no_suspend = true;
-      annot_sites_[{path, t[name].line}] = by_qual_.at(qual);
-    }
-    if (lex.lock_escapes_lines.count(t[name].line) > 0) {
-      f.lock_escapes = true;
-      lock_annot_sites_[{path, t[name].line}] = by_qual_.at(qual);
-    }
-  }
-
-  // --- pass A2: annotated plain declarations ------------------------------
-  // Non-Task declarations are normally not recorded (callgraph.h), but a
-  // `// lint: no-suspend` pin on one must still attach — the natural home
-  // for the annotation is the header declaration, not the definition. The
-  // record it creates is exactly the claim the pin makes: a known,
-  // non-suspending function.
-  for (size_t i = 1; i + 1 < t.size(); ++i) {
-    if (!IsIdent(t, i) || !IsPunct(t, i + 1, "(") || IsCallKeyword(t[i].text)) {
-      continue;
-    }
-    if (lex.no_suspend_lines.count(t[i].line) == 0) {
-      continue;
-    }
-    // Declaration shape: a return-type token right before the name (a call
-    // starts a statement or follows `.`/`->`), and a `;` after the
-    // parameter list.
-    if (!((IsIdent(t, i - 1) && !IsCallKeyword(t[i - 1].text)) || IsPunct(t, i - 1, "*") ||
-          IsPunct(t, i - 1, "&") || IsPunct(t, i - 1, ">"))) {
-      continue;
-    }
-    size_t rparen = scan.match[i + 1];
-    if (rparen == kNpos) {
-      continue;
-    }
-    bool is_decl = false;
-    for (size_t j = rparen + 1; j < t.size() && j < rparen + 16; ++j) {
-      if (IsPunct(t, j, ";")) {
-        is_decl = true;
-        break;
-      }
-      if (IsPunct(t, j, "{") || IsPunct(t, j, ":") || IsPunct(t, j, "=")) {
-        break;
-      }
-    }
-    if (!is_decl) {
-      continue;
-    }
-    std::string last = t[i].text;
-    std::string qual = scan.cls[i].empty() ? last : scan.cls[i] + "::" + last;
-    Function& f = Intern(qual, last, path, t[i].line, /*is_definition=*/false);
-    f.no_suspend = true;
-    annot_sites_[{path, t[i].line}] = by_qual_.at(qual);
+    Intern(qual, last).returns_task = true;
   }
 
   // --- pass B: function definitions + their call sites --------------------
@@ -408,19 +346,11 @@ void CallGraph::AddFile(const std::string& path, const LexResult& lex) {
     } else if (!scan.cls[name].empty()) {
       qual = scan.cls[name] + "::" + last;
     }
-    Function& f = Intern(qual, last, path, t[name].line, /*is_definition=*/true);
+    Function& f = Intern(qual, last);
     size_t fn_idx = by_qual_.at(qual);
     f.has_body = true;
     if (scan.ReturnsTask(name)) {
       f.returns_task = true;
-    }
-    if (lex.no_suspend_lines.count(t[name].line) > 0) {
-      f.no_suspend = true;
-      annot_sites_[{path, t[name].line}] = fn_idx;
-    }
-    if (lex.lock_escapes_lines.count(t[name].line) > 0) {
-      f.lock_escapes = true;
-      lock_annot_sites_[{path, t[name].line}] = fn_idx;
     }
     // Walk the body: direct suspensions and call sites, skipping nested
     // lambda bodies (a lambda is its own function on its own schedule).
@@ -441,22 +371,14 @@ void CallGraph::AddFile(const std::string& path, const LexResult& lex) {
       }
       const std::string& id = t[i].text;
       if (id == "co_await" || id == "co_yield") {
-        if (!f.direct_suspend) {
-          f.direct_suspend = true;
-          f.direct_suspend_line = t[i].line;
-          f.why = "contains " + id + " (line " + std::to_string(t[i].line) + ")";
-        }
+        f.direct_suspend = true;
         continue;
       }
       if (id == "resume" && IsPunct(t, i + 1, "(") &&
           (IsPunct(t, i - 1, ".") || IsPunct(t, i - 1, "->"))) {
         // Resuming a coroutine handle is the primitive every pump loop is
         // built on: other coroutines run inside this call.
-        if (!f.direct_suspend) {
-          f.direct_suspend = true;
-          f.direct_suspend_line = t[i].line;
-          f.why = "resumes a coroutine handle (line " + std::to_string(t[i].line) + ")";
-        }
+        f.direct_suspend = true;
         continue;
       }
       if (!IsPunct(t, i + 1, "(") || IsCallKeyword(id)) {
@@ -467,7 +389,6 @@ void CallGraph::AddFile(const std::string& path, const LexResult& lex) {
       }
       CallSite site;
       site.name = id;
-      site.line = t[i].line;
       if (i >= 2 && IsPunct(t, i - 1, "::") && IsIdent(t, i - 2)) {
         site.qualifier = t[i - 2].text;
       }
@@ -479,8 +400,7 @@ void CallGraph::AddFile(const std::string& path, const LexResult& lex) {
   }
 }
 
-bool CallGraph::SiteSuspends(const CallSite& site, const std::string& caller_class,
-                             std::string* out_callee) const {
+bool CallGraph::SiteSuspends(const CallSite& site, const std::string& caller_class) const {
   // Exact qualified resolution first.
   for (const std::string* cls : {&site.qualifier, &caller_class}) {
     if (cls->empty()) {
@@ -488,11 +408,7 @@ bool CallGraph::SiteSuspends(const CallSite& site, const std::string& caller_cla
     }
     auto it = by_qual_.find(*cls + "::" + site.name);
     if (it != by_qual_.end()) {
-      const Function& f = fns_[it->second];
-      if (f.may_suspend && out_callee != nullptr) {
-        *out_callee = f.qual;
-      }
-      return f.may_suspend;
+      return fns_[it->second].may_suspend;
     }
   }
   // Bare-name resolution: every candidate must suspend.
@@ -505,9 +421,6 @@ bool CallGraph::SiteSuspends(const CallSite& site, const std::string& caller_cla
       return false;
     }
   }
-  if (out_callee != nullptr) {
-    *out_callee = fns_[it->second.front()].qual;
-  }
   return true;
 }
 
@@ -515,22 +428,13 @@ bool CallGraph::CallSuspends(const std::string& qualifier, const std::string& na
   CallSite site;
   site.name = name;
   site.qualifier = qualifier;
-  return SiteSuspends(site, std::string(), nullptr);
+  return SiteSuspends(site, std::string());
 }
 
 void CallGraph::Finalize() {
-  finalized_ = true;
-  // Seed: literal suspensions and body-less Task declarations. A no-suspend
-  // pin is honored unless the body visibly suspends (that would be a lie;
-  // the audit reports it and the pin is ignored).
+  // Seed: literal suspensions and body-less Task declarations.
   for (Function& f : fns_) {
-    bool pinned = f.no_suspend && !f.direct_suspend;
-    f.may_suspend = !pinned && (f.direct_suspend || (f.returns_task && !f.has_body));
-    if (pinned) {
-      f.why = "pinned by // lint: no-suspend";
-    } else if (f.may_suspend && !f.direct_suspend) {
-      f.why = "Task-returning declaration without a visible body";
-    }
+    f.may_suspend = f.direct_suspend || (f.returns_task && !f.has_body);
   }
   // Fixpoint: a caller of a may-suspend function may suspend. Monotone
   // (flags only flip false -> true), so iteration order is immaterial.
@@ -538,7 +442,7 @@ void CallGraph::Finalize() {
   while (changed) {
     changed = false;
     for (Function& f : fns_) {
-      if (f.may_suspend || !f.has_body || (f.no_suspend && !f.direct_suspend)) {
+      if (f.may_suspend || !f.has_body) {
         continue;
       }
       std::string caller_class;
@@ -547,81 +451,14 @@ void CallGraph::Finalize() {
         caller_class = f.qual.substr(0, qpos);
       }
       for (const CallSite& site : f.calls) {
-        std::string callee;
-        if (SiteSuspends(site, caller_class, &callee)) {
+        if (SiteSuspends(site, caller_class)) {
           f.may_suspend = true;
-          f.why = "calls " + callee + " (line " + std::to_string(site.line) + ")";
           changed = true;
           break;
         }
       }
     }
   }
-  // Audit every annotation site against the final state.
-  for (const auto& [site, idx] : annot_sites_) {
-    const Function& f = fns_[idx];
-    NoSuspendStatus status;
-    status.qual = f.qual;
-    if (f.direct_suspend) {
-      status.use = NoSuspendUse::kLiteralAwait;
-    } else {
-      bool would = f.returns_task && !f.has_body;
-      std::string caller_class;
-      size_t qpos = f.qual.find("::");
-      if (qpos != std::string::npos) {
-        caller_class = f.qual.substr(0, qpos);
-      }
-      for (const CallSite& cs : f.calls) {
-        if (would) {
-          break;
-        }
-        would = SiteSuspends(cs, caller_class, nullptr);
-      }
-      status.use = would ? NoSuspendUse::kUsed : NoSuspendUse::kUnneeded;
-    }
-    annot_status_[site] = status;
-  }
-}
-
-CallGraph::NoSuspendStatus CallGraph::NoSuspendStatusAt(const std::string& file,
-                                                        int line) const {
-  auto it = annot_status_.find({file, line});
-  if (it == annot_status_.end()) {
-    return NoSuspendStatus{};
-  }
-  return it->second;
-}
-
-const Function* CallGraph::Lookup(const std::string& qual) const {
-  auto it = by_qual_.find(qual);
-  return it == by_qual_.end() ? nullptr : &fns_[it->second];
-}
-
-std::vector<const Function*> CallGraph::Resolve(const std::string& qualifier,
-                                                const std::string& caller_class,
-                                                const std::string& name) const {
-  for (const std::string* cls : {&qualifier, &caller_class}) {
-    if (cls->empty()) {
-      continue;
-    }
-    auto it = by_qual_.find(*cls + "::" + name);
-    if (it != by_qual_.end()) {
-      return {&fns_[it->second]};
-    }
-  }
-  std::vector<const Function*> out;
-  auto it = by_name_.find(name);
-  if (it != by_name_.end()) {
-    for (size_t idx : it->second) {
-      out.push_back(&fns_[idx]);
-    }
-  }
-  return out;
-}
-
-std::string CallGraph::LockEscapeQualAt(const std::string& file, int line) const {
-  auto it = lock_annot_sites_.find({file, line});
-  return it == lock_annot_sites_.end() ? std::string() : fns_[it->second].qual;
 }
 
 }  // namespace lint

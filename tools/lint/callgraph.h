@@ -14,13 +14,11 @@
 //     for members (the enclosing class is tracked for inline bodies;
 //     out-of-line definitions carry the qualifier themselves) and the bare
 //     name for free functions. Declarations and definitions of the same
-//     qualified name merge into one record, so an annotation on the header
-//     declaration governs the body in the .cc file. Non-Task declarations
+//     qualified name merge into one record, so a header declaration and
+//     its body in the .cc file are one function. Non-Task declarations
 //     without a visible body are not recorded — they cannot suspend a
 //     caller the analysis could reason about, and leaving them out keeps
-//     the bare-name candidate sets small — unless they carry a
-//     `// lint: no-suspend` pin, which is itself the claim the record
-//     encodes (a known, non-suspending function).
+//     the bare-name candidate sets small.
 //
 //  2. Call graph. Each body's call sites (`Name(...)`, `obj.Name(...)`,
 //     `Class::Name(...)`) are extracted; nested lambda bodies are skipped (a
@@ -44,23 +42,12 @@
 //     both ways is an unresolvable textual overload, and the established
 //     convention (see lint.h) is to stay quiet on those rather than taint
 //     half the tree.
-//
-//  4. The `// lint: no-suspend` escape hatch. A function whose declaration
-//     or definition line (or the line under a standalone comment) carries
-//     `// lint: no-suspend` is pinned non-suspending and does not propagate
-//     suspension to its callers — for audited cases like "posts the task;
-//     it only runs after the caller itself suspends". The annotation cannot
-//     waive a literal `co_await`/`.resume()` (that would be a lie, and the
-//     pin is ignored), and one that pins nothing — no function on the line,
-//     or a function that was never going to be may-suspend — is an error,
-//     surfaced through the suppression-audit rule.
 #ifndef TOOLS_LINT_CALLGRAPH_H_
 #define TOOLS_LINT_CALLGRAPH_H_
 
 #include <cstddef>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "tools/lint/lexer.h"
@@ -71,27 +58,16 @@ namespace lint {
 struct CallSite {
   std::string name;       // last name component, e.g. "Flush"
   std::string qualifier;  // explicit `A::` qualifier when spelled, else ""
-  int line = 0;
 };
 
 // One function (declaration and/or definition), merged across files by
 // qualified name.
 struct Function {
   std::string qual;  // "Class::Method" or "Name"
-  std::string name;  // last component
-  std::string file;  // definition site when seen, else first declaration
-  int line = 0;
   bool has_body = false;
   bool returns_task = false;
   bool direct_suspend = false;  // literal co_await / co_yield / .resume()
-  int direct_suspend_line = 0;
-  bool no_suspend = false;  // pinned by // lint: no-suspend
   bool may_suspend = false;
-  // Annotated `// lint: lock-escapes`: the function intentionally exits with
-  // a lock held (ownership transfers to the caller or a spawned coroutine),
-  // so the lock-balance held-at-exit check is waived for it (locks.h).
-  bool lock_escapes = false;
-  std::string why;  // human-readable reason for the classification
   std::vector<CallSite> calls;
 };
 
@@ -99,9 +75,9 @@ class CallGraph {
  public:
   // Harvests function records and call sites from one lexed file. Call once
   // per file, then Finalize() exactly once.
-  void AddFile(const std::string& path, const LexResult& lex);
+  void AddFile(const LexResult& lex);
 
-  // Runs the may-suspend fixpoint and computes annotation-audit statuses.
+  // Runs the may-suspend fixpoint.
   void Finalize();
 
   // True when a call spelled `qualifier::name(...)` (qualifier may be
@@ -109,66 +85,18 @@ class CallGraph {
   // function and every candidate may suspend.
   bool CallSuspends(const std::string& qualifier, const std::string& name) const;
 
-  // All records, in discovery order (callers sort for display). Valid after
-  // Finalize(); drives `--format=suspend` and the acceptance sweep.
+  // All records, in discovery order. Valid after Finalize().
   const std::vector<Function>& functions() const { return fns_; }
 
-  // Audit result for a `// lint: no-suspend` annotation covering `line` of
-  // `file` (see lexer.h for which lines an annotation covers).
-  enum class NoSuspendUse {
-    kNone,          // no function declared on that line
-    kUnneeded,      // pinned a function that was never may-suspend
-    kUsed,          // pinned a function that would otherwise be may-suspend
-    kLiteralAwait,  // function contains co_await/.resume(); pin ignored
-  };
-  struct NoSuspendStatus {
-    NoSuspendUse use = NoSuspendUse::kNone;
-    std::string qual;  // the pinned function, when any
-  };
-  NoSuspendStatus NoSuspendStatusAt(const std::string& file, int line) const;
-
-  // The record registered under `qual`, or nullptr. Valid any time after the
-  // AddFile calls; classification fields are meaningful after Finalize().
-  const Function* Lookup(const std::string& qual) const;
-
-  // Candidate records for a call spelled `qualifier::name(...)` made from
-  // inside `caller_class` (either may be empty): the exact qualified record
-  // when the spelling provides one, else every record sharing the bare name.
-  // Empty when the name is unknown. This is the same resolution order the
-  // may-suspend fixpoint uses; the lock pass (locks.h) propagates its
-  // may-acquire sets through it.
-  std::vector<const Function*> Resolve(const std::string& qualifier,
-                                       const std::string& caller_class,
-                                       const std::string& name) const;
-
-  // Qualified name of the function whose declaration or definition line
-  // carries a `// lint: lock-escapes` annotation covering (file, line);
-  // empty when the annotation attaches to no recorded function. Drives the
-  // lock-escapes audit.
-  std::string LockEscapeQualAt(const std::string& file, int line) const;
-
  private:
-  struct PendingCall {
-    size_t fn;  // index into fns_
-    CallSite site;
-  };
-
-  Function& Intern(const std::string& qual, const std::string& name, const std::string& file,
-                   int line, bool is_definition);
+  Function& Intern(const std::string& qual, const std::string& name);
   // True when the call site resolves to candidates that all may suspend,
-  // under the current fixpoint state. `out_callee` names one candidate.
-  bool SiteSuspends(const CallSite& site, const std::string& caller_class,
-                    std::string* out_callee) const;
+  // under the current fixpoint state.
+  bool SiteSuspends(const CallSite& site, const std::string& caller_class) const;
 
   std::vector<Function> fns_;
   std::map<std::string, size_t> by_qual_;
   std::map<std::string, std::vector<size_t>> by_name_;
-  // (file, line of a no-suspend-annotated function name) -> fns_ index.
-  std::map<std::pair<std::string, int>, size_t> annot_sites_;
-  std::map<std::pair<std::string, int>, NoSuspendStatus> annot_status_;
-  // (file, line of a lock-escapes-annotated function name) -> fns_ index.
-  std::map<std::pair<std::string, int>, size_t> lock_annot_sites_;
-  bool finalized_ = false;
 };
 
 }  // namespace lint

@@ -32,10 +32,13 @@ bool IsMergedPunct(char a, char b) {
 bool IsIdentStart(char c) { return std::isalpha(static_cast<unsigned char>(c)) || c == '_'; }
 bool IsIdentChar(char c) { return std::isalnum(static_cast<unsigned char>(c)) || c == '_'; }
 
-// Records `// lint: ordered-ok coro-ref-ok` style suppressions from a
-// comment body. The comment suppresses its own line; when it is the only
-// thing on its line it also covers the next line, so a rule can be waived
-// with a standalone comment above a long statement.
+// Records the annotations in a `// lint:` comment body. The first word must
+// be `<rule>-ok` or `unstable-source`; more `<rule>-ok` words may follow, and
+// the first other word after that starts free reason text. Any other first
+// word is recorded as unknown so the audit reports it. The comment covers its
+// own line; when it is the only thing on its line it also covers the next
+// line, so a rule can be waived with a standalone comment above a long
+// statement.
 void RecordSuppressions(const std::string& comment, int line, bool standalone,
                         LexResult& out) {
   size_t pos = comment.find("lint:");
@@ -43,7 +46,7 @@ void RecordSuppressions(const std::string& comment, int line, bool standalone,
     return;
   }
   pos += 5;
-  while (pos < comment.size()) {
+  for (bool first = true; pos < comment.size(); first = false) {
     while (pos < comment.size() && std::isspace(static_cast<unsigned char>(comment[pos]))) {
       ++pos;
     }
@@ -69,30 +72,11 @@ void RecordSuppressions(const std::string& comment, int line, bool standalone,
       if (standalone) {
         out.unstable_source_lines.insert(line + 1);
       }
-    } else if (word == "no-suspend") {
-      out.no_suspend_lines.insert(line);
-      SuppressionNote note;
-      note.rule = "no-suspend";
-      note.comment_line = line;
-      note.covered.push_back(line);
-      if (standalone) {
-        out.no_suspend_lines.insert(line + 1);
-        note.covered.push_back(line + 1);
+    } else {
+      if (first && !word.empty()) {
+        out.unknown_annotations.emplace_back(line, word);
       }
-      out.no_suspend_notes.push_back(std::move(note));
-    } else if (word == "lock-escapes") {
-      out.lock_escapes_lines.insert(line);
-      SuppressionNote note;
-      note.rule = "lock-escapes";
-      note.comment_line = line;
-      note.covered.push_back(line);
-      if (standalone) {
-        out.lock_escapes_lines.insert(line + 1);
-        note.covered.push_back(line + 1);
-      }
-      out.lock_escapes_notes.push_back(std::move(note));
-    } else if (!word.empty()) {
-      break;  // first non-rule word ends the suppression list
+      break;  // reason text (or an unknown annotation) ends the list
     }
   }
 }

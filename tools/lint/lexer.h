@@ -5,6 +5,8 @@
 //
 //  * suppressions: `// lint: <rule>-ok` comments, attached to the line they
 //    appear on (and to the following line when the comment stands alone);
+//  * `// lint: unstable-source` annotations, attached the same way, and any
+//    `// lint:` comment that starts with neither kind, for the audit;
 //  * preprocessor directives and comments are consumed, not emitted.
 //
 // The lexer is deliberately not a preprocessor: macros are not expanded and
@@ -16,6 +18,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace lint {
@@ -51,24 +54,10 @@ struct LexResult {
   // declared on (or directly below) such a line returns a pointer/reference
   // into a container even though the return type does not say so.
   std::set<int> unstable_source_lines;
-  // Lines carrying a `// lint: no-suspend` annotation: the function declared
-  // on (or directly below) such a line is pinned non-suspending in the call
-  // graph even though it calls may-suspend functions (see callgraph.h). The
-  // annotation is audited: one that pins nothing is an error.
-  std::set<int> no_suspend_lines;
-  // Every `no-suspend` annotation positionally, for the audit (rule field is
-  // always "no-suspend").
-  std::vector<SuppressionNote> no_suspend_notes;
-  // Lines carrying a `// lint: lock-escapes` annotation: the function
-  // declared on (or directly below) such a line intentionally transfers
-  // ownership of a held lock out of its own frame (returns it held, or hands
-  // it to a spawned coroutine), so the lock-balance held-at-exit check is
-  // waived for it. Audited: an annotation on a function with nothing held at
-  // any exit is an error.
-  std::set<int> lock_escapes_lines;
-  // Every `lock-escapes` annotation positionally, for the audit (rule field
-  // is always "lock-escapes").
-  std::vector<SuppressionNote> lock_escapes_notes;
+  // (comment line, first word) of every `// lint:` comment whose first word
+  // is neither `<rule>-ok` nor `unstable-source`: a misspelt or retired
+  // annotation that would otherwise do nothing. Audited by suppression-audit.
+  std::vector<std::pair<int, std::string>> unknown_annotations;
 };
 
 // Tokenizes `source`. Never fails: unrecognized bytes are skipped.

@@ -145,10 +145,9 @@ bool IsStatementKeyword(const std::string& s) {
 
 const std::vector<std::string>& Linter::KnownRules() {
   static const std::vector<std::string> kRules = {
-      "await-cached-size", "await-stale-ref", "coro-lambda",        "coro-ref",
-      "double-acquire",    "lock-balance",    "lock-order",         "nondet",
-      "ordered",           "suppression-audit", "suspend-escape",   "task-dropped",
-      "trace-span-balance", "unused-status"};
+      "await-cached-size", "await-stale-ref",   "coro-lambda",
+      "coro-ref",          "nondet",            "ordered",
+      "suppression-audit", "suspend-escape",    "unused-status"};
   return kRules;
 }
 
@@ -206,7 +205,7 @@ void Linter::CollectDecls(FileState& fs) {
       std::string name;
       size_t k = ParseScopedName(t, i + 1, name);
       if (k != kNpos && IsPunct(t, k, "(")) {
-        fs.decls.status_fns.insert(name);
+        fs.decls.other_fns.insert(name);
       }
     } else if (id == "Result" && IsPunct(t, i + 1, "<")) {
       size_t after = MatchTemplate(t, i + 1);
@@ -216,7 +215,7 @@ void Linter::CollectDecls(FileState& fs) {
       std::string name;
       size_t k = ParseScopedName(t, after, name);
       if (k != kNpos && IsPunct(t, k, "(")) {
-        fs.decls.status_fns.insert(name);
+        fs.decls.other_fns.insert(name);
         // `Result<T*>`: the payload is a raw pointer into some container —
         // an unstable source for the flow rules (`after - 1` is the closing
         // `>`, so `after - 2` is the last payload token).
@@ -239,9 +238,8 @@ void Linter::CollectDecls(FileState& fs) {
         fs.decls.unordered_vars.insert(t[after].text);
       }
     } else if (IsIdent(t, i + 1) && IsPunct(t, i + 2, "(")) {
-      // `SomeType name(`: a declaration with a non-Task, non-Status return
-      // type — unless `id` is really a keyword and this is a call like
-      // `return time(...)`.
+      // `SomeType name(`: a declaration with a non-Task return type — unless
+      // `id` is really a keyword and this is a call like `return time(...)`.
       static const std::set<std::string> kCallContexts = {
           "return", "co_return", "co_await", "co_yield", "else",
           "do",     "case",      "new",      "throw",    "goto"};
@@ -304,7 +302,6 @@ void Linter::CollectDecls(FileState& fs) {
 
 std::vector<Diagnostic> Linter::Run() {
   task_fns_.clear();
-  status_fns_.clear();
   other_fns_.clear();
   unstable_fns_.clear();
   used_.clear();
@@ -312,7 +309,6 @@ std::vector<Diagnostic> Linter::Run() {
     for (const auto& [name, payload] : fs.decls.task_fns) {
       task_fns_[name] |= payload;
     }
-    status_fns_.insert(fs.decls.status_fns.begin(), fs.decls.status_fns.end());
     other_fns_.insert(fs.decls.other_fns.begin(), fs.decls.other_fns.end());
     unstable_fns_.insert(fs.decls.unstable_fns.begin(), fs.decls.unstable_fns.end());
   }
@@ -320,41 +316,11 @@ std::vector<Diagnostic> Linter::Run() {
   // consult it to treat calls to may-suspend functions as suspension points.
   callgraph_ = CallGraph();
   for (const FileState& fs : files_) {
-    callgraph_.AddFile(fs.path, fs.lex);
+    callgraph_.AddFile(fs.lex);
   }
   callgraph_.Finalize();
 
   std::vector<Diagnostic> out;
-
-  // Lock-discipline pass: harvest lock classes repo-wide, flow-analyze every
-  // body, then run the may-acquire fixpoint + lock-order cycle check. The
-  // sink maps a (use line, binding line) pair onto the suppression machinery:
-  // a `-ok` comment on either line absorbs the diagnostic, matching how the
-  // flow rules treat bindings.
-  lockpass_ = LockPass(&callgraph_);
-  for (const FileState& fs : files_) {
-    lockpass_.CollectClasses(fs.path, fs.lex);
-  }
-  std::map<std::string, const FileState*> by_path;
-  for (const FileState& fs : files_) {
-    by_path[fs.path] = &fs;
-  }
-  LockPass::EmitFn lock_emit = [&](const std::string& file, int line, int bind_line,
-                                   const std::string& rule, std::string message) {
-    auto it = by_path.find(file);
-    if (it == by_path.end()) {
-      return;
-    }
-    if (bind_line != line && Suppressed(*it->second, bind_line, rule)) {
-      return;
-    }
-    Emit(*it->second, line, rule, std::move(message), out);
-  };
-  for (const FileState& fs : files_) {
-    lockpass_.AnalyzeFile(fs.path, fs.lex, lock_emit);
-  }
-  lockpass_.Finalize(lock_emit);
-
   for (const FileState& fs : files_) {
     LintFile(fs, out);
   }
@@ -419,62 +385,11 @@ void Linter::CheckSuppressions(const FileState& fs, std::vector<Diagnostic>& out
            out);
     }
   }
-  // `// lint: no-suspend` annotations: each must pin exactly the thing it
-  // claims — a function that would otherwise classify may-suspend.
-  for (const SuppressionNote& note : fs.lex.no_suspend_notes) {
-    CallGraph::NoSuspendStatus best;  // strongest status across covered lines
-    for (int line : note.covered) {
-      CallGraph::NoSuspendStatus s = callgraph_.NoSuspendStatusAt(fs.path, line);
-      if (static_cast<int>(s.use) > static_cast<int>(best.use)) {
-        best = s;
-      }
-    }
-    switch (best.use) {
-      case CallGraph::NoSuspendUse::kUsed:
-        break;  // honest pin
-      case CallGraph::NoSuspendUse::kNone:
-        Emit(fs, note.comment_line, "suppression-audit",
-             "`// lint: no-suspend` is not attached to any function declaration; move it onto "
-             "the declaration line (or the line above) or remove it",
-             out);
-        break;
-      case CallGraph::NoSuspendUse::kUnneeded:
-        Emit(fs, note.comment_line, "suppression-audit",
-             "`// lint: no-suspend` pins `" + best.qual +
-                 "`, which is already classified non-suspending; remove the annotation",
-             out);
-        break;
-      case CallGraph::NoSuspendUse::kLiteralAwait:
-        Emit(fs, note.comment_line, "suppression-audit",
-             "`// lint: no-suspend` cannot waive `" + best.qual +
-                 "`: its body contains a literal co_await/co_yield/.resume(); the pin is "
-                 "ignored — remove the annotation",
-             out);
-        break;
-    }
-  }
-  // `// lint: lock-escapes` annotations: each must pin a function some
-  // analyzed path of which really does exit holding a lock — otherwise the
-  // waiver is dead weight (or worse, masks a future leak).
-  for (const SuppressionNote& note : fs.lex.lock_escapes_notes) {
-    std::string qual;
-    for (int line : note.covered) {
-      qual = callgraph_.LockEscapeQualAt(fs.path, line);
-      if (!qual.empty()) {
-        break;
-      }
-    }
-    if (qual.empty()) {
-      Emit(fs, note.comment_line, "suppression-audit",
-           "`// lint: lock-escapes` is not attached to any function declaration; move it onto "
-           "the declaration line (or the line above) or remove it",
-           out);
-    } else if (!lockpass_.Escapes(qual)) {
-      Emit(fs, note.comment_line, "suppression-audit",
-           "`// lint: lock-escapes` pins `" + qual +
-               "`, but no analyzed path of it exits holding a lock; remove the annotation",
-           out);
-    }
+  for (const auto& [line, word] : fs.lex.unknown_annotations) {
+    Emit(fs, line, "suppression-audit",
+         "`// lint: " + word + "` is not an annotation (expected `<rule>-ok` or "
+         "`unstable-source`); fix the spelling or remove the comment",
+         out);
   }
 }
 
@@ -503,7 +418,6 @@ void Linter::LintFile(const FileState& fs, std::vector<Diagnostic>& out) {
     CheckOrderedIteration(fs, unordered, out);
   }
   CheckStatements(fs, out);
-  CheckTraceSpanBalance(fs, out);
   CheckFlow(fs, out);
 }
 
@@ -763,7 +677,7 @@ void Linter::CheckOrderedIteration(const FileState& fs, const std::set<std::stri
   }
 }
 
-// --- rules: task-dropped / unused-status ------------------------------------
+// --- rule: unused-status -----------------------------------------------------
 
 void Linter::CheckStatements(const FileState& fs, std::vector<Diagnostic>& out) {
   const std::vector<Token>& t = fs.lex.tokens;
@@ -778,9 +692,6 @@ void Linter::CheckStatements(const FileState& fs, std::vector<Diagnostic>& out) 
       continue;
     }
     at_stmt_start = false;
-    if (t[i].kind != TokKind::kIdent && !IsPunct(t, i, "(")) {
-      continue;
-    }
     // `if (...)` / `while (...)` / `for (...)` / `switch (...)`: the
     // controlled statement starts after the condition.
     if (t[i].kind == TokKind::kIdent &&
@@ -795,20 +706,12 @@ void Linter::CheckStatements(const FileState& fs, std::vector<Diagnostic>& out) 
       }
       continue;
     }
-    if (t[i].kind == TokKind::kIdent && IsStatementKeyword(t[i].text)) {
+    // Only a bare `co_await Callee(...);` can drop a payload unseen; a
+    // `(void)` cast starts with `(` and is skipped here.
+    if (!IsIdent(t, i, "co_await")) {
       continue;
     }
-    size_t j = i;
-    bool voided = false;
-    if (IsPunct(t, j, "(") && IsIdent(t, j + 1, "void") && IsPunct(t, j + 2, ")")) {
-      voided = true;
-      j += 3;
-    }
-    bool awaited = false;
-    if (IsIdent(t, j, "co_await")) {
-      awaited = true;
-      ++j;
-    }
+    size_t j = i + 1;
     std::string callee;
     size_t k = ParseCallChain(t, j, callee);
     if (k == kNpos || !IsPunct(t, k, "(")) {
@@ -818,94 +721,15 @@ void Linter::CheckStatements(const FileState& fs, std::vector<Diagnostic>& out) 
     if (close == kNpos || !IsPunct(t, close, ";")) {
       continue;  // not a bare call statement
     }
-    // A name also declared with a non-Task/Status return type is ambiguous;
-    // the textual matcher cannot resolve overloads, so it stays quiet.
-    bool ambiguous = other_fns_.count(callee) > 0;
+    // A name also declared with a non-Task return type, or as a Task with
+    // another payload, is ambiguous; the textual matcher cannot resolve
+    // overloads, so it stays quiet.
     auto task_it = task_fns_.find(callee);
-    if (task_it != task_fns_.end() && !ambiguous && status_fns_.count(callee) == 0) {
-      if (!awaited) {
-        Emit(fs, t[j].line, "task-dropped",
-             "task from `" + callee +
-                 "(...)` is neither co_awaited, stored, nor spawned; lazy tasks never run when "
-                 "dropped",
-             out);
-      } else if (task_it->second == FileDecls::kStatusPayload && !voided) {
-        Emit(fs, t[j].line, "unused-status",
-             "Status/Result from `co_await " + callee +
-                 "(...)` is dropped; handle it or cast to (void)",
-             out);
-      }
-    } else if (!awaited && !voided && !ambiguous && status_fns_.count(callee) > 0 &&
-               task_it == task_fns_.end()) {
+    if (task_it != task_fns_.end() && task_it->second == FileDecls::kStatusPayload &&
+        other_fns_.count(callee) == 0) {
       Emit(fs, t[j].line, "unused-status",
-           "Status/Result from `" + callee + "(...)` is dropped; handle it or cast to (void)",
-           out);
-    }
-  }
-}
-
-// --- rule: trace-span-balance ------------------------------------------------
-
-// Manual spans (TRACE_SPAN_BEGIN / TRACE_SPAN_END) have no destructor to end
-// them: an exit taken while the span is open leaks it, and every trace the
-// checker or the Chrome exporter sees afterwards carries a span that never
-// closes. The walk is textual and per-begin: from each TRACE_SPAN_BEGIN it
-// scans forward, flagging a `return` / `co_return` seen before the first
-// `TRACE_SPAN_END(var, ...)`, or the begin itself when its enclosing block
-// closes without any end. Stopping at the first end keeps the
-// end-before-each-exit idiom clean.
-void Linter::CheckTraceSpanBalance(const FileState& fs, std::vector<Diagnostic>& out) {
-  const std::vector<Token>& t = fs.lex.tokens;
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (!IsIdent(t, i, "TRACE_SPAN_BEGIN") || !IsPunct(t, i + 1, "(") || !IsIdent(t, i + 2)) {
-      continue;
-    }
-    const std::string var = t[i + 2].text;
-    const int begin_line = t[i].line;
-    size_t after = MatchParens(t, i + 1);
-    if (after == kNpos) {
-      continue;
-    }
-    // Brace depth relative to the block the begin lives in; once it drops
-    // below zero `var` is out of scope and no end can follow.
-    int depth = 0;
-    bool ended = false;
-    bool reported = false;
-    size_t budget = kScanBudget * 16;
-    for (size_t j = after; j < t.size() && budget > 0; ++j, --budget) {
-      const Token& tok = t[j];
-      if (tok.kind == TokKind::kPunct) {
-        if (tok.text == "{") {
-          ++depth;
-        } else if (tok.text == "}" && --depth < 0) {
-          break;  // enclosing block closed
-        }
-        continue;
-      }
-      if (tok.kind != TokKind::kIdent) {
-        continue;
-      }
-      if (tok.text == "TRACE_SPAN_END" && IsPunct(t, j + 1, "(") &&
-          IsIdent(t, j + 2, var.c_str())) {
-        ended = true;
-        break;
-      }
-      if (tok.text == "return" || tok.text == "co_return") {
-        Emit(fs, tok.line, "trace-span-balance",
-             "`" + tok.text + "` exits while span `" + var + "` (TRACE_SPAN_BEGIN, line " +
-                 std::to_string(begin_line) +
-                 ") is still open; call TRACE_SPAN_END on this path or use the trace::Span "
-                 "RAII guard",
-             out);
-        reported = true;
-        break;
-      }
-    }
-    if (!ended && !reported) {
-      Emit(fs, begin_line, "trace-span-balance",
-           "TRACE_SPAN_BEGIN(" + var +
-               ", ...) never reaches a matching TRACE_SPAN_END in its enclosing block; end the "
-               "span or use the trace::Span RAII guard",
+           "Status/Result from `co_await " + callee +
+               "(...)` is dropped; handle it or cast to (void)",
            out);
     }
   }

@@ -4,8 +4,8 @@
 //
 //  Pass 1 collects declarations: names of functions returning sim::Task<...>
 //  (and whether the task's payload is a base::Status / base::Result), names
-//  of functions returning base::Status / base::Result directly, and names of
-//  variables declared as std::unordered_map / std::unordered_set.
+//  of functions declared with any other return type, and names of variables
+//  declared as std::unordered_map / std::unordered_set.
 //
 //  Pass 2 applies the rules to each file's token stream, consulting the
 //  collected declarations. Function names are matched repo-wide (call sites
@@ -27,28 +27,20 @@
 //                co_await / co_return / co_yield: the closure lives in the
 //                coroutine frame and its captures can outlive the enclosing
 //                scope.
-//  task-dropped  A call to a Task-returning function used as a bare
-//                statement: the task is neither co_awaited, stored, nor
-//                spawned, so (tasks being lazy) the body silently never runs.
 //  nondet        Use of a wall-clock or ambient-randomness source (rand,
 //                srand, std::random_device, std::chrono::system_clock,
 //                time()) inside the simulation: all stochastic behaviour
 //                must flow from sim::Rng seeds.
 //  ordered       Range-for over an unordered container in an
 //                order-sensitive directory (src/sim, src/net, src/rpc,
-//                src/nfs, src/snfs, src/cache): hash-iteration order can
+//                src/nfs, src/snfs, src/nqnfs, src/cache): hash order can
 //                silently change simulated event ordering.
-//  unused-status A base::Status / base::Result return value (including the
-//                payload of `co_await SomeTask(...)`) dropped without an
-//                explicit (void) cast.
-//  trace-span-balance
-//                A manual trace span (TRACE_SPAN_BEGIN) that can leak: a
-//                `return` / `co_return` is reached while the span is still
-//                open, or the begin's enclosing block closes without any
-//                matching TRACE_SPAN_END. The walk is textual: it stops at
-//                the first `TRACE_SPAN_END(var, ...)`, so ending the span
-//                separately before each early exit is clean. Prefer the
-//                trace::Span RAII guard wherever a block scope fits.
+//  unused-status The base::Status / base::Result payload of a bare
+//                `co_await SomeTask(...);` statement dropped without an
+//                explicit (void) cast. Dropping a plain Status, Result or
+//                Task return value is the compiler's job: all three types
+//                are [[nodiscard]] and the build makes -Wunused-result an
+//                error, but the compiler cannot see into a co_await payload.
 //
 // Flow-sensitive rules (see flow.cc). These walk each function body as a
 // statement tree with suspension points marked and track which locals hold
@@ -58,8 +50,7 @@
 // classifies every function by a fixpoint — it may suspend when its body
 // contains `co_await`/`co_yield`, resumes a coroutine handle, is a
 // `Task<...>`-returning declaration with no visible body, or calls a
-// may-suspend function. `// lint: no-suspend` on a declaration pins a
-// function non-suspending (audited; see below):
+// may-suspend function:
 //
 //  await-stale-ref    A local bound to an *unstable source* — a function
 //                     returning a raw pointer/reference into a container
@@ -87,37 +78,10 @@
 //  suppression-audit  A `// lint: <rule>-ok` comment that no longer
 //                     suppresses any diagnostic (the code was fixed, the
 //                     rule changed, or the id is misspelled) is itself an
-//                     error, keeping the suppression inventory honest.
-//                     Also audits `// lint: no-suspend` annotations: one
-//                     that pins no function, pins a function that was never
-//                     may-suspend, or tries to waive a literal
-//                     co_await/.resume() is an error. And audits
-//                     `// lint: lock-escapes` annotations: one that attaches
-//                     to no function, or to a function no analyzed path of
-//                     which exits holding a lock, is an error.
-//
-// Lock-discipline rules (see locks.h for the full contract). These run on
-// the same statement-tree walk and call graph; lock classes are sim::Mutex /
-// sim::Semaphore members and `sim::Mutex&`-returning accessors, harvested
-// repo-wide:
-//
-//  lock-balance       A `co_await m.Acquire()` that can reach a function
-//                     exit — including early `co_return` error paths and
-//                     the hidden exits inside `[CO_]RETURN_IF_ERROR` —
-//                     without `m.Release()`. Locks are tracked through alias
-//                     bindings and the sim::ScopedLock RAII guard; a
-//                     function that intentionally exits holding a lock
-//                     carries `// lint: lock-escapes` (audited), and a
-//                     caller binding `x = co_await Escaper(...)` from an
-//                     annotated escaper inherits a must-release obligation.
-//  double-acquire     Re-acquiring a sim::Mutex the current path already
-//                     holds — directly or by calling a function whose
-//                     transitive may-acquire set contains the held mutex.
-//                     On a FIFO mutex this is a guaranteed self-deadlock.
-//  lock-order         A cycle in the repo-wide lock-order graph (edge A->B
-//                     when B is acquired, directly or via a callee, while A
-//                     is held): two activities can each hold one lock and
-//                     block forever on the other.
+//                     error, keeping the suppression inventory honest. So is
+//                     a `// lint:` comment whose first word is neither
+//                     `<rule>-ok` nor `unstable-source`: a misspelt or
+//                     retired annotation would otherwise do nothing.
 //
 // Unstable sources are inferred from declarations repo-wide: any function
 // declared to return `T*` or `base::Result<T*>`, plus any function whose
@@ -136,7 +100,6 @@
 
 #include "tools/lint/callgraph.h"
 #include "tools/lint/lexer.h"
-#include "tools/lint/locks.h"
 
 namespace lint {
 
@@ -155,10 +118,9 @@ struct FileDecls {
   static constexpr int kStatusPayload = 1;
   static constexpr int kOtherPayload = 2;
   std::map<std::string, int> task_fns;
-  std::set<std::string> status_fns;
-  // Functions declared with a non-Task, non-Status return type; a name that
-  // also appears here is ambiguous and the statement rules stay quiet
-  // (e.g. Simulator::Run() vs. a Task-returning Run elsewhere).
+  // Functions declared with a non-Task return type (Status and Result
+  // included); a name that also appears here is ambiguous and unused-status
+  // stays quiet (e.g. Simulator::Run() vs. a Task-returning Run elsewhere).
   std::set<std::string> other_fns;
   std::set<std::string> unordered_vars;
   // Functions returning raw pointers (`T*`), pointer payloads
@@ -181,12 +143,8 @@ class Linter {
   static bool InOrderSensitiveDir(const std::string& path);
 
   // The repo-wide call graph with may-suspend classifications. Valid after
-  // Run(); drives `--format=suspend`.
+  // Run().
   const CallGraph& callgraph() const { return callgraph_; }
-
-  // The lock pass with per-function acquire/release/may-acquire summaries.
-  // Valid after Run(); drives `--format=locks`.
-  const LockPass& locks() const { return lockpass_; }
 
   // Every rule id the linter can emit, sorted. Drives the SARIF rules array,
   // the per-rule count summary, and the suppression-audit spell check.
@@ -209,7 +167,6 @@ class Linter {
   void CheckOrderedIteration(const FileState& fs, const std::set<std::string>& unordered,
                              std::vector<Diagnostic>& out);
   void CheckStatements(const FileState& fs, std::vector<Diagnostic>& out);
-  void CheckTraceSpanBalance(const FileState& fs, std::vector<Diagnostic>& out);
   // Flow-sensitive pass: await-stale-ref and await-cached-size (flow.cc).
   void CheckFlow(const FileState& fs, std::vector<Diagnostic>& out);
   // Post-pass over every file's suppression notes (needs the used_ set
@@ -223,11 +180,8 @@ class Linter {
   std::vector<FileState> files_;
   // Repo-wide call graph + may-suspend fixpoint (rebuilt in Run()).
   CallGraph callgraph_;
-  // Lock-discipline pass (rebuilt in Run(); consults callgraph_).
-  LockPass lockpass_;
   // Global function tables (populated after all AddFile calls, in Run()).
   std::map<std::string, int> task_fns_;
-  std::set<std::string> status_fns_;
   std::set<std::string> other_fns_;
   std::set<std::string> unstable_fns_;
   // (file, line, rule) triples where a suppression absorbed a diagnostic;

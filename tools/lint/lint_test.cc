@@ -65,16 +65,6 @@ TEST(SnfslintTest, CoroLambdaQuiet) {
   EXPECT_EQ(CountRule(rules, "coro-lambda"), 0) << ::testing::PrintToString(rules);
 }
 
-TEST(SnfslintTest, TaskDroppedFires) {
-  std::vector<std::string> rules = RulesFiredOn("task_dropped_bad.cc", "task_dropped_bad.cc");
-  EXPECT_EQ(CountRule(rules, "task-dropped"), 2);
-}
-
-TEST(SnfslintTest, TaskDroppedQuiet) {
-  std::vector<std::string> rules = RulesFiredOn("task_dropped_good.cc", "task_dropped_good.cc");
-  EXPECT_EQ(CountRule(rules, "task-dropped"), 0) << ::testing::PrintToString(rules);
-}
-
 TEST(SnfslintTest, NondetFires) {
   std::vector<std::string> rules = RulesFiredOn("nondet_bad.cc", "nondet_bad.cc");
   EXPECT_EQ(CountRule(rules, "nondet"), 5);
@@ -103,7 +93,7 @@ TEST(SnfslintTest, OrderedScopedToSensitiveDirs) {
 
 TEST(SnfslintTest, UnusedStatusFires) {
   std::vector<std::string> rules = RulesFiredOn("unused_status_bad.cc", "unused_status_bad.cc");
-  EXPECT_EQ(CountRule(rules, "unused-status"), 3);
+  EXPECT_EQ(CountRule(rules, "unused-status"), 1) << ::testing::PrintToString(rules);
 }
 
 TEST(SnfslintTest, UnusedStatusQuiet) {
@@ -173,20 +163,6 @@ TEST(SnfslintTest, SuspendEscapeQuiet) {
   EXPECT_TRUE(rules.empty()) << ::testing::PrintToString(rules);
 }
 
-TEST(SnfslintTest, NoSuspendPinQuiet) {
-  // The pinned helper call is not a suspension point, and the honest pin
-  // audits as used.
-  std::vector<std::string> rules = RulesFiredOn("no_suspend_good.cc", "no_suspend_good.cc");
-  EXPECT_TRUE(rules.empty()) << ::testing::PrintToString(rules);
-}
-
-TEST(SnfslintTest, NoSuspendPinAudited) {
-  // A pin attached to nothing, a pin on a never-suspending declaration, and
-  // a pin over a literal co_await are each suppression-audit errors.
-  std::vector<std::string> rules = RulesFiredOn("no_suspend_bad.cc", "no_suspend_bad.cc");
-  EXPECT_EQ(CountRule(rules, "suppression-audit"), 3) << ::testing::PrintToString(rules);
-}
-
 TEST(SnfslintTest, MaySuspendPropagatesAcrossFiles) {
   // A header-only Task declaration seeds the fixpoint; an out-of-line body
   // in another file that calls it classifies may-suspend.
@@ -199,10 +175,10 @@ TEST(SnfslintTest, MaySuspendPropagatesAcrossFiles) {
   for (const Function& f : linter.callgraph().functions()) {
     if (f.qual == "S::Kick") {
       found = true;
-      EXPECT_TRUE(f.may_suspend) << f.why;
+      EXPECT_TRUE(f.may_suspend);
     }
     if (f.qual == "S::Sync") {
-      EXPECT_TRUE(f.may_suspend) << f.why;
+      EXPECT_TRUE(f.may_suspend);
     }
   }
   EXPECT_TRUE(found);
@@ -221,115 +197,6 @@ TEST(SnfslintTest, MixedCandidatesDoNotSuspend) {
   EXPECT_FALSE(linter.callgraph().CallSuspends("B", "Run"));
 }
 
-TEST(SnfslintTest, TraceSpanBalanceFires) {
-  // A begin with no end, a co_return past an open span, and an early return
-  // before the first end.
-  std::vector<std::string> rules =
-      RulesFiredOn("trace_span_balance_bad.cc", "trace_span_balance_bad.cc");
-  EXPECT_EQ(CountRule(rules, "trace-span-balance"), 3) << ::testing::PrintToString(rules);
-}
-
-TEST(SnfslintTest, TraceSpanBalanceQuiet) {
-  // End-before-each-exit, per-iteration loop spans, the RAII guard, and a
-  // suppressed handoff are all clean (and the suppression counts as used).
-  std::vector<std::string> rules =
-      RulesFiredOn("trace_span_balance_good.cc", "trace_span_balance_good.cc");
-  EXPECT_TRUE(rules.empty()) << ::testing::PrintToString(rules);
-}
-
-TEST(SnfslintTest, LockBalanceFires) {
-  // An early co_return, a fall-off-the-end with an accessor-minted lock, a
-  // maybe-held acquire never released, the hidden CO_RETURN_IF_ERROR exit,
-  // and a dropped escaped-lock obligation.
-  std::vector<std::string> rules = RulesFiredOn("lock_balance_bad.cc", "lock_balance_bad.cc");
-  EXPECT_EQ(CountRule(rules, "lock-balance"), 5) << ::testing::PrintToString(rules);
-  EXPECT_EQ(CountRule(rules, "suppression-audit"), 0) << ::testing::PrintToString(rules);
-}
-
-TEST(SnfslintTest, LockBalanceQuiet) {
-  // Release-on-every-path, ScopedLock, the null-guard pattern, a discharged
-  // escaped-lock obligation, an annotated semaphore handoff, and the
-  // receiving side's bare Release are all clean — including both
-  // lock-escapes annotations auditing as used.
-  std::vector<std::string> rules = RulesFiredOn("lock_balance_good.cc", "lock_balance_good.cc");
-  EXPECT_TRUE(rules.empty()) << ::testing::PrintToString(rules);
-}
-
-TEST(SnfslintTest, DoubleAcquireFires) {
-  // Direct re-acquire, an unreleased loop back-edge, and a callee whose
-  // may-acquire set contains the held mutex.
-  std::vector<std::string> rules =
-      RulesFiredOn("double_acquire_bad.cc", "double_acquire_bad.cc");
-  EXPECT_EQ(CountRule(rules, "double-acquire"), 3) << ::testing::PrintToString(rules);
-}
-
-TEST(SnfslintTest, DoubleAcquireQuiet) {
-  // Re-acquire after release, counting semaphores, distinct accessor
-  // instances, calls after release, and accessor families across calls.
-  std::vector<std::string> rules =
-      RulesFiredOn("double_acquire_good.cc", "double_acquire_good.cc");
-  EXPECT_TRUE(rules.empty()) << ::testing::PrintToString(rules);
-}
-
-TEST(SnfslintTest, LockOrderFires) {
-  // Two balanced functions acquiring the same pair in opposite orders: one
-  // diagnostic per cycle, not per edge.
-  std::vector<std::string> rules = RulesFiredOn("lock_order_bad.cc", "lock_order_bad.cc");
-  EXPECT_EQ(CountRule(rules, "lock-order"), 1) << ::testing::PrintToString(rules);
-}
-
-TEST(SnfslintTest, LockOrderQuiet) {
-  // A consistent global order, including an edge contributed through a
-  // callee's may-acquire set.
-  std::vector<std::string> rules = RulesFiredOn("lock_order_good.cc", "lock_order_good.cc");
-  EXPECT_TRUE(rules.empty()) << ::testing::PrintToString(rules);
-}
-
-TEST(SnfslintTest, LockEscapesAnnotationAudited) {
-  // An annotation attached to nothing and one pinning a function that never
-  // exits holding a lock are each suppression-audit errors.
-  Linter linter;
-  linter.AddFile("q.h",
-                 "struct Q {\n"
-                 "  // lint: lock-escapes\n"
-                 "  sim::Task<void> Balanced();\n"
-                 "  sim::Mutex mu_;\n"
-                 "};\n"
-                 "// lint: lock-escapes\n"
-                 "int stray = 0;\n");
-  linter.AddFile("q.cc",
-                 "sim::Task<void> Q::Balanced() {\n"
-                 "  co_await mu_.Acquire();\n"
-                 "  mu_.Release();\n"
-                 "}\n");
-  std::vector<std::string> rules;
-  for (const Diagnostic& d : linter.Run()) {
-    rules.push_back(d.rule);
-  }
-  EXPECT_EQ(CountRule(rules, "suppression-audit"), 2) << ::testing::PrintToString(rules);
-}
-
-TEST(SnfslintTest, LockSummariesExposed) {
-  // The --format=locks surface: per-function summaries with the transitive
-  // may-acquire closure, harvested classes, and escape status.
-  Linter linter;
-  linter.AddFile("lock_order_good.cc", ReadFixture("lock_order_good.cc"));
-  linter.AddFile("lock_balance_good.cc", ReadFixture("lock_balance_good.cc"));
-  (void)linter.Run();
-  const LockPass& locks = linter.locks();
-  ASSERT_EQ(locks.classes().count("Pair::flush_"), 1u);
-  ASSERT_EQ(locks.classes().count("Store::FileLock"), 1u);
-  EXPECT_TRUE(locks.classes().at("Store::FileLock").is_accessor);
-  EXPECT_FALSE(locks.classes().at("Store::slots_").is_mutex);
-  auto it = locks.functions().find("Pair::FlushThenLogViaCallee");
-  ASSERT_NE(it, locks.functions().end());
-  EXPECT_EQ(it->second.may_acquire.count("Pair::flush_"), 1u);
-  EXPECT_EQ(it->second.may_acquire.count("Pair::log_"), 1u)
-      << "callee's acquire should propagate through the fixpoint";
-  EXPECT_TRUE(locks.Escapes("Store::TakeForWrite"));
-  EXPECT_FALSE(locks.Escapes("Store::ReleaseOnEveryPath"));
-}
-
 TEST(SnfslintTest, SuppressionAuditFires) {
   // One suppression that absorbs nothing and one naming an unknown rule.
   std::vector<std::string> rules =
@@ -341,6 +208,29 @@ TEST(SnfslintTest, SuppressionAuditQuiet) {
   std::vector<std::string> rules =
       RulesFiredOn("suppression_audit_good.cc", "suppression_audit_good.cc");
   EXPECT_TRUE(rules.empty()) << ::testing::PrintToString(rules);
+}
+
+TEST(SnfslintTest, UnknownAnnotationWordAudited) {
+  // A `// lint:` comment must start with `<rule>-ok` or `unstable-source`:
+  // a misspelt or retired annotation is reported, naming the word, instead
+  // of silently doing nothing. Reason text after a valid first word is free.
+  Linter linter;
+  linter.AddFile("t.h",
+                 "struct E { int v; };\n"
+                 "// lint: unstable-sorce\n"
+                 "E& Get(int key);\n"
+                 "E& Pick(int key);  // lint: unstable-source returns a slot in the table\n"
+                 "sim::Task<void> Drain();  // lint: lock-escapes\n");
+  std::vector<Diagnostic> diags = linter.Run();
+  ASSERT_EQ(diags.size(), 2u);
+  EXPECT_EQ(diags[0].rule, "suppression-audit");
+  EXPECT_EQ(diags[0].line, 2);
+  EXPECT_NE(diags[0].message.find("`// lint: unstable-sorce`"), std::string::npos)
+      << diags[0].message;
+  EXPECT_EQ(diags[1].rule, "suppression-audit");
+  EXPECT_EQ(diags[1].line, 5);
+  EXPECT_NE(diags[1].message.find("`// lint: lock-escapes`"), std::string::npos)
+      << diags[1].message;
 }
 
 TEST(SnfslintTest, UnstableSourceInferredAcrossFiles) {
@@ -365,21 +255,22 @@ TEST(SnfslintTest, TaskFunctionsMatchedAcrossFiles) {
   // A Task-returning function declared in one file is tracked at call sites
   // in another.
   Linter linter;
-  linter.AddFile("decl.h", "namespace x { sim::Task<void> Background(); }\n");
-  linter.AddFile("use.cc", "void F() { x::Background(); }\n");
+  linter.AddFile("decl.h", "namespace x { sim::Task<base::Status> Background(); }\n");
+  linter.AddFile("use.cc", "sim::Task<void> F() { co_await x::Background(); }\n");
   std::vector<Diagnostic> diags = linter.Run();
   ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].rule, "task-dropped");
+  EXPECT_EQ(diags[0].rule, "unused-status");
   EXPECT_EQ(diags[0].file, "use.cc");
 }
 
 TEST(SnfslintTest, AmbiguousNamesStayQuiet) {
-  // `Run` is Task-returning in one class and void in another; the textual
-  // matcher cannot resolve the overload, so neither statement rule fires.
+  // `Run` returns Task<Status> in one class and a plain value in another;
+  // the textual matcher cannot resolve the overload, so unused-status stays
+  // quiet.
   Linter linter;
-  linter.AddFile("a.h", "struct A { sim::Task<void> Run(); };\n");
-  linter.AddFile("b.h", "struct B { void Run(); };\n");
-  linter.AddFile("use.cc", "void F(B& b) { b.Run(); }\n");
+  linter.AddFile("a.h", "struct A { sim::Task<base::Status> Run(); };\n");
+  linter.AddFile("b.h", "struct B { int Run(); };\n");
+  linter.AddFile("use.cc", "sim::Task<void> F(A& a) { co_await a.Run(); }\n");
   EXPECT_TRUE(linter.Run().empty());
 }
 

@@ -1,23 +1,15 @@
 // snfslint: project-specific static analysis for the Spritely NFS simulator.
 //
-// Usage: snfslint [--root DIR] [--format=gcc|json|sarif|suspend|locks] [path...]
+// Usage: snfslint [--root DIR] [--format=gcc|sarif] [path...]
 //
 // Paths (files or directories, searched recursively for .h/.cc/.cpp/.hpp)
 // are taken relative to --root (default: current directory); with no paths,
 // `src` is linted. The default gcc format prints `file:line: rule-id:
-// message` lines (clickable in editors and CI logs); --format=json prints a
-// machine-readable array of {file, line, rule, message} objects;
-// --format=sarif prints a SARIF 2.1.0 log for GitHub code-scanning upload.
-// All three exit 1 when any diagnostic is found, with a per-rule count
-// summary on stderr (printed even when clean, so CI logs show each rule ran).
-// --format=suspend instead dumps the repo-wide may-suspend classification —
-// one `file:line: Qualified::Name: verdict (reason)` line per known function
-// — and always exits 0; it exists for auditing the interprocedural fixpoint
-// (see tools/lint/callgraph.h). --format=locks likewise dumps the
-// per-function lock summaries — acquires/releases, the transitive
-// may-acquire closure, and lock-escapes status — for auditing the
-// lock-discipline rules (see tools/lint/locks.h). See tools/lint/lint.h for
-// the rule list and the `// lint: <rule>-ok` suppression syntax.
+// message` lines (clickable in editors and CI logs); --format=sarif prints a
+// SARIF 2.1.0 log for GitHub code-scanning upload. Both exit 1 when any
+// diagnostic is found, with a per-rule count summary on stderr (printed even
+// when clean, so CI logs show each rule ran). See tools/lint/lint.h for the
+// rule list and the `// lint: <rule>-ok` suppression syntax.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -25,7 +17,6 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "tools/lint/lint.h"
@@ -106,17 +97,13 @@ int main(int argc, char** argv) {
       root = argv[++i];
     } else if (arg.rfind("--format=", 0) == 0) {
       format = arg.substr(9);
-      if (format != "gcc" && format != "json" && format != "sarif" && format != "suspend" &&
-          format != "locks") {
-        std::fprintf(
-            stderr,
-            "snfslint: unknown format '%s' (expected gcc, json, sarif, suspend, or locks)\n",
-            format.c_str());
+      if (format != "gcc" && format != "sarif") {
+        std::fprintf(stderr, "snfslint: unknown format '%s' (expected gcc or sarif)\n",
+                     format.c_str());
         return 2;
       }
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: snfslint [--root DIR] [--format=gcc|json|sarif|suspend|locks] [path...]\n");
+      std::printf("usage: snfslint [--root DIR] [--format=gcc|sarif] [path...]\n");
       return 0;
     } else {
       args.push_back(arg);
@@ -154,54 +141,6 @@ int main(int argc, char** argv) {
   }
 
   std::vector<lint::Diagnostic> diags = linter.Run();
-  if (format == "suspend") {
-    // Classification dump: one line per known function, sorted for diffing.
-    std::vector<const lint::Function*> fns;
-    for (const lint::Function& f : linter.callgraph().functions()) {
-      fns.push_back(&f);
-    }
-    std::sort(fns.begin(), fns.end(), [](const lint::Function* a, const lint::Function* b) {
-      return std::tie(a->file, a->line, a->qual) < std::tie(b->file, b->line, b->qual);
-    });
-    for (const lint::Function* f : fns) {
-      std::printf("%s:%d: %s: %s%s%s%s\n", f->file.c_str(), f->line, f->qual.c_str(),
-                  f->may_suspend ? "may-suspend" : "no", f->why.empty() ? "" : " (",
-                  f->why.c_str(), f->why.empty() ? "" : ")");
-    }
-    return 0;
-  }
-  if (format == "locks") {
-    // Lock-summary dump: one line per function with any lock activity,
-    // sorted for diffing. `!` marks a lock-escapes exit.
-    std::vector<const lint::FnLocks*> fns;
-    for (const auto& [qual, fl] : linter.locks().functions()) {
-      if (fl.acquires.empty() && fl.releases.empty() && fl.may_acquire.empty() &&
-          !fl.escapes) {
-        continue;
-      }
-      fns.push_back(&fl);
-    }
-    std::sort(fns.begin(), fns.end(), [](const lint::FnLocks* a, const lint::FnLocks* b) {
-      return std::tie(a->file, a->line, a->qual) < std::tie(b->file, b->line, b->qual);
-    });
-    auto join = [](const std::set<std::string>& s) {
-      std::string out;
-      for (const std::string& e : s) {
-        if (!out.empty()) {
-          out += ", ";
-        }
-        out += e;
-      }
-      return out.empty() ? std::string("-") : out;
-    };
-    for (const lint::FnLocks* f : fns) {
-      std::printf("%s:%d: %s:%s acquires={%s} releases={%s} may-acquire={%s}\n",
-                  f->file.c_str(), f->line, f->qual.c_str(),
-                  f->escapes ? " escapes!" : "", join(f->acquires).c_str(),
-                  join(f->releases).c_str(), join(f->may_acquire).c_str());
-    }
-    return 0;
-  }
   if (format == "sarif") {
     // SARIF 2.1.0, the minimal shape GitHub code scanning accepts. The rules
     // array lists every rule the tool knows, fired or not, so code-scanning
@@ -231,15 +170,6 @@ int main(int argc, char** argv) {
                   JsonEscape(d.file).c_str(), d.line);
     }
     std::printf("%s]\n    }\n  ]\n}\n", diags.empty() ? "" : "\n      ");
-  } else if (format == "json") {
-    std::printf("[");
-    for (size_t i = 0; i < diags.size(); ++i) {
-      const lint::Diagnostic& d = diags[i];
-      std::printf("%s\n  {\"file\": \"%s\", \"line\": %d, \"rule\": \"%s\", \"message\": \"%s\"}",
-                  i == 0 ? "" : ",", JsonEscape(d.file).c_str(), d.line,
-                  JsonEscape(d.rule).c_str(), JsonEscape(d.message).c_str());
-    }
-    std::printf("%s]\n", diags.empty() ? "" : "\n");
   } else {
     for (const lint::Diagnostic& d : diags) {
       std::printf("%s:%d: %s: %s\n", d.file.c_str(), d.line, d.rule.c_str(), d.message.c_str());

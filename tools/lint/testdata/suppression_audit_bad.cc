@@ -1,12 +1,13 @@
 // Fixture: suppression-audit must fire on a suppression that no longer
 // absorbs any diagnostic and on a suppression naming an unknown rule.
+#include "src/base/status.h"
 #include "src/sim/task.h"
 
-sim::Task<void> Work();
+sim::Task<base::Status> Work();
 
 sim::Task<void> Caller() {
-  co_await Work();  // lint: task-dropped-ok
-  int x = 0;        // lint: not-a-rule-ok
+  (void)co_await Work();  // lint: unused-status-ok
+  int x = 0;              // lint: not-a-rule-ok
   (void)x;
   co_return;
 }

@@ -1,9 +1,10 @@
 // Fixture: suppression-audit must stay quiet when every suppression absorbs
 // a real diagnostic.
+#include "src/base/status.h"
 #include "src/sim/task.h"
 
-sim::Task<void> Background();
+sim::Task<base::Status> Background();
 
-void Caller() {
-  Background();  // lint: task-dropped-ok
+sim::Task<void> Caller() {
+  co_await Background();  // lint: unused-status-ok
 }

@@ -1,21 +1,18 @@
-// Fixture: unused-status must stay quiet when the value is consumed,
+// Fixture: unused-status must stay quiet when the awaited value is consumed,
 // explicitly discarded with (void), or suppressed.
 #include "src/base/result.h"
 #include "src/base/status.h"
 #include "src/sim/task.h"
 
-base::Status Apply();
-base::Result<int> Compute();
+sim::Task<base::Status> Sync();
 sim::Task<base::Result<void>> Flush();
 
 sim::Task<base::Status> Caller() {
-  base::Status status = Apply();
+  base::Status status = co_await Sync();
   if (!status.ok()) {
     co_return status;
   }
-  base::Result<int> result = Compute();
-  (void)Compute();
   (void)co_await Flush();
-  Apply();  // lint: unused-status-ok
+  co_await Flush();  // lint: unused-status-ok
   co_return base::OkStatus();
 }
