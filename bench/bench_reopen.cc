@@ -49,7 +49,8 @@ ReopenResult RunCase(Protocol protocol, bool invalidate_on_close) {
     for (size_t i = 0; i < payload.size(); ++i) {
       payload[i] = static_cast<uint8_t>(i * 31);
     }
-    auto wrote = co_await fs.Write(file->fh, 0, payload, fs::LocalFs::WriteMode::kMemory);
+    auto wrote =
+        co_await fs.Write(file->fh, 0, std::move(payload), fs::LocalFs::WriteMode::kMemory);
     CHECK(wrote.ok());
   }(rig));
   rig.simulator().Run();

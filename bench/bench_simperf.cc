@@ -166,7 +166,7 @@ LoadResult RunRpcEcho(uint64_t calls_per_caller) {
   sim::Cpu server_cpu(simulator);
   rpc::Peer client(simulator, network, client_cpu, "client");
   rpc::Peer server(simulator, network, server_cpu, "server");
-  server.set_handler([](const proto::Request&, net::Address) -> sim::Task<proto::Reply> {
+  server.set_handler([](proto::Request, net::Address) -> sim::Task<proto::Reply> {
     co_return proto::OkReply(proto::NullRep{});
   });
   client.Start();

@@ -13,7 +13,12 @@
 #     baselines, bench_fleet against BENCH_fleet.json, and bench_simperf's
 #     event counts, work units and simulated seconds against
 #     BENCH_simperf.json.
-#  5. ASan/UBSan: rebuild the whole tree under -fsanitize=address,undefined
+#  5. perfbench: build the repository benchmark from this tree into
+#     .bench_build/ (its own CMake package, which compiles src/ APIs such
+#     as LocalFs::Write and the protocol clients' counters) and run its
+#     selftest: every workload's correctness gates in both trace modes,
+#     determinism per seed, and metric names against BENCHMARK.json.
+#  6. ASan/UBSan: rebuild the whole tree under -fsanitize=address,undefined
 #     (the `asan` CMake preset) and run every test under it — coroutines
 #     outliving peers and use-after-free on restart or on a remove racing a
 #     suspended operation only show up there.
@@ -110,6 +115,12 @@ for failure in failures:
     print("FAIL: simperf " + failure, file=sys.stderr)
 sys.exit(1 if failures else 0)
 PY
+
+echo "== perfbench: the repository benchmark builds from this tree and passes its gates =="
+# A src/ change that breaks perfbench's build or one of its gates would
+# otherwise show only in the benchmark run after merge (~1 min once built,
+# ~2 min cold).
+python3 perfbench/selftest.py --seconds 1
 
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "== clang-tidy: generic bug patterns (gating) =="

@@ -10,12 +10,11 @@ namespace cache {
 namespace {
 
 // Appends block bytes [from, to) to `out`, clipped to what the block holds.
-void AppendRange(std::vector<uint8_t>& out, const std::vector<uint8_t>& block, uint64_t from,
+void AppendRange(std::vector<uint8_t>& out, const proto::Bytes& block, uint64_t from,
                  uint64_t to) {
   uint64_t avail = std::min<uint64_t>(to, block.size());
   if (from < avail) {
-    out.insert(out.end(), block.begin() + static_cast<int64_t>(from),
-               block.begin() + static_cast<int64_t>(avail));
+    out.insert(out.end(), block.begin() + from, block.begin() + avail);
   }
 }
 
@@ -84,7 +83,7 @@ sim::Task<void> BufferCache::SyncDaemon() {
         if (it == entries_.end() || !it->second.dirty) {
           continue;  // cancelled or flushed while we were writing others
         }
-        std::vector<uint8_t> data = it->second.data;
+        proto::Bytes data = it->second.data;
         MarkClean(key, it->second);
         (void)co_await StoreBlock(key, std::move(data));
       }
@@ -102,8 +101,7 @@ void BufferCache::Touch(Entry& entry, const Key& key) {
   lru_.splice(lru_.begin(), lru_, entry.lru_it);
 }
 
-BufferCache::Entry& BufferCache::InsertEntry(const Key& key, std::vector<uint8_t> data,
-                                             bool dirty) {
+BufferCache::Entry& BufferCache::InsertEntry(const Key& key, proto::Bytes data, bool dirty) {
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     it->second.data = std::move(data);
@@ -119,6 +117,7 @@ BufferCache::Entry& BufferCache::InsertEntry(const Key& key, std::vector<uint8_t
   entry.lru_it = lru_.begin();
   auto [ins, ok] = entries_.emplace(key, std::move(entry));
   CHECK(ok);
+  file_blocks_[FileKey{key.mount, key.fileid}].insert(key.block);
   if (dirty) {
     MarkDirty(key, ins->second);
   }
@@ -132,6 +131,17 @@ void BufferCache::EraseEntry(const Key& key) {
   }
   if (it->second.dirty) {
     MarkClean(key, it->second);
+  }
+  RemoveEntry(it);
+}
+
+void BufferCache::RemoveEntry(std::unordered_map<Key, Entry, KeyHash>::iterator it) {
+  const Key& key = it->first;
+  auto fit = file_blocks_.find(FileKey{key.mount, key.fileid});
+  CHECK(fit != file_blocks_.end());
+  fit->second.erase(key.block);
+  if (fit->second.empty()) {
+    file_blocks_.erase(fit);
   }
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
@@ -207,7 +217,7 @@ void BufferCache::FinishStore(const Key& key) {
 }
 
 // Registered store: the caller already called RegisterStore(key).
-sim::Task<bool> BufferCache::PerformStore(Key key, std::vector<uint8_t> data) {
+sim::Task<bool> BufferCache::PerformStore(Key key, proto::Bytes data) {
   ++stats_.writebacks;
   trace::Span store_span;
   if (trace::Active() != nullptr) {
@@ -229,7 +239,7 @@ sim::Task<bool> BufferCache::PerformStore(Key key, std::vector<uint8_t> data) {
 
 // Unregistered store: waits out any in-flight store of the same block
 // (the block was re-dirtied and re-cleaned), then registers and performs.
-sim::Task<bool> BufferCache::StoreBlock(Key key, std::vector<uint8_t> data) {
+sim::Task<bool> BufferCache::StoreBlock(Key key, proto::Bytes data) {
   while (true) {
     auto it = in_flight_stores_.find(key);
     if (it == in_flight_stores_.end()) {
@@ -242,7 +252,7 @@ sim::Task<bool> BufferCache::StoreBlock(Key key, std::vector<uint8_t> data) {
   co_return co_await PerformStore(key, std::move(data));
 }
 
-sim::Task<void> BufferCache::AsyncStore(Key key, std::vector<uint8_t> data) {
+sim::Task<void> BufferCache::AsyncStore(Key key, proto::Bytes data) {
   (void)co_await PerformStore(key, std::move(data));
   flush_behind_.Release();
 }
@@ -267,16 +277,14 @@ sim::Task<void> BufferCache::EvictIfNeeded() {
         co_await prior;
         continue;
       }
-      std::vector<uint8_t> data = it->second.data;
+      proto::Bytes data = it->second.data;
       MarkClean(victim, it->second);
-      lru_.erase(it->second.lru_it);
-      entries_.erase(it);
+      RemoveEntry(it);
       RegisterStore(victim);
       co_await flush_behind_.Acquire();
       simulator_.Spawn(AsyncStore(victim, std::move(data)));
     } else {
-      lru_.erase(it->second.lru_it);
-      entries_.erase(it);
+      RemoveEntry(it);
     }
   }
 }
@@ -373,8 +381,7 @@ sim::Task<base::Result<std::vector<uint8_t>>> BufferCache::Read(int mount, uint6
 }
 
 sim::Task<base::Result<void>> BufferCache::WriteDelayed(int mount, uint64_t fileid,
-                                                        uint64_t offset,
-                                                        std::vector<uint8_t> data,
+                                                        uint64_t offset, proto::Bytes data,
                                                         uint64_t old_file_size) {
   if (data.empty()) {
     co_return base::OkStatus();
@@ -414,12 +421,9 @@ sim::Task<base::Result<void>> BufferCache::WriteDelayed(int mount, uint64_t file
     } else {
       Touch(*entry, key);
     }
-    if (entry->data.size() < to_to) {
-      entry->data.resize(to_to);
-    }
-    std::copy(data.begin() + static_cast<int64_t>(block_start + to_from - offset),
-              data.begin() + static_cast<int64_t>(block_start + to_to - offset),
-              entry->data.begin() + static_cast<int64_t>(to_from));
+    // Copy-on-write: a write-back in flight may hold the old buffer.
+    entry->data = entry->data.Overwritten(to_from, data, block_start + to_from - offset,
+                                          to_to - to_from);
     ++stats_.delayed_writes;
     MarkDirty(key, *entry);
   }
@@ -428,7 +432,7 @@ sim::Task<base::Result<void>> BufferCache::WriteDelayed(int mount, uint64_t file
 }
 
 void BufferCache::InsertClean(int mount, uint64_t fileid, uint64_t offset,
-                              const std::vector<uint8_t>& data) {
+                              const proto::Bytes& data) {
   if (data.empty()) {
     return;
   }
@@ -449,12 +453,8 @@ void BufferCache::InsertClean(int mount, uint64_t fileid, uint64_t offset,
     } else {
       Touch(*entry, key);
     }
-    if (entry->data.size() < to_to) {
-      entry->data.resize(to_to);
-    }
-    std::copy(data.begin() + static_cast<int64_t>(block_start + to_from - offset),
-              data.begin() + static_cast<int64_t>(block_start + to_to - offset),
-              entry->data.begin() + static_cast<int64_t>(to_from));
+    entry->data = entry->data.Overwritten(to_from, data, block_start + to_from - offset,
+                                          to_to - to_from);
   }
   // Synchronous trim: InsertClean is not a coroutine, so evict clean blocks
   // only; dirty overflow is handled by the next coroutine operation.
@@ -465,8 +465,7 @@ void BufferCache::InsertClean(int mount, uint64_t fileid, uint64_t offset,
       break;
     }
     ++stats_.evictions;
-    lru_.erase(it->second.lru_it);
-    entries_.erase(it);
+    RemoveEntry(it);
   }
 }
 
@@ -490,7 +489,7 @@ sim::Task<base::Result<void>> BufferCache::FlushFile(int mount, uint64_t fileid,
     Key key{mount, fileid, block};
     auto eit = entries_.find(key);
     CHECK(eit != entries_.end());
-    std::vector<uint8_t> data = eit->second.data;
+    proto::Bytes data = eit->second.data;
     MarkClean(key, eit->second);
     if (!co_await StoreBlock(key, std::move(data))) {
       all_stored = false;
@@ -516,16 +515,14 @@ sim::Task<void> BufferCache::FlushAll() {
 }
 
 void BufferCache::InvalidateFile(int mount, uint64_t fileid) {
-  std::vector<Key> victims;
-  // Every matching entry is erased and EraseEntry has no cross-entry
-  // effects, so collection order is immaterial.
-  for (const auto& [key, entry] : entries_) {  // lint: ordered-ok
-    if (key.mount == mount && key.fileid == fileid) {
-      victims.push_back(key);
-    }
+  auto it = file_blocks_.find(FileKey{mount, fileid});
+  if (it == file_blocks_.end()) {
+    return;
   }
-  for (const Key& key : victims) {
-    EraseEntry(key);
+  // EraseEntry edits the set, so walk a copy.
+  std::vector<uint64_t> blocks(it->second.begin(), it->second.end());
+  for (uint64_t b : blocks) {
+    EraseEntry(Key{mount, fileid, b});
   }
 }
 
@@ -554,6 +551,7 @@ void BufferCache::DropAll() {
     }
     entries_.clear();
     lru_.clear();
+    file_blocks_.clear();
     dirty_blocks_.clear();
     // NoteDirtyTransition reads live state: a file with a write-back still
     // in flight stays dirty (flushing_files_) and emits nothing here.
@@ -564,6 +562,7 @@ void BufferCache::DropAll() {
   }
   entries_.clear();
   lru_.clear();
+  file_blocks_.clear();
   dirty_blocks_.clear();
 }
 

@@ -16,6 +16,11 @@
 //    temporary-file results (Tables 5-5/5-6);
 //  * whole-file invalidation (NFS timestamp mismatch, SNFS callbacks).
 //
+// Blocks are proto::Bytes: a fetched block is cached as the buffer the
+// backing store returned, and a write-back hands the backing store the
+// cached buffer itself. Edits of part of a block replace its buffer
+// (copy-on-write), so bytes already handed out never change.
+//
 // Policy (when to delay, when to write through, when to flush) belongs to
 // the protocol clients; the cache provides mechanism only.
 #ifndef SRC_CACHE_BUFFER_CACHE_H_
@@ -32,6 +37,7 @@
 #include <vector>
 
 #include "src/base/result.h"
+#include "src/proto/bytes.h"
 #include "src/sim/future.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
@@ -71,11 +77,9 @@ struct BufferCacheParams {
 // Per-mount backing store callbacks (issue RPCs / local disk ops).
 struct Backing {
   // Fetch one block; returns the bytes present (possibly short at EOF).
-  std::function<sim::Task<base::Result<std::vector<uint8_t>>>(uint64_t fileid, uint64_t block)>
-      fetch;
+  std::function<sim::Task<base::Result<proto::Bytes>>(uint64_t fileid, uint64_t block)> fetch;
   // Store `data` (block-aligned at `block`); len == data.size() <= kBlockSize.
-  std::function<sim::Task<base::Result<void>>(uint64_t fileid, uint64_t block,
-                                              std::vector<uint8_t> data)>
+  std::function<sim::Task<base::Result<void>>(uint64_t fileid, uint64_t block, proto::Bytes data)>
       store;
   // Trace attribution (src/trace). Empty trace_name = untraced mount; the
   // SNFS client sets "snfs" so the trace checker can watch its dirty files.
@@ -115,14 +119,14 @@ class BufferCache {
                                                      bool read_ahead);
 
   // Delayed write: update cached blocks and mark them dirty. Partial-block
-  // updates of blocks with existing backing data fetch the block first.
+  // updates of blocks with existing backing data fetch the block first. A
+  // write of exactly one block's content caches `data` itself.
   sim::Task<base::Result<void>> WriteDelayed(int mount, uint64_t fileid, uint64_t offset,
-                                             std::vector<uint8_t> data,
-                                             uint64_t old_file_size);
+                                             proto::Bytes data, uint64_t old_file_size);
 
   // Insert already-written-through data as clean blocks (NFS client write
-  // path: the RPC carried the data; keep a copy for subsequent reads).
-  void InsertClean(int mount, uint64_t fileid, uint64_t offset, const std::vector<uint8_t>& data);
+  // path: the RPC carried the data; keep it for subsequent reads).
+  void InsertClean(int mount, uint64_t fileid, uint64_t offset, const proto::Bytes& data);
 
   // Write the file's dirty blocks (lowest-numbered first) to the backing
   // store; with `max_blocks` > 0, stop after that many. Fails if any store
@@ -134,7 +138,7 @@ class BufferCache {
   sim::Task<void> FlushAll();
 
   // Drop every cached block of the file (including dirty ones — callers
-  // must flush first if the data matters).
+  // must flush first if the data matters). Visits only that file's blocks.
   void InvalidateFile(int mount, uint64_t fileid);
 
   // Drop the file's dirty blocks without writing them (delete optimization).
@@ -178,7 +182,7 @@ class BufferCache {
     }
   };
   struct Entry {
-    std::vector<uint8_t> data;  // bytes known for this block (<= kBlockSize)
+    proto::Bytes data;  // bytes known for this block (<= kBlockSize)
     bool dirty = false;
     sim::Time dirty_since = 0;
     std::list<Key>::iterator lru_it;
@@ -186,8 +190,11 @@ class BufferCache {
 
   Entry* Find(const Key& key);
   void Touch(Entry& entry, const Key& key);
-  Entry& InsertEntry(const Key& key, std::vector<uint8_t> data, bool dirty);  // lint: unstable-source
+  Entry& InsertEntry(const Key& key, proto::Bytes data, bool dirty);  // lint: unstable-source
   void EraseEntry(const Key& key);
+  // Unlinks an entry from the LRU list and the per-file index, then erases
+  // it; no dirty bookkeeping.
+  void RemoveEntry(std::unordered_map<Key, Entry, KeyHash>::iterator it);
   void MarkDirty(const Key& key, Entry& entry);
   void MarkClean(const Key& key, Entry& entry);
   // Emits a cache.file_dirty / cache.file_clean trace instant when the
@@ -196,15 +203,15 @@ class BufferCache {
   // May exit holding a flush-behind slot that the spawned AsyncStore
   // releases when the write-back lands.
   sim::Task<void> EvictIfNeeded();
-  sim::Task<void> AsyncStore(Key key, std::vector<uint8_t> data);
+  sim::Task<void> AsyncStore(Key key, proto::Bytes data);
   sim::Task<void> SyncDaemon();
   // In-flight store registration must be synchronous with the decision to
   // write a block back, or a concurrent fetch could read stale backing data.
   void RegisterStore(const Key& key);
   void FinishStore(const Key& key);
   // Both return whether the backing store accepted the block.
-  sim::Task<bool> PerformStore(Key key, std::vector<uint8_t> data);
-  sim::Task<bool> StoreBlock(Key key, std::vector<uint8_t> data);
+  sim::Task<bool> PerformStore(Key key, proto::Bytes data);
+  sim::Task<bool> StoreBlock(Key key, proto::Bytes data);
   sim::Task<base::Result<void>> FetchInto(Key key, uint64_t file_size);
   sim::Mutex& FileGate(const FileKey& fk);
 
@@ -218,6 +225,9 @@ class BufferCache {
 
   std::unordered_map<Key, Entry, KeyHash> entries_;
   std::list<Key> lru_;  // front = most recently used
+  // The cached blocks of each file, so whole-file operations visit only
+  // that file's entries.
+  std::unordered_map<FileKey, std::set<uint64_t>, FileKeyHash> file_blocks_;
   std::unordered_map<FileKey, std::set<uint64_t>, FileKeyHash> dirty_blocks_;
   // Blocks whose write-back is in flight: a fetch of the same block must
   // wait, or it would read stale backing data (evicted-dirty-block race).

@@ -1,6 +1,7 @@
 #include "src/fs/local_fs.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/base/log.h"
 
@@ -36,7 +37,7 @@ proto::FileHandle LocalFs::HandleFor(const Inode& inode) const {
 proto::Attr LocalFs::AttrFor(const Inode& inode) const {
   proto::Attr attr;
   attr.type = inode.type;
-  attr.size = inode.type == proto::FileType::kRegular ? inode.data.size() : inode.entries.size();
+  attr.size = inode.type == proto::FileType::kRegular ? inode.size : inode.entries.size();
   attr.nlink = inode.nlink;
   attr.mtime = inode.mtime;
   attr.ctime = inode.ctime;
@@ -89,21 +90,89 @@ void LocalFs::CacheInsert(uint64_t fileid, uint64_t block) {
   }
   lru_.push_front(key);
   cache_[key] = lru_.begin();
+  cached_blocks_[fileid].insert(block);
   while (cache_.size() > params_.cache_blocks) {
-    cache_.erase(lru_.back());
+    CacheKey victim = lru_.back();
     lru_.pop_back();
+    cache_.erase(victim);
+    auto fit = cached_blocks_.find(victim.first);
+    fit->second.erase(victim.second);
+    if (fit->second.empty()) {
+      cached_blocks_.erase(fit);
+    }
   }
 }
 
 void LocalFs::CacheEvictFile(uint64_t fileid) {
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->first == fileid) {
-      cache_.erase(*it);
-      it = lru_.erase(it);
-    } else {
-      ++it;
+  auto blocks = cached_blocks_.extract(fileid);
+  if (blocks.empty()) {
+    return;
+  }
+  for (uint64_t block : blocks.mapped()) {
+    auto it = cache_.find(CacheKey{fileid, block});
+    lru_.erase(it->second);
+    cache_.erase(it);
+  }
+}
+
+// --- File contents -----------------------------------------------------------
+
+void LocalFs::Resize(Inode& inode, uint64_t size) {
+  uint64_t count = (size + kBlockSize - 1) / kBlockSize;
+  if (size < inode.size) {
+    inode.blocks.resize(count);
+    if (size % kBlockSize != 0) {
+      inode.blocks.back() = inode.blocks.back().Resized(size % kBlockSize);
+    }
+  } else if (size > inode.size) {
+    if (!inode.blocks.empty() && inode.blocks.back().size() < kBlockSize) {
+      uint64_t last_start = (inode.blocks.size() - 1) * kBlockSize;
+      inode.blocks.back() =
+          inode.blocks.back().Resized(std::min<uint64_t>(kBlockSize, size - last_start));
+    }
+    while (inode.blocks.size() < count) {
+      uint64_t start = inode.blocks.size() * kBlockSize;
+      std::vector<uint8_t> zeros(std::min<uint64_t>(kBlockSize, size - start));
+      inode.blocks.emplace_back(std::move(zeros));
     }
   }
+  inode.size = size;
+}
+
+void LocalFs::StoreData(Inode& inode, uint64_t offset, const proto::Bytes& data) {
+  if (offset > inode.size) {
+    Resize(inode, offset);
+  }
+  uint64_t end = offset + data.size();
+  for (uint64_t b = offset / kBlockSize; b * kBlockSize < end; ++b) {
+    uint64_t block_start = b * kBlockSize;
+    uint64_t from = std::max(offset, block_start) - block_start;
+    uint64_t to = std::min(end, block_start + kBlockSize) - block_start;
+    if (b == inode.blocks.size()) {
+      inode.blocks.emplace_back();
+    }
+    // A write of a block's whole content stores `data` itself when that is
+    // exactly the new block; anything less edits a copy.
+    proto::Bytes& block = inode.blocks[b];
+    block = block.Overwritten(from, data, block_start + from - offset, to - from);
+  }
+  inode.size = std::max(inode.size, end);
+}
+
+proto::Bytes LocalFs::LoadData(const Inode& inode, uint64_t offset, uint64_t end) {
+  uint64_t first = offset / kBlockSize;
+  if (offset == first * kBlockSize && end - offset == inode.blocks[first].size()) {
+    return inode.blocks[first];
+  }
+  std::vector<uint8_t> out;
+  out.reserve(end - offset);
+  for (uint64_t b = first; b * kBlockSize < end; ++b) {
+    uint64_t block_start = b * kBlockSize;
+    const proto::Bytes& block = inode.blocks[b];
+    out.insert(out.end(), block.begin() + (std::max(offset, block_start) - block_start),
+               block.begin() + (std::min(end, block_start + kBlockSize) - block_start));
+  }
+  return proto::Bytes(std::move(out));
 }
 
 // --- Namespace ---------------------------------------------------------------
@@ -278,7 +347,7 @@ sim::Task<base::Result<proto::Attr>> LocalFs::SetAttr(proto::FileHandle fh,
     if (inode->type != proto::FileType::kRegular) {
       co_return base::ErrIsDir();
     }
-    inode->data.resize(*req.size);
+    Resize(*inode, *req.size);
     inode->mtime = simulator_.Now();
     CacheEvictFile(inode->id);
     co_await MetadataWrite();
@@ -301,7 +370,7 @@ sim::Task<base::Result<proto::ReadRep>> LocalFs::Read(proto::FileHandle fh, uint
     co_return base::ErrIsDir();
   }
   proto::ReadRep rep;
-  uint64_t size = inode->data.size();
+  uint64_t size = inode->size;
   uint64_t end = std::min<uint64_t>(size, offset + count);
   // Charge disk time for blocks missing from the server cache.
   if (offset < end) {
@@ -318,12 +387,11 @@ sim::Task<base::Result<proto::ReadRep>> LocalFs::Read(proto::FileHandle fh, uint
     }
     // The inode may have been deleted while we were waiting on the disk.
     CO_ASSIGN_OR_RETURN(inode, Resolve(fh));
-    size = inode->data.size();
+    size = inode->size;
     end = std::min<uint64_t>(size, offset + count);
   }
   if (offset < end) {
-    rep.data.assign(inode->data.begin() + static_cast<int64_t>(offset),
-                    inode->data.begin() + static_cast<int64_t>(end));
+    rep.data = LoadData(*inode, offset, end);
   }
   rep.eof = offset + rep.data.size() >= size;
   rep.attr = AttrFor(*inode);
@@ -331,8 +399,7 @@ sim::Task<base::Result<proto::ReadRep>> LocalFs::Read(proto::FileHandle fh, uint
 }
 
 sim::Task<base::Result<proto::Attr>> LocalFs::Write(proto::FileHandle fh, uint64_t offset,
-                                                    std::vector<uint8_t> data,
-                                                    WriteMode mode) {
+                                                    proto::Bytes data, WriteMode mode) {
   CO_ASSIGN_OR_RETURN(Inode * inode, Resolve(fh));
   if (inode->type != proto::FileType::kRegular) {
     co_return base::ErrIsDir();
@@ -352,10 +419,7 @@ sim::Task<base::Result<proto::Attr>> LocalFs::Write(proto::FileHandle fh, uint64
     // Re-resolve: the file may have been removed while the disk was busy.
     CO_ASSIGN_OR_RETURN(inode, Resolve(fh));
   }
-  if (offset + data.size() > inode->data.size()) {
-    inode->data.resize(offset + data.size());
-  }
-  std::copy(data.begin(), data.end(), inode->data.begin() + static_cast<int64_t>(offset));
+  StoreData(*inode, offset, data);
   inode->mtime = simulator_.Now();
   if (mode == WriteMode::kMemory) {
     // Data arrived in memory only; blocks are resident in the cache for

@@ -15,6 +15,12 @@
 //    perform a synchronous structural (metadata) disk write, which is why
 //    even a "never writes data" workload still pays some disk time
 //    (paper §5.4).
+//
+// A regular file is a vector of per-4 KB proto::Bytes blocks, so a
+// whole-block read returns the stored block and a whole-block write stores
+// the caller's buffer: a block fetched by or written back from a client
+// cache is one buffer on both machines. Every partial edit replaces the
+// block's buffer (copy-on-write), so a buffer handed out never changes.
 #ifndef SRC_FS_LOCAL_FS_H_
 #define SRC_FS_LOCAL_FS_H_
 
@@ -22,6 +28,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -90,7 +97,7 @@ class LocalFs {
   sim::Task<base::Result<proto::ReadRep>> Read(proto::FileHandle fh, uint64_t offset,
                                                uint32_t count);
   sim::Task<base::Result<proto::Attr>> Write(proto::FileHandle fh, uint64_t offset,
-                                             std::vector<uint8_t> data, WriteMode mode);
+                                             proto::Bytes data, WriteMode mode);
 
   // --- SNFS version support -------------------------------------------------
   // The version number lives with the file (as Sprite keeps it on stable
@@ -109,7 +116,10 @@ class LocalFs {
     uint64_t id = 0;
     uint32_t gen = 0;
     proto::FileType type = proto::FileType::kRegular;
-    std::vector<uint8_t> data;                    // regular files
+    // Regular files: `size` bytes in ceil(size / kBlockSize) blocks, every
+    // one full but the last.
+    uint64_t size = 0;
+    std::vector<proto::Bytes> blocks;
     std::map<std::string, uint64_t> entries;      // directories (sorted for readdir)
     uint32_t nlink = 1;
     sim::Time mtime = 0;
@@ -123,6 +133,13 @@ class LocalFs {
   proto::Attr AttrFor(const Inode& inode) const;
   Inode& AllocInode(proto::FileType type);  // lint: unstable-source
   void DestroyInode(uint64_t id);
+  // Truncates or zero-extends a regular file to `size` bytes.
+  static void Resize(Inode& inode, uint64_t size);
+  // Writes `data` at `offset`, zero-filling any hole past EOF.
+  static void StoreData(Inode& inode, uint64_t offset, const proto::Bytes& data);
+  // Bytes [offset, end) of a regular file: the stored block itself when the
+  // range is exactly one block's content, else a new buffer.
+  static proto::Bytes LoadData(const Inode& inode, uint64_t offset, uint64_t end);
 
   // Structural (metadata) write: synchronous when params_.sync_metadata.
   sim::Task<void> MetadataWrite();
@@ -130,6 +147,7 @@ class LocalFs {
   // Block-presence server cache (timing only; data lives in the inode).
   bool CacheHit(uint64_t fileid, uint64_t block);
   void CacheInsert(uint64_t fileid, uint64_t block);
+  // Visits only that file's cached blocks.
   void CacheEvictFile(uint64_t fileid);
 
   sim::Simulator& simulator_;
@@ -147,6 +165,7 @@ class LocalFs {
   };
   std::list<CacheKey> lru_;  // front = most recent
   std::unordered_map<CacheKey, std::list<CacheKey>::iterator, CacheKeyHash> cache_;
+  std::unordered_map<uint64_t, std::set<uint64_t>> cached_blocks_;  // fileid -> blocks
 };
 
 }  // namespace fs

@@ -11,7 +11,7 @@ LocalMount::LocalMount(sim::Simulator& simulator, LocalFs& fs, cache::BufferCach
     : simulator_(simulator), fs_(fs), cache_(cache), cpu_(cpu), costs_(costs) {
   cache::Backing backing;
   backing.fetch = [this](uint64_t fileid, uint64_t block)
-      -> sim::Task<base::Result<std::vector<uint8_t>>> {
+      -> sim::Task<base::Result<proto::Bytes>> {
     auto it = nodes_.find(fileid);
     if (it == nodes_.end()) {
       co_return base::ErrStale();
@@ -23,12 +23,12 @@ LocalMount::LocalMount(sim::Simulator& simulator, LocalFs& fs, cache::BufferCach
     co_return std::move(rep->data);
   };
   backing.store = [this](uint64_t fileid, uint64_t block,
-                         std::vector<uint8_t> data) -> sim::Task<base::Result<void>> {
+                         proto::Bytes data) -> sim::Task<base::Result<void>> {
     auto it = nodes_.find(fileid);
     if (it == nodes_.end()) {
       co_return base::ErrStale();  // deleted before the delayed write ran
     }
-    auto rep = co_await fs_.Write(it->second->fh, block * kBlockSize, data,
+    auto rep = co_await fs_.Write(it->second->fh, block * kBlockSize, std::move(data),
                                   LocalFs::WriteMode::kFlush);
     if (!rep.ok()) {
       co_return rep.status();
@@ -126,9 +126,10 @@ sim::Task<base::Result<void>> LocalMount::Write(vfs::GnodeRef node, uint64_t off
                                                 std::vector<uint8_t> data) {
   co_await Charge(costs_.per_op +
                   costs_.per_block * static_cast<int64_t>(1 + data.size() / kBlockSize));
-  CO_RETURN_IF_ERROR(
-      co_await cache_.WriteDelayed(mount_id_, node->fh.fileid, offset, data, node->attr.size));
-  node->attr.size = std::max<uint64_t>(node->attr.size, offset + data.size());
+  uint64_t end = offset + data.size();
+  CO_RETURN_IF_ERROR(co_await cache_.WriteDelayed(mount_id_, node->fh.fileid, offset,
+                                                  std::move(data), node->attr.size));
+  node->attr.size = std::max<uint64_t>(node->attr.size, end);
   node->attr.mtime = simulator_.Now();
   co_return base::OkStatus();
 }

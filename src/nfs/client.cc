@@ -68,7 +68,7 @@ sim::Task<base::Result<void>> NfsClient::Probe(NodeRef node) {
   ++attr_probes_;
   proto::GetAttrReq req;
   req.fh = node->fh;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(req)));
+  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(std::move(req))));
   if (!rep.ok()) {
     co_return rep.status();
   }
@@ -95,19 +95,18 @@ sim::Task<base::Result<void>> NfsClient::ProbeIfStale(NodeRef node) {
 
 // --- Write-behind ------------------------------------------------------------
 
-void NfsClient::SpawnAsyncWrite(NodeRef node, uint64_t offset, std::vector<uint8_t> data) {
+void NfsClient::SpawnAsyncWrite(NodeRef node, uint64_t offset, proto::Bytes data) {
   ++node->pending_writes;
   simulator_.Spawn(AsyncWriteBody(std::move(node), offset, std::move(data)));
 }
 
-sim::Task<void> NfsClient::AsyncWriteBody(NodeRef node, uint64_t offset,
-                                          std::vector<uint8_t> data) {
+sim::Task<void> NfsClient::AsyncWriteBody(NodeRef node, uint64_t offset, proto::Bytes data) {
   co_await biods_.Acquire();
   proto::WriteReq req;
   req.fh = node->fh;
   req.offset = offset;
   req.data = std::move(data);
-  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(req)));
+  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(std::move(req))));
   biods_.Release();
   if (rep.ok()) {
     // The write bumped the server mtime; adopt it so our own writes don't
@@ -193,12 +192,17 @@ sim::Task<base::Result<void>> NfsClient::Write(vfs::GnodeRef gnode, uint64_t off
   uint64_t end = offset + data.size();
   uint64_t first_block = offset / kBlockSize;
   uint64_t last_block = (end - 1) / kBlockSize;
+  proto::Bytes written(std::move(data));
   for (uint64_t b = first_block; b <= last_block; ++b) {
     uint64_t block_start = b * kBlockSize;
     uint64_t seg_from = std::max<uint64_t>(offset, block_start);
     uint64_t seg_to = std::min<uint64_t>(end, block_start + kBlockSize);
-    std::vector<uint8_t> segment(data.begin() + static_cast<int64_t>(seg_from - offset),
-                                 data.begin() + static_cast<int64_t>(seg_to - offset));
+    // One buffer for the write-through and the cached copy: the caller's
+    // own when the write lies within one block.
+    proto::Bytes segment =
+        first_block == last_block
+            ? written
+            : proto::Bytes(written.data() + (seg_from - offset), seg_to - seg_from);
 
     // Merge with any delayed partial buffer for this block.
     auto pit = node->partial.find(b);
@@ -222,7 +226,7 @@ sim::Task<base::Result<void>> NfsClient::Write(vfs::GnodeRef gnode, uint64_t off
         auto& buf = node->partial[b];
         buf.insert(buf.end(), segment.begin(), segment.end());
       } else if (seg_from == block_start) {
-        node->partial[b] = segment;
+        node->partial[b] = segment.ToVector();
       } else {
         // Partial not starting at block head and no buffered prefix: write
         // through immediately (cannot buffer a hole).
@@ -259,7 +263,7 @@ sim::Task<base::Result<void>> NfsClient::Truncate(vfs::GnodeRef gnode, uint64_t 
   proto::SetAttrReq req;
   req.fh = node->fh;
   req.size = size;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(req)));
+  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(std::move(req))));
   if (!rep.ok()) {
     co_return rep.status();
   }

@@ -97,8 +97,8 @@ class NfsClient : public RemoteClient {
   sim::Task<base::Result<void>> ProbeIfStale(NodeRef node);
 
   // Write-behind machinery.
-  void SpawnAsyncWrite(NodeRef node, uint64_t offset, std::vector<uint8_t> data);
-  sim::Task<void> AsyncWriteBody(NodeRef node, uint64_t offset, std::vector<uint8_t> data);
+  void SpawnAsyncWrite(NodeRef node, uint64_t offset, proto::Bytes data);
+  sim::Task<void> AsyncWriteBody(NodeRef node, uint64_t offset, proto::Bytes data);
   sim::Task<base::Result<void>> FlushPartials(NodeRef node);
   sim::Task<void> DrainWrites(NodeRef node);
 

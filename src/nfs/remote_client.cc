@@ -13,7 +13,7 @@ RemoteClient::RemoteClient(sim::Simulator& simulator, rpc::Peer& peer, net::Addr
     : simulator_(simulator), peer_(peer), cache_(cache), server_(server), root_fh_(root_fh) {
   cache::Backing backing;
   backing.fetch = [this](uint64_t fileid, uint64_t block) { return FetchBlock(fileid, block); };
-  backing.store = [this](uint64_t fileid, uint64_t block, std::vector<uint8_t> data) {
+  backing.store = [this](uint64_t fileid, uint64_t block, proto::Bytes data) {
     return StoreBlock(fileid, block, std::move(data));
   };
   // Attribute this mount's dirty-state transitions to its protocol on this
@@ -95,8 +95,7 @@ sim::Task<base::Result<proto::Reply>> RemoteClient::Call(proto::Request request)
   co_return reply;
 }
 
-sim::Task<base::Result<std::vector<uint8_t>>> RemoteClient::FetchBlock(uint64_t fileid,
-                                                                       uint64_t block) {
+sim::Task<base::Result<proto::Bytes>> RemoteClient::FetchBlock(uint64_t fileid, uint64_t block) {
   vfs::GnodeRef node = FindNode(fileid);  // hold a ref: the RPC may outlast the entry
   if (node == nullptr) {
     co_return base::ErrStale();
@@ -105,7 +104,7 @@ sim::Task<base::Result<std::vector<uint8_t>>> RemoteClient::FetchBlock(uint64_t 
   req.fh = node->fh;
   req.offset = block * kBlockSize;
   req.count = kBlockSize;
-  auto rep = rpc::Expect<proto::ReadRep>(co_await Call(proto::Request(req)));
+  auto rep = rpc::Expect<proto::ReadRep>(co_await Call(proto::Request(std::move(req))));
   if (!rep.ok()) {
     co_return rep.status();
   }
@@ -116,7 +115,7 @@ sim::Task<base::Result<std::vector<uint8_t>>> RemoteClient::FetchBlock(uint64_t 
 // Only the delayed-write protocols store through the cache; NFS writes
 // through with its biods instead.
 sim::Task<base::Result<void>> RemoteClient::StoreBlock(uint64_t fileid, uint64_t block,
-                                                       std::vector<uint8_t> data) {
+                                                       proto::Bytes data) {
   vfs::GnodeRef node = FindNode(fileid);
   if (node == nullptr) {
     co_return base::ErrStale();
@@ -125,7 +124,7 @@ sim::Task<base::Result<void>> RemoteClient::StoreBlock(uint64_t fileid, uint64_t
   req.fh = node->fh;
   req.offset = block * kBlockSize;
   req.data = std::move(data);
-  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(req)));
+  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(std::move(req))));
   if (!rep.ok()) {
     co_return rep.status();
   }
@@ -137,7 +136,7 @@ sim::Task<base::Result<void>> RemoteClient::RemoveName(vfs::GnodeRef dir, std::s
   proto::RemoveReq req;
   req.dir = dir->fh;
   req.name = name;
-  auto rep = rpc::Expect<proto::NullRep>(co_await Call(proto::Request(req)));
+  auto rep = rpc::Expect<proto::NullRep>(co_await Call(proto::Request(std::move(req))));
   if (!rep.ok()) {
     co_return rep.status();
   }
@@ -153,7 +152,7 @@ sim::Task<base::Result<vfs::GnodeRef>> RemoteClient::Root() {
   }
   proto::GetAttrReq req;
   req.fh = root_fh_;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(req)));
+  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(std::move(req))));
   if (!rep.ok()) {
     co_return rep.status();
   }
@@ -165,7 +164,7 @@ sim::Task<base::Result<vfs::GnodeRef>> RemoteClient::Lookup(vfs::GnodeRef dir,
   proto::LookupReq req;
   req.dir = dir->fh;
   req.name = name;
-  auto rep = rpc::Expect<proto::LookupRep>(co_await Call(proto::Request(req)));
+  auto rep = rpc::Expect<proto::LookupRep>(co_await Call(proto::Request(std::move(req))));
   if (!rep.ok()) {
     co_return rep.status();
   }
@@ -179,7 +178,7 @@ sim::Task<base::Result<vfs::GnodeRef>> RemoteClient::Create(vfs::GnodeRef dir,
   req.dir = dir->fh;
   req.name = name;
   req.exclusive = exclusive;
-  auto rep = rpc::Expect<proto::CreateRep>(co_await Call(proto::Request(req)));
+  auto rep = rpc::Expect<proto::CreateRep>(co_await Call(proto::Request(std::move(req))));
   if (!rep.ok()) {
     co_return rep.status();
   }
@@ -193,7 +192,7 @@ sim::Task<base::Result<vfs::GnodeRef>> RemoteClient::Mkdir(vfs::GnodeRef dir,
   proto::MkdirReq req;
   req.dir = dir->fh;
   req.name = name;
-  auto rep = rpc::Expect<proto::CreateRep>(co_await Call(proto::Request(req)));
+  auto rep = rpc::Expect<proto::CreateRep>(co_await Call(proto::Request(std::move(req))));
   if (!rep.ok()) {
     co_return rep.status();
   }
@@ -204,7 +203,7 @@ sim::Task<base::Result<void>> RemoteClient::Rmdir(vfs::GnodeRef dir, std::string
   proto::RmdirReq req;
   req.dir = dir->fh;
   req.name = name;
-  auto rep = rpc::Expect<proto::NullRep>(co_await Call(proto::Request(req)));
+  auto rep = rpc::Expect<proto::NullRep>(co_await Call(proto::Request(std::move(req))));
   if (!rep.ok()) {
     co_return rep.status();
   }
@@ -220,7 +219,7 @@ sim::Task<base::Result<void>> RemoteClient::Rename(vfs::GnodeRef from_dir,
   req.from_name = from_name;
   req.to_dir = to_dir->fh;
   req.to_name = to_name;
-  auto rep = rpc::Expect<proto::NullRep>(co_await Call(proto::Request(req)));
+  auto rep = rpc::Expect<proto::NullRep>(co_await Call(proto::Request(std::move(req))));
   if (!rep.ok()) {
     co_return rep.status();
   }
@@ -235,7 +234,7 @@ sim::Task<base::Result<std::vector<proto::DirEntry>>> RemoteClient::ReadDir(vfs:
     req.dir = dir->fh;
     req.cookie = cookie;
     req.count = 64;
-    auto rep = rpc::Expect<proto::ReadDirRep>(co_await Call(proto::Request(req)));
+    auto rep = rpc::Expect<proto::ReadDirRep>(co_await Call(proto::Request(std::move(req))));
     if (!rep.ok()) {
       co_return rep.status();
     }

@@ -121,9 +121,8 @@ class RemoteClient : public vfs::FileSystem {
   int mount_id_ = -1;
 
  private:
-  sim::Task<base::Result<std::vector<uint8_t>>> FetchBlock(uint64_t fileid, uint64_t block);
-  sim::Task<base::Result<void>> StoreBlock(uint64_t fileid, uint64_t block,
-                                           std::vector<uint8_t> data);
+  sim::Task<base::Result<proto::Bytes>> FetchBlock(uint64_t fileid, uint64_t block);
+  sim::Task<base::Result<void>> StoreBlock(uint64_t fileid, uint64_t block, proto::Bytes data);
 
   net::Address server_;
   proto::FileHandle root_fh_;

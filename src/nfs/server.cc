@@ -1,5 +1,7 @@
 #include "src/nfs/server.h"
 
+#include <utility>
+
 namespace nfs {
 namespace {
 
@@ -21,8 +23,8 @@ proto::Reply FromStatus(base::Result<void> result) {
 }  // namespace
 
 NfsServer::NfsServer(fs::LocalFs& fs, rpc::Peer& peer) : fs_(fs), peer_(peer) {
-  peer_.set_handler([this](const proto::Request& request, net::Address from) {
-    return Handle(request, from);
+  peer_.set_handler([this](proto::Request request, net::Address from) {
+    return Handle(std::move(request), from);
   });
 }
 
@@ -55,10 +57,11 @@ sim::Task<proto::Reply> NfsServer::Handle(proto::Request request, net::Address f
       co_return FromResult(co_await fs_.Read(req.fh, req.offset, req.count));
     }
     case proto::OpKind::kWrite: {
-      const auto& req = std::get<proto::WriteReq>(request);
+      auto& req = std::get<proto::WriteReq>(request);
       // Stateless-server requirement: data reaches stable storage before
       // the reply goes out.
-      auto attr = co_await fs_.Write(req.fh, req.offset, req.data, fs::LocalFs::WriteMode::kSync);
+      auto attr = co_await fs_.Write(req.fh, req.offset, std::move(req.data),
+                                     fs::LocalFs::WriteMode::kSync);
       if (!attr.ok()) {
         co_return proto::ErrorReply(attr.status());
       }

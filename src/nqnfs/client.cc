@@ -79,7 +79,7 @@ sim::Task<void> NqnfsClient::EnsureLease(NodeRef node, bool write) {
   proto::GetLeaseReq req;
   req.fh = node->fh;
   req.write_mode = write;
-  auto rep = rpc::Expect<proto::GetLeaseRep>(co_await Call(proto::Request(req)));
+  auto rep = rpc::Expect<proto::GetLeaseRep>(co_await Call(proto::Request(std::move(req))));
   now = simulator_.Now();
   if (!rep.ok()) {
     node->retry_grant_after = now + params_.denied_retry;
@@ -253,14 +253,14 @@ sim::Task<base::Result<std::vector<uint8_t>>> NqnfsClient::Read(vfs::GnodeRef gn
     req.fh = node->fh;
     req.offset = offset;
     req.count = count;
-    auto rep = rpc::Expect<proto::ReadRep>(co_await Call(proto::Request(req)));
+    auto rep = rpc::Expect<proto::ReadRep>(co_await Call(proto::Request(std::move(req))));
     if (!rep.ok()) {
       co_return rep.status();
     }
     if (!cache_.HasDirty(mount_id_, node->fh.fileid)) {
       node->attr = rep->attr;
     }
-    co_return std::move(rep->data);
+    co_return rep->data.ToVector();
   }
   // Observation point for the lease-expired-read invariant: a cached read
   // may only be served inside a live lease, at the version it granted.
@@ -295,18 +295,19 @@ sim::Task<base::Result<void>> NqnfsClient::Write(vfs::GnodeRef gnode, uint64_t o
     proto::WriteReq req;
     req.fh = node->fh;
     req.offset = offset;
-    req.data = data;
-    auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(req)));
+    req.data = std::move(data);
+    auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(std::move(req))));
     if (!rep.ok()) {
       co_return rep.status();
     }
     node->attr = rep->attr;
     co_return base::OkStatus();
   }
-  CO_RETURN_IF_ERROR(
-      co_await cache_.WriteDelayed(mount_id_, node->fh.fileid, offset, data, node->attr.size));
+  uint64_t end = offset + data.size();
+  CO_RETURN_IF_ERROR(co_await cache_.WriteDelayed(mount_id_, node->fh.fileid, offset,
+                                                  std::move(data), node->attr.size));
   node->have_cached_data = true;
-  node->attr.size = std::max(node->attr.size, offset + data.size());
+  node->attr.size = std::max(node->attr.size, end);
   node->attr.mtime = simulator_.Now();
   co_return base::OkStatus();
 }
@@ -320,7 +321,7 @@ sim::Task<base::Result<proto::Attr>> NqnfsClient::GetAttr(vfs::GnodeRef gnode) {
   }
   proto::GetAttrReq req;
   req.fh = node->fh;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(req)));
+  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(std::move(req))));
   if (!rep.ok()) {
     co_return rep.status();
   }
@@ -338,7 +339,7 @@ sim::Task<base::Result<void>> NqnfsClient::Truncate(vfs::GnodeRef gnode, uint64_
   proto::SetAttrReq req;
   req.fh = node->fh;
   req.size = size;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(req)));
+  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(std::move(req))));
   if (!rep.ok()) {
     co_return rep.status();
   }

@@ -18,8 +18,8 @@ NqnfsServer::NqnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& 
       vacate_budget_(simulator, snfs::CallbackBudget(peer)) {
   nfs_ = std::make_unique<nfs::NfsServer>(fs, peer);
   // NfsServer installed itself; take over the dispatch.
-  peer_.set_handler([this](const proto::Request& request, net::Address from) {
-    return Handle(request, from);
+  peer_.set_handler([this](proto::Request request, net::Address from) {
+    return Handle(std::move(request), from);
   });
   simulator_.Spawn(LeaseDaemon());
 }

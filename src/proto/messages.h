@@ -4,7 +4,8 @@
 //
 // Requests and replies are plain structs gathered into std::variants; the
 // simulated transport carries them by value, and WireSize() feeds the
-// network bandwidth model.
+// network bandwidth model. Read and write payloads are proto::Bytes, so
+// carrying one by value shares its buffer rather than copying it.
 #ifndef SRC_PROTO_MESSAGES_H_
 #define SRC_PROTO_MESSAGES_H_
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "src/base/status.h"
+#include "src/proto/bytes.h"
 #include "src/proto/types.h"
 
 namespace proto {
@@ -102,7 +104,7 @@ struct ReadReq {
 struct WriteReq {
   FileHandle fh;
   uint64_t offset = 0;
-  std::vector<uint8_t> data;
+  Bytes data;
 };
 
 struct CreateReq {
@@ -228,7 +230,7 @@ struct LookupRep {
 };
 
 struct ReadRep {
-  std::vector<uint8_t> data;
+  Bytes data;
   bool eof = false;
   Attr attr;
 };
@@ -341,9 +343,9 @@ struct Envelope {
   // The transport moves envelopes end to end; the only legitimate copy is
   // the fault injector duplicating an in-flight packet. The copy operations
   // count themselves so a guard test (network_test.cc) can pin that
-  // invariant: accidental copies of write payloads are a real simulator
-  // slowdown and this keeps them from creeping back in. Moves stay
-  // defaulted (and therefore free of bookkeeping).
+  // invariant. A copy shares the payload's buffer (proto::Bytes) but still
+  // copies every other field. Moves stay defaulted (and therefore free of
+  // bookkeeping).
   Envelope() = default;
   Envelope(Envelope&&) noexcept = default;
   Envelope& operator=(Envelope&&) noexcept = default;

@@ -118,7 +118,7 @@ sim::Task<base::Result<proto::Reply>> Peer::Call(net::Address dst, proto::Reques
     env.xid = xid;
     env.is_reply = false;
     env.trace_span = attempt_span.id();
-    env.request = request;  // copy retained for retransmission
+    env.request = request;  // copy retained for retransmission; shares any payload
     SendEnvelope(dst, std::move(env));
 
     // The timeout races the reply for the promise.

@@ -89,7 +89,7 @@ sim::Task<void> SnfsClient::SendClose(NodeRef node, bool write) {
   req.fh = node->fh;
   req.write_mode = write;
   req.has_dirty = cache_.HasDirty(mount_id_, node->fh.fileid);
-  (void)co_await Call(proto::Request(req));
+  (void)co_await Call(proto::Request(std::move(req)));
   if (write) {
     CHECK_GT(node->server_writes, 0u);
     --node->server_writes;
@@ -276,7 +276,7 @@ sim::Task<void> SnfsClient::RunRecovery() {
     req.write_count = node->server_writes;
     req.has_dirty = has_dirty;
     req.cached_version = node->cached_version;
-    auto rep = rpc::Expect<proto::ReopenRep>(co_await Call(proto::Request(req)));
+    auto rep = rpc::Expect<proto::ReopenRep>(co_await Call(proto::Request(std::move(req))));
     if (!rep.ok()) {
       LOG_INFO("snfs", "reopen for file %llu failed: %s",
                static_cast<unsigned long long>(fileid),
@@ -312,12 +312,12 @@ sim::Task<base::Result<std::vector<uint8_t>>> SnfsClient::Read(vfs::GnodeRef gno
     req.fh = node->fh;
     req.offset = offset;
     req.count = count;
-    auto rep = rpc::Expect<proto::ReadRep>(co_await Call(proto::Request(req)));
+    auto rep = rpc::Expect<proto::ReadRep>(co_await Call(proto::Request(std::move(req))));
     if (!rep.ok()) {
       co_return rep.status();
     }
     node->attr = rep->attr;
-    co_return std::move(rep->data);
+    co_return rep->data.ToVector();
   }
   // Observation point for the stale-read invariant: a cached read may only
   // see the version the server granted at open.
@@ -341,18 +341,19 @@ sim::Task<base::Result<void>> SnfsClient::Write(vfs::GnodeRef gnode, uint64_t of
     proto::WriteReq req;
     req.fh = node->fh;
     req.offset = offset;
-    req.data = data;
-    auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(req)));
+    req.data = std::move(data);
+    auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(std::move(req))));
     if (!rep.ok()) {
       co_return rep.status();
     }
     node->attr = rep->attr;
     co_return base::OkStatus();
   }
-  CO_RETURN_IF_ERROR(
-      co_await cache_.WriteDelayed(mount_id_, node->fh.fileid, offset, data, node->attr.size));
+  uint64_t end = offset + data.size();
+  CO_RETURN_IF_ERROR(co_await cache_.WriteDelayed(mount_id_, node->fh.fileid, offset,
+                                                  std::move(data), node->attr.size));
   node->have_cached_data = true;
-  node->attr.size = std::max(node->attr.size, offset + data.size());
+  node->attr.size = std::max(node->attr.size, end);
   node->attr.mtime = simulator_.Now();
   co_return base::OkStatus();
 }
@@ -366,7 +367,7 @@ sim::Task<base::Result<proto::Attr>> SnfsClient::GetAttr(vfs::GnodeRef gnode) {
   }
   proto::GetAttrReq req;
   req.fh = node->fh;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(req)));
+  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(std::move(req))));
   if (!rep.ok()) {
     co_return rep.status();
   }
@@ -382,7 +383,7 @@ sim::Task<base::Result<void>> SnfsClient::Truncate(vfs::GnodeRef gnode, uint64_t
   proto::SetAttrReq req;
   req.fh = node->fh;
   req.size = size;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(req)));
+  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(std::move(req))));
   if (!rep.ok()) {
     co_return rep.status();
   }

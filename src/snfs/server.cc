@@ -1,6 +1,7 @@
 #include "src/snfs/server.h"
 
 #include <string>
+#include <utility>
 
 #include "src/base/log.h"
 #include "src/trace/trace.h"
@@ -22,8 +23,8 @@ SnfsServer::SnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& pe
       callback_budget_(simulator, CallbackBudget(peer)) {
   nfs_ = std::make_unique<nfs::NfsServer>(fs, peer);
   // NfsServer installed itself; take over the dispatch.
-  peer_.set_handler([this](const proto::Request& request, net::Address from) {
-    return Handle(request, from);
+  peer_.set_handler([this](proto::Request request, net::Address from) {
+    return Handle(std::move(request), from);
   });
 }
 

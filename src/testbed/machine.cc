@@ -1,5 +1,7 @@
 #include "src/testbed/machine.h"
 
+#include <utility>
+
 #include "src/base/log.h"
 #include "src/trace/trace.h"
 
@@ -15,8 +17,8 @@ ClientMachine::ClientMachine(sim::Simulator& simulator, net::Network& network, s
     disk_ = std::make_unique<disk::Disk>(simulator, params.disk);
     local_fs_ = std::make_unique<fs::LocalFs>(simulator, *disk_, params.local_fs);
   }
-  peer_->set_handler([this](const proto::Request& request, net::Address from) {
-    return HandleRequest(request, from);
+  peer_->set_handler([this](proto::Request request, net::Address from) {
+    return HandleRequest(std::move(request), from);
   });
 }
 

@@ -1,6 +1,7 @@
 #include "src/vfs/vfs.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/base/log.h"
 
@@ -151,9 +152,10 @@ sim::Task<base::Result<void>> Vfs::Write(int fd, std::vector<uint8_t> data) {
     co_return base::ErrAccess();
   }
   uint64_t offset = entry->offset;
-  CO_RETURN_IF_ERROR(co_await entry->fs->Write(entry->node, offset, data));
+  uint64_t end = offset + data.size();
+  CO_RETURN_IF_ERROR(co_await entry->fs->Write(entry->node, offset, std::move(data)));
   CO_ASSIGN_OR_RETURN(entry, GetFd(fd));
-  entry->offset = offset + data.size();
+  entry->offset = end;
   co_return base::OkStatus();
 }
 
@@ -168,7 +170,7 @@ sim::Task<base::Result<void>> Vfs::Pwrite(int fd, uint64_t offset,
   if (!entry->write) {
     co_return base::ErrAccess();
   }
-  co_return co_await entry->fs->Write(entry->node, offset, data);
+  co_return co_await entry->fs->Write(entry->node, offset, std::move(data));
 }
 
 base::Result<uint64_t> Vfs::Seek(int fd, uint64_t offset) {
@@ -258,7 +260,7 @@ sim::Task<base::Result<void>> Vfs::WriteFile(std::string path,
     uint64_t n = std::min<uint64_t>(chunk, data.size() - offset);
     std::vector<uint8_t> slice(data.begin() + static_cast<int64_t>(offset),
                                data.begin() + static_cast<int64_t>(offset + n));
-    auto written = co_await Write(fd, slice);
+    auto written = co_await Write(fd, std::move(slice));
     if (!written.ok()) {
       (void)co_await Close(fd);
       co_return written.status();

@@ -1,6 +1,8 @@
 #include "src/workload/andrew.h"
 
 #include <algorithm>
+#include <cstring>
+#include <utility>
 
 #include "src/base/log.h"
 
@@ -16,6 +18,20 @@ std::vector<uint8_t> SyntheticBytes(sim::Rng& rng, uint32_t n) {
   std::vector<uint8_t> v(n);
   for (uint32_t i = 0; i < n; ++i) {
     v[i] = static_cast<uint8_t>(rng.Next());
+  }
+  return v;
+}
+
+// `n` bytes where byte i is i * step (mod 256). Each value depends only on
+// i mod 256, so one 256-byte period is filled and then tiled.
+std::vector<uint8_t> PeriodicBytes(size_t n, uint8_t step) {
+  uint8_t period[256];
+  for (size_t i = 0; i < sizeof(period); ++i) {
+    period[i] = static_cast<uint8_t>(i * step);
+  }
+  std::vector<uint8_t> v(n);
+  for (size_t at = 0; at < n; at += sizeof(period)) {
+    std::memcpy(v.data() + at, period, std::min(sizeof(period), n - at));
   }
   return v;
 }
@@ -91,8 +107,8 @@ sim::Task<base::Result<uint64_t>> PhaseCopy(vfs::Vfs& vfs, sim::Cpu& cpu,
     co_await cpu.Run(config.cpu.copy_per_file);
     CO_ASSIGN_OR_RETURN(std::vector<uint8_t> data,
                         co_await vfs.ReadFile(config.src_root + name));
-    CO_RETURN_IF_ERROR(co_await vfs.WriteFile(config.target_root + name, data));
     bytes += data.size();
+    CO_RETURN_IF_ERROR(co_await vfs.WriteFile(config.target_root + name, std::move(data)));
   }
   for (int d = 0; d < config.shape.dirs; ++d) {
     for (int f = 0; f < config.shape.files_per_dir; ++f) {
@@ -100,8 +116,8 @@ sim::Task<base::Result<uint64_t>> PhaseCopy(vfs::Vfs& vfs, sim::Cpu& cpu,
       co_await cpu.Run(config.cpu.copy_per_file);
       CO_ASSIGN_OR_RETURN(std::vector<uint8_t> data,
                           co_await vfs.ReadFile(config.src_root + name));
-      CO_RETURN_IF_ERROR(co_await vfs.WriteFile(config.target_root + name, data));
       bytes += data.size();
+      CO_RETURN_IF_ERROR(co_await vfs.WriteFile(config.target_root + name, std::move(data)));
     }
   }
   co_return bytes;
@@ -173,12 +189,9 @@ sim::Task<base::Result<uint64_t>> CompileOne(sim::Simulator& simulator, vfs::Vfs
   // Preprocessor output: short-lived temporary (expanded source + headers).
   std::string tmp_path =
       config.tmp_dir + "/cc" + std::to_string(d) + "_" + std::to_string(f) + ".s";
-  std::vector<uint8_t> temp(static_cast<size_t>(
-      static_cast<double>(source.size() + header_bytes) * config.shape.temp_multiplier));
-  for (size_t i = 0; i < temp.size(); ++i) {
-    temp[i] = static_cast<uint8_t>(i * 7);
-  }
-  CO_RETURN_IF_ERROR(co_await vfs.WriteFile(tmp_path, temp));
+  size_t temp_bytes = static_cast<size_t>(static_cast<double>(source.size() + header_bytes) *
+                                          config.shape.temp_multiplier);
+  CO_RETURN_IF_ERROR(co_await vfs.WriteFile(tmp_path, PeriodicBytes(temp_bytes, 7)));
 
   // Compile proper (cost follows the source, not the expanded temporary).
   co_await cpu.Run(config.cpu.compile_base +
@@ -186,18 +199,15 @@ sim::Task<base::Result<uint64_t>> CompileOne(sim::Simulator& simulator, vfs::Vfs
 
   // Read the temporary back (assembler pass), emit the object file.
   CO_ASSIGN_OR_RETURN(std::vector<uint8_t> reread, co_await vfs.ReadFile(tmp_path));
-  std::vector<uint8_t> object(
-      static_cast<size_t>(static_cast<double>(source.size()) * config.shape.object_multiplier) +
-      config.shape.object_base_bytes);
-  for (size_t i = 0; i < object.size(); ++i) {
-    object[i] = static_cast<uint8_t>(i * 13);
-  }
+  uint64_t object_bytes =
+      static_cast<uint64_t>(static_cast<double>(source.size()) * config.shape.object_multiplier) +
+      config.shape.object_base_bytes;
   std::string obj_path = config.target_root + "/" + DirName(d) + "/" + ObjectName(f);
-  CO_RETURN_IF_ERROR(co_await vfs.WriteFile(obj_path, object));
+  CO_RETURN_IF_ERROR(co_await vfs.WriteFile(obj_path, PeriodicBytes(object_bytes, 13)));
 
   // The temporary dies young — the delete-before-writeback opportunity.
   CO_RETURN_IF_ERROR(co_await vfs.Unlink(tmp_path));
-  co_return static_cast<uint64_t>(object.size());
+  co_return object_bytes;
 }
 
 // Phase 5: compile every source file, then link the objects.
@@ -224,11 +234,8 @@ sim::Task<base::Result<uint64_t>> PhaseMake(sim::Simulator& simulator, vfs::Vfs&
   }
   co_await cpu.Run(config.cpu.link_base +
                    config.cpu.link_per_kb * static_cast<int64_t>(1 + object_bytes / 1024));
-  std::vector<uint8_t> binary(object_bytes * 9 / 10);
-  for (size_t i = 0; i < binary.size(); ++i) {
-    binary[i] = static_cast<uint8_t>(i);
-  }
-  CO_RETURN_IF_ERROR(co_await vfs.WriteFile(config.target_root + "/a.out", binary));
+  CO_RETURN_IF_ERROR(co_await vfs.WriteFile(config.target_root + "/a.out",
+                                            PeriodicBytes(object_bytes * 9 / 10, 1)));
   co_return compiled;
 }
 

@@ -47,9 +47,11 @@ sim::Task<void> PopulateSortInput(fs::LocalFs& fs, proto::FileHandle parent,
     for (uint64_t i = 0; i < n; ++i) {
       FillRecord(&slab[i * kSortRecordBytes], rng.Next(), rng);
     }
-    auto wrote = co_await fs.Write(file->fh, offset, slab, fs::LocalFs::WriteMode::kMemory);
+    uint64_t written = slab.size();
+    auto wrote =
+        co_await fs.Write(file->fh, offset, std::move(slab), fs::LocalFs::WriteMode::kMemory);
     CHECK(wrote.ok());
-    offset += slab.size();
+    offset += written;
   }
 }
 

@@ -17,23 +17,29 @@
 //  namespace            the operations all three share through the
 //                       remote-client core: exclusive create, rmdir of a
 //                       full and an empty directory, rename, and a readdir
-//                       longer than one reply.
+//                       longer than one reply;
+//  fetched-block edit   a delayed write into a block the client fetched
+//                       stays out of the server's file until written back
+//                       (the cached block and the server's share a buffer).
 //
 // Plus the original property test: random multi-client workloads against an
 // in-memory oracle, serialized by a (simulated) global lock, mirroring the
 // paper's proviso that consistency holds "provided that some other
 // mechanism (such as file locking) serializes the reads and writes".
 // SNFS and NQNFS must match the oracle on every seed; NFS may go stale.
-// Last, a host-side check: a read round trip on each protocol allocates
-// every coroutine frame from the frame pool.
+// Last, two host-side checks: a read round trip on each protocol allocates
+// every coroutine frame from the frame pool, and a whole-block write-back or
+// fetch allocates no payload buffer between client cache and server file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "src/cache/buffer_cache.h"
 #include "src/metrics/op_counters.h"
+#include "src/proto/bytes.h"
 #include "src/sim/frame_pool.h"
 #include "src/sim/random.h"
 #include "src/sim/sync.h"
@@ -261,6 +267,56 @@ sim::Task<void> NamespaceScenario(World& w, vfs::FileSystem& fs, bool* finished)
   *finished = true;
 }
 
+// --- scenario 6: a delayed write into a fetched block --------------------------
+
+// A fetched block is cached as the very buffer the server's file holds
+// (proto::Bytes), so the client's delayed write into it must edit a copy:
+// the server's file shows the old bytes until the write-back lands. NFS
+// delays the partial block too (delay_partial_writes) until fsync.
+sim::Task<void> DelayedWriteIntoFetchedBlockScenario(World& w, bool* finished) {
+  fs::LocalFs& server_fs = w.server->fs();
+  std::vector<uint8_t> original = testbed::TestPattern(cache::kBlockSize);
+  auto file = co_await server_fs.Create(server_fs.root(), "f", /*exclusive=*/true);
+  EXPECT_TRUE(file.ok());
+  if (!file.ok()) {
+    co_return;
+  }
+  proto::FileHandle fh = file->fh;
+  EXPECT_TRUE((co_await server_fs.Write(fh, 0, testbed::TestPattern(cache::kBlockSize),
+                                        fs::LocalFs::WriteMode::kMemory))
+                  .ok());
+
+  vfs::Vfs& v = w.client(0).vfs();
+  auto fd = co_await v.Open("/data/f", vfs::OpenFlags::ReadWrite());
+  EXPECT_TRUE(fd.ok());
+  if (!fd.ok()) {
+    co_return;
+  }
+  auto fetched = co_await v.Pread(*fd, 0, cache::kBlockSize);
+  EXPECT_TRUE(fetched.ok() && *fetched == original);
+  std::vector<uint8_t> edit(100, 0xEE);
+  EXPECT_TRUE((co_await v.Pwrite(*fd, 0, edit)).ok());
+
+  auto unflushed = co_await server_fs.Read(fh, 0, cache::kBlockSize);
+  EXPECT_TRUE(unflushed.ok());
+  if (unflushed.ok()) {
+    EXPECT_EQ(unflushed->data.ToVector(), original) << "delayed write reached the server early";
+  }
+
+  EXPECT_TRUE((co_await v.Fsync(*fd)).ok());
+  std::vector<uint8_t> edited = original;
+  std::copy(edit.begin(), edit.end(), edited.begin());
+  auto flushed = co_await server_fs.Read(fh, 0, cache::kBlockSize);
+  EXPECT_TRUE(flushed.ok());
+  if (flushed.ok()) {
+    EXPECT_EQ(flushed->data.ToVector(), edited);
+  }
+  auto own = co_await v.Pread(*fd, 0, cache::kBlockSize);
+  EXPECT_TRUE(own.ok() && *own == edited);
+  EXPECT_TRUE((co_await v.Close(*fd)).ok());
+  *finished = true;
+}
+
 class ProtocolConformance : public ::testing::TestWithParam<ServerProtocol> {};
 
 TEST_P(ProtocolConformance, SequentialSharingIsConsistent) {
@@ -341,6 +397,15 @@ TEST_P(ProtocolConformance, NamespaceOperationsBehaveAlike) {
   w.simulator.Run();
   EXPECT_TRUE(finished);
   trace_check.Check();
+}
+
+TEST_P(ProtocolConformance, DelayedWriteIntoFetchedBlockStaysLocalUntilWriteBack) {
+  World w(GetParam(), 1);
+  MountData(w, 0, GetParam());
+  bool finished = false;
+  w.simulator.Spawn(DelayedWriteIntoFetchedBlockScenario(w, &finished));
+  w.simulator.Run();
+  EXPECT_TRUE(finished);
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, ProtocolConformance,
@@ -490,6 +555,43 @@ TEST(FramePoolTest, ReadRoundTripsAllocateNoUnpooledFrames) {
       EXPECT_TRUE(done);
     }
     EXPECT_EQ(sim::framepool::UnpooledAllocs() - before, 0u);
+  }
+}
+
+// Payload sharing, pinned the way network_test pins envelope moves: a whole
+// block written through vfs and written back reaches the server's file as
+// the one buffer adopted from the writer's vector at the vfs boundary, and a
+// cold client's fetch caches the server's buffer itself. A payload copy
+// anywhere between client cache and server file would allocate another.
+TEST(PayloadSharingTest, WholeBlockWriteBackAndFetchAllocateNoPayloadBuffer) {
+  for (ServerProtocol protocol :
+       {ServerProtocol::kNfs, ServerProtocol::kSnfs, ServerProtocol::kNqnfs}) {
+    SCOPED_TRACE(ProtocolLabel(protocol));
+    World w(protocol, 2);
+    MountData(w, 0, protocol);
+    MountData(w, 1, protocol);
+    bool done = false;
+    w.simulator.Spawn([](World& w, bool& done) -> sim::Task<void> {
+      vfs::Vfs& writer = w.client(0).vfs();
+      auto fd = co_await writer.Open("/data/f", vfs::OpenFlags::WriteCreate());
+      EXPECT_TRUE(fd.ok());
+      if (!fd.ok()) {
+        co_return;
+      }
+      proto::Bytes::reset_buffers_allocated();
+      EXPECT_TRUE((co_await writer.Pwrite(*fd, 0, testbed::TestPattern(cache::kBlockSize))).ok());
+      EXPECT_TRUE((co_await writer.Fsync(*fd)).ok());
+      EXPECT_EQ(proto::Bytes::buffers_allocated(), 1u) << "write-back copied the payload";
+      EXPECT_TRUE((co_await writer.Close(*fd)).ok());
+
+      proto::Bytes::reset_buffers_allocated();
+      auto got = co_await w.client(1).vfs().ReadFile("/data/f");
+      EXPECT_EQ(proto::Bytes::buffers_allocated(), 0u) << "fetch copied the payload";
+      EXPECT_TRUE(got.ok() && *got == testbed::TestPattern(cache::kBlockSize));
+      done = true;
+    }(w, done));
+    w.simulator.Run();
+    EXPECT_TRUE(done);
   }
 }
 

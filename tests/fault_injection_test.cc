@@ -106,7 +106,7 @@ struct RpcRig {
         server(simulator, network, server_cpu, "server") {
     client.Start();
     server.Start();
-    server.set_handler([](const proto::Request&, net::Address) -> sim::Task<proto::Reply> {
+    server.set_handler([](proto::Request, net::Address) -> sim::Task<proto::Reply> {
       co_return proto::OkReply(proto::NullRep{});
     });
   }

@@ -3,6 +3,7 @@
 // writes), exercised through the VFS syscall layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -239,6 +240,112 @@ TEST(LocalFsTest, ReadDuringConcurrentRemoveReturnsStale) {
   EXPECT_TRUE(removed);
 }
 
+// --- Stored blocks: sharing and copy-on-write ----------------------------------
+
+// Runs `body` against a LocalFs holding one empty file "f".
+template <typename Body>
+void WithOneFile(Body body) {
+  sim::Simulator simulator;
+  disk::Disk disk{simulator};
+  LocalFs fs{simulator, disk, LocalFsParams{.fsid = 1, .cache_blocks = 0}};
+  bool completed = false;
+  simulator.Spawn([](LocalFs& fs, Body body, bool& completed) -> sim::Task<void> {
+    auto file = co_await fs.Create(fs.root(), "f", /*exclusive=*/true);
+    EXPECT_TRUE(file.ok());
+    if (file.ok()) {
+      co_await body(fs, file->fh);
+      completed = true;
+    }
+  }(fs, body, completed));
+  simulator.Run();
+  EXPECT_TRUE(completed);
+}
+
+// Reads the whole file as a vector.
+sim::Task<std::vector<uint8_t>> Contents(LocalFs& fs, proto::FileHandle fh) {
+  auto attr = fs.GetAttr(fh);
+  EXPECT_TRUE(attr.ok());
+  auto rep = co_await fs.Read(fh, 0, static_cast<uint32_t>(attr.ok() ? attr->size : 0));
+  EXPECT_TRUE(rep.ok());
+  co_return rep.ok() ? rep->data.ToVector() : std::vector<uint8_t>();
+}
+
+TEST(LocalFsBlocksTest, WholeBlockWriteThenReadReturnsTheStoredBuffer) {
+  WithOneFile([](LocalFs& fs, proto::FileHandle fh) -> sim::Task<void> {
+    proto::Bytes block(Pattern(kBlockSize));
+    proto::Bytes tail(Pattern(100, 3));
+    EXPECT_TRUE((co_await fs.Write(fh, 0, block, LocalFs::WriteMode::kMemory)).ok());
+    EXPECT_TRUE((co_await fs.Write(fh, kBlockSize, tail, LocalFs::WriteMode::kMemory)).ok());
+    auto whole = co_await fs.Read(fh, 0, kBlockSize);
+    auto last = co_await fs.Read(fh, kBlockSize, kBlockSize);  // short block at EOF
+    EXPECT_TRUE(whole.ok() && last.ok());
+    if (whole.ok() && last.ok()) {
+      EXPECT_EQ(whole->data.data(), block.data());
+      EXPECT_EQ(last->data.data(), tail.data());
+      EXPECT_TRUE(last->eof);
+    }
+  });
+}
+
+TEST(LocalFsBlocksTest, PartialOverwriteLeavesAnEarlierReadUnchanged) {
+  WithOneFile([](LocalFs& fs, proto::FileHandle fh) -> sim::Task<void> {
+    std::vector<uint8_t> original = Pattern(kBlockSize);
+    EXPECT_TRUE(
+        (co_await fs.Write(fh, 0, proto::Bytes(Pattern(kBlockSize)), LocalFs::WriteMode::kMemory))
+            .ok());
+    auto before = co_await fs.Read(fh, 0, kBlockSize);
+    EXPECT_TRUE(before.ok());
+    EXPECT_TRUE(
+        (co_await fs.Write(fh, 100, proto::Bytes(Bytes("edit")), LocalFs::WriteMode::kMemory))
+            .ok());
+    std::vector<uint8_t> edited = original;
+    std::copy_n(Bytes("edit").begin(), 4, edited.begin() + 100);
+    EXPECT_EQ(co_await Contents(fs, fh), edited);
+    if (before.ok()) {
+      EXPECT_EQ(before->data.ToVector(), original);
+    }
+  });
+}
+
+TEST(LocalFsBlocksTest, TruncateMidBlockThenExtendReadsZerosPastTheCut) {
+  WithOneFile([](LocalFs& fs, proto::FileHandle fh) -> sim::Task<void> {
+    std::vector<uint8_t> original = Pattern(2 * kBlockSize);
+    EXPECT_TRUE((co_await fs.Write(fh, 0, proto::Bytes(Pattern(2 * kBlockSize)),
+                                   LocalFs::WriteMode::kMemory))
+                    .ok());
+    auto held = co_await fs.Read(fh, 0, kBlockSize);
+    proto::SetAttrReq cut;
+    cut.size = 1000;
+    EXPECT_TRUE((co_await fs.SetAttr(fh, cut)).ok());
+    proto::SetAttrReq extend;
+    extend.size = kBlockSize + 500;
+    EXPECT_TRUE((co_await fs.SetAttr(fh, extend)).ok());
+    std::vector<uint8_t> expected(kBlockSize + 500, 0);
+    std::copy_n(original.begin(), 1000, expected.begin());
+    EXPECT_EQ(co_await Contents(fs, fh), expected);
+    // The truncation replaced the block; a reply handed out earlier keeps
+    // the bytes it carried.
+    if (held.ok()) {
+      EXPECT_EQ(held->data.ToVector(), std::vector<uint8_t>(original.begin(),
+                                                            original.begin() + kBlockSize));
+    }
+  });
+}
+
+TEST(LocalFsBlocksTest, WritePastEofZeroFillsTheHole) {
+  WithOneFile([](LocalFs& fs, proto::FileHandle fh) -> sim::Task<void> {
+    EXPECT_TRUE(
+        (co_await fs.Write(fh, 0, proto::Bytes(Bytes("head")), LocalFs::WriteMode::kMemory)).ok());
+    uint64_t at = 2 * kBlockSize + 10;
+    EXPECT_TRUE(
+        (co_await fs.Write(fh, at, proto::Bytes(Bytes("tail")), LocalFs::WriteMode::kMemory)).ok());
+    std::vector<uint8_t> expected(at + 4, 0);
+    std::copy_n(Bytes("head").begin(), 4, expected.begin());
+    std::copy_n(Bytes("tail").begin(), 4, expected.begin() + static_cast<int64_t>(at));
+    EXPECT_EQ(co_await Contents(fs, fh), expected);
+  });
+}
+
 TEST(LocalFsTest, RmdirOnlyWhenEmpty) {
   Rig rig;
   RUN_SIM(rig, {
@@ -420,14 +527,13 @@ TEST(BufferCacheTest, LruEvictionBoundsSize) {
   cache::Backing backing;
   int fetches = 0;
   // lint: coro-lambda-ok (backing and counters share the test scope)
-  backing.fetch = [&fetches](uint64_t, uint64_t) -> sim::Task<base::Result<std::vector<uint8_t>>> {
+  backing.fetch = [&fetches](uint64_t, uint64_t) -> sim::Task<base::Result<proto::Bytes>> {
     ++fetches;
-    co_return std::vector<uint8_t>(cache::kBlockSize, 0xAB);
+    co_return proto::Bytes(std::vector<uint8_t>(cache::kBlockSize, 0xAB));
   };
   int stores = 0;
   // lint: coro-lambda-ok (backing and counters share the test scope)
-  backing.store = [&stores](uint64_t, uint64_t,
-                            std::vector<uint8_t>) -> sim::Task<base::Result<void>> {
+  backing.store = [&stores](uint64_t, uint64_t, proto::Bytes) -> sim::Task<base::Result<void>> {
     ++stores;
     co_return base::OkStatus();
   };
@@ -458,12 +564,12 @@ TEST(BufferCacheTest, DirtyEvictionWritesBack) {
   cache::BufferCache cache(simulator, params);
   cache::Backing backing;
   int stores = 0;
-  backing.fetch = [](uint64_t, uint64_t) -> sim::Task<base::Result<std::vector<uint8_t>>> {
-    co_return std::vector<uint8_t>();
+  backing.fetch = [](uint64_t, uint64_t) -> sim::Task<base::Result<proto::Bytes>> {
+    co_return proto::Bytes();
   };
   // lint: coro-lambda-ok (backing and counters share the test scope)
   backing.store = [&stores](uint64_t, uint64_t,
-                            std::vector<uint8_t> data) -> sim::Task<base::Result<void>> {
+                            proto::Bytes data) -> sim::Task<base::Result<void>> {
     ++stores;
     EXPECT_EQ(data.size(), cache::kBlockSize);
     co_return base::OkStatus();
@@ -471,7 +577,7 @@ TEST(BufferCacheTest, DirtyEvictionWritesBack) {
   int mount = cache.RegisterMount(std::move(backing));
   bool completed = false;
   simulator.Spawn([](cache::BufferCache& cache, int mount, bool& completed) -> sim::Task<void> {
-    std::vector<uint8_t> block(cache::kBlockSize, 1);
+    proto::Bytes block(std::vector<uint8_t>(cache::kBlockSize, 1));
     for (uint64_t b = 0; b < 10; ++b) {
       EXPECT_TRUE(
           (co_await cache.WriteDelayed(mount, 1, b * cache::kBlockSize, block, 0)).ok());
@@ -498,25 +604,25 @@ TEST(BufferCacheTest, RedirtyDuringEvictionWritebackKeepsNewestData) {
   // Every store takes 10 ms, so the eviction write-back is still in flight
   // when the test re-dirties the block. Completions are logged in order.
   std::vector<std::pair<uint64_t, uint8_t>> landed;  // (block, first byte)
-  std::map<uint64_t, std::vector<uint8_t>> disk;
-  backing.fetch = [](uint64_t, uint64_t) -> sim::Task<base::Result<std::vector<uint8_t>>> {
-    co_return std::vector<uint8_t>();
+  std::map<uint64_t, proto::Bytes> disk;
+  backing.fetch = [](uint64_t, uint64_t) -> sim::Task<base::Result<proto::Bytes>> {
+    co_return proto::Bytes();
   };
   // lint: coro-lambda-ok (backing and logs share the test scope)
   backing.store = [&simulator, &landed, &disk](
                       uint64_t, uint64_t block,
-                      std::vector<uint8_t> data) -> sim::Task<base::Result<void>> {
+                      proto::Bytes data) -> sim::Task<base::Result<void>> {
     co_await sim::Sleep(simulator, sim::Msec(10));
-    landed.emplace_back(block, data.empty() ? 0 : data[0]);
+    landed.emplace_back(block, data.empty() ? 0 : *data.begin());
     disk[block] = std::move(data);
     co_return base::OkStatus();
   };
   int mount = cache.RegisterMount(std::move(backing));
   bool completed = false;
   simulator.Spawn([](cache::BufferCache& cache, int mount, bool& completed) -> sim::Task<void> {
-    std::vector<uint8_t> v1(cache::kBlockSize, 0x01);
-    std::vector<uint8_t> v2(cache::kBlockSize, 0x02);
-    std::vector<uint8_t> v3(cache::kBlockSize, 0x03);
+    proto::Bytes v1(std::vector<uint8_t>(cache::kBlockSize, 0x01));
+    proto::Bytes v2(std::vector<uint8_t>(cache::kBlockSize, 0x02));
+    proto::Bytes v3(std::vector<uint8_t>(cache::kBlockSize, 0x03));
     // Dirty block 0, then dirty block 1: the one-block cache evicts block 0,
     // whose slow write-back (v1) is now in flight.
     EXPECT_TRUE((co_await cache.WriteDelayed(mount, 1, 0, v1, 0)).ok());
@@ -538,8 +644,8 @@ TEST(BufferCacheTest, RedirtyDuringEvictionWritebackKeepsNewestData) {
   EXPECT_EQ(block0_order, (std::vector<uint8_t>{0x01, 0x03}));
   ASSERT_EQ(disk.count(0), 1u);
   ASSERT_EQ(disk.count(1), 1u);
-  EXPECT_EQ(disk[0], std::vector<uint8_t>(cache::kBlockSize, 0x03));
-  EXPECT_EQ(disk[1], std::vector<uint8_t>(cache::kBlockSize, 0x02));
+  EXPECT_EQ(disk[0].ToVector(), std::vector<uint8_t>(cache::kBlockSize, 0x03));
+  EXPECT_EQ(disk[1].ToVector(), std::vector<uint8_t>(cache::kBlockSize, 0x02));
 }
 
 TEST(BufferCacheTest, AgeBasedSyncOnlyWritesOldBlocks) {
@@ -552,19 +658,18 @@ TEST(BufferCacheTest, AgeBasedSyncOnlyWritesOldBlocks) {
   cache::BufferCache cache(simulator, params);
   cache::Backing backing;
   int stores = 0;
-  backing.fetch = [](uint64_t, uint64_t) -> sim::Task<base::Result<std::vector<uint8_t>>> {
-    co_return std::vector<uint8_t>();
+  backing.fetch = [](uint64_t, uint64_t) -> sim::Task<base::Result<proto::Bytes>> {
+    co_return proto::Bytes();
   };
   // lint: coro-lambda-ok (backing and counters share the test scope)
-  backing.store = [&stores](uint64_t, uint64_t,
-                            std::vector<uint8_t>) -> sim::Task<base::Result<void>> {
+  backing.store = [&stores](uint64_t, uint64_t, proto::Bytes) -> sim::Task<base::Result<void>> {
     ++stores;
     co_return base::OkStatus();
   };
   int mount = cache.RegisterMount(std::move(backing));
   cache.Start();
   simulator.Spawn([](cache::BufferCache& cache, int mount) -> sim::Task<void> {
-    std::vector<uint8_t> block(cache::kBlockSize, 1);
+    proto::Bytes block(std::vector<uint8_t>(cache::kBlockSize, 1));
     EXPECT_TRUE((co_await cache.WriteDelayed(mount, 1, 0, block, 0)).ok());
   }(cache, mount));
   simulator.RunUntil(sim::Sec(20));
@@ -582,18 +687,17 @@ TEST(BufferCacheTest, CancelDirtyDropsWithoutStore) {
   cache::BufferCache cache(simulator, params);
   cache::Backing backing;
   int stores = 0;
-  backing.fetch = [](uint64_t, uint64_t) -> sim::Task<base::Result<std::vector<uint8_t>>> {
-    co_return std::vector<uint8_t>();
+  backing.fetch = [](uint64_t, uint64_t) -> sim::Task<base::Result<proto::Bytes>> {
+    co_return proto::Bytes();
   };
   // lint: coro-lambda-ok (backing and counters share the test scope)
-  backing.store = [&stores](uint64_t, uint64_t,
-                            std::vector<uint8_t>) -> sim::Task<base::Result<void>> {
+  backing.store = [&stores](uint64_t, uint64_t, proto::Bytes) -> sim::Task<base::Result<void>> {
     ++stores;
     co_return base::OkStatus();
   };
   int mount = cache.RegisterMount(std::move(backing));
   simulator.Spawn([](cache::BufferCache& cache, int mount) -> sim::Task<void> {
-    std::vector<uint8_t> block(cache::kBlockSize, 1);
+    proto::Bytes block(std::vector<uint8_t>(cache::kBlockSize, 1));
     for (uint64_t b = 0; b < 5; ++b) {
       EXPECT_TRUE((co_await cache.WriteDelayed(mount, 9, b * cache::kBlockSize, block, 0)).ok());
     }
@@ -604,6 +708,99 @@ TEST(BufferCacheTest, CancelDirtyDropsWithoutStore) {
   }(cache, mount));
   simulator.Run();
   EXPECT_EQ(stores, 0);
+}
+
+TEST(BufferCacheTest, PartialWriteDuringWritebackLeavesInFlightBytesUnchanged) {
+  // The cache hands its block buffer to the backing store without copying
+  // it, so a partial write while that store is suspended must replace the
+  // cached buffer, not edit it: the old version lands first, unchanged, and
+  // the new one on the next flush.
+  sim::Simulator simulator;
+  cache::BufferCacheParams params;
+  params.enable_sync_daemon = false;
+  params.flush_blocks_writers = false;  // let the writer run during the flush
+  cache::BufferCache cache(simulator, params);
+  cache::Backing backing;
+  std::vector<std::vector<uint8_t>> landed;
+  backing.fetch = [](uint64_t, uint64_t) -> sim::Task<base::Result<proto::Bytes>> {
+    co_return proto::Bytes();
+  };
+  // lint: coro-lambda-ok (backing and logs share the test scope)
+  backing.store = [&simulator, &landed](uint64_t, uint64_t,
+                                        proto::Bytes data) -> sim::Task<base::Result<void>> {
+    co_await sim::Sleep(simulator, sim::Msec(10));
+    landed.push_back(data.ToVector());  // what the store holds when it lands
+    co_return base::OkStatus();
+  };
+  int mount = cache.RegisterMount(std::move(backing));
+  bool completed = false;
+  simulator.Spawn([](sim::Simulator& simulator, cache::BufferCache& cache, int mount,
+                     bool& completed) -> sim::Task<void> {
+    EXPECT_TRUE((co_await cache.WriteDelayed(
+                     mount, 1, 0, proto::Bytes(std::vector<uint8_t>(cache::kBlockSize, 0x01)), 0))
+                    .ok());
+    simulator.Spawn([](cache::BufferCache& cache, int mount) -> sim::Task<void> {
+      EXPECT_TRUE((co_await cache.FlushFile(mount, 1)).ok());
+    }(cache, mount));
+    co_await sim::Sleep(simulator, sim::Msec(1));  // the store is now suspended
+    EXPECT_TRUE((co_await cache.WriteDelayed(
+                     mount, 1, 100, proto::Bytes(std::vector<uint8_t>(8, 0x02)), cache::kBlockSize))
+                    .ok());
+    co_await sim::Sleep(simulator, sim::Msec(20));
+    EXPECT_TRUE((co_await cache.FlushFile(mount, 1)).ok());
+    completed = true;
+  }(simulator, cache, mount, completed));
+  simulator.Run();
+  EXPECT_TRUE(completed);
+  std::vector<uint8_t> v2(cache::kBlockSize, 0x01);
+  std::fill_n(v2.begin() + 100, 8, 0x02);
+  ASSERT_EQ(landed.size(), 2u);
+  EXPECT_EQ(landed[0], std::vector<uint8_t>(cache::kBlockSize, 0x01));
+  EXPECT_EQ(landed[1], v2);
+}
+
+TEST(BufferCacheTest, InvalidateFileLeavesOtherMountsBlocksOfTheSameFileid) {
+  sim::Simulator simulator;
+  cache::BufferCacheParams params;
+  params.enable_sync_daemon = false;
+  cache::BufferCache cache(simulator, params);
+  int fetches[2] = {0, 0};
+  int mounts[2];
+  for (int m = 0; m < 2; ++m) {
+    cache::Backing backing;
+    // lint: coro-lambda-ok (backing and counters share the test scope)
+    backing.fetch = [&fetches, m](uint64_t, uint64_t) -> sim::Task<base::Result<proto::Bytes>> {
+      ++fetches[m];
+      co_return proto::Bytes(std::vector<uint8_t>(cache::kBlockSize, static_cast<uint8_t>(m)));
+    };
+    backing.store = [](uint64_t, uint64_t, proto::Bytes) -> sim::Task<base::Result<void>> {
+      co_return base::OkStatus();
+    };
+    mounts[m] = cache.RegisterMount(std::move(backing));
+  }
+  bool completed = false;
+  simulator.Spawn([](cache::BufferCache& cache, int* mounts, bool& completed) -> sim::Task<void> {
+    // Two blocks of fileid 5 on each mount.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (int m = 0; m < 2; ++m) {
+        for (uint64_t b = 0; b < 2; ++b) {
+          auto got = co_await cache.Read(mounts[m], 5, b * cache::kBlockSize, cache::kBlockSize,
+                                         2 * cache::kBlockSize, /*read_ahead=*/false);
+          EXPECT_TRUE(got.ok());
+        }
+      }
+      if (pass == 0) {
+        EXPECT_EQ(cache.size_blocks(), 4u);
+        cache.InvalidateFile(mounts[0], 5);
+        EXPECT_EQ(cache.size_blocks(), 2u);
+      }
+    }
+    completed = true;
+  }(cache, mounts, completed));
+  simulator.Run();
+  EXPECT_TRUE(completed);
+  EXPECT_EQ(fetches[0], 4);  // invalidated, so fetched again
+  EXPECT_EQ(fetches[1], 2);  // still cached
 }
 
 }  // namespace

@@ -63,7 +63,7 @@ struct EchoRig {
           [](rpc::Peer& client, Address dst, int i, int& completed) -> sim::Task<void> {
             proto::WriteReq req;
             req.fh = proto::FileHandle{1, static_cast<uint64_t>(i)};
-            req.data.assign(4096, static_cast<uint8_t>(i));
+            req.data = std::vector<uint8_t>(4096, static_cast<uint8_t>(i));
             auto reply = co_await client.Call(dst, std::move(req));
             CHECK(reply.ok());
             ++completed;

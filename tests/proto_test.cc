@@ -1,6 +1,10 @@
 // Tests for the protocol vocabulary: operation classification, wire sizes,
-// handles, and the metrics that aggregate them.
+// handles, payload buffers, and the metrics that aggregate them.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "src/metrics/op_counters.h"
 #include "src/metrics/table.h"
@@ -66,11 +70,46 @@ TEST(ProtoTest, WireSizeIncludesHeadersAndScalesWithNames) {
 
 TEST(ProtoTest, ReadReplyWireSizeScalesWithData) {
   ReadRep small;
-  small.data.resize(10);
+  small.data = std::vector<uint8_t>(10);
   ReadRep big;
-  big.data.resize(4096);
+  big.data = std::vector<uint8_t>(4096);
   EXPECT_EQ(WireSize(Reply{base::OkStatus(), ReplyBody(big)}),
             WireSize(Reply{base::OkStatus(), ReplyBody(small)}) + 4086);
+}
+
+TEST(ProtoTest, BytesCopiesShareStorageAndCompareByContent) {
+  std::vector<uint8_t> raw{1, 2, 3, 4};
+  const uint8_t* adopted_from = raw.data();
+  Bytes a(std::move(raw));
+  EXPECT_EQ(a.data(), adopted_from);  // adopting a vector copies nothing
+  Bytes b = a;
+  EXPECT_EQ(b.data(), a.data());  // copies share one buffer
+  EXPECT_EQ(b, a);
+  uint8_t same[] = {1, 2, 3, 4};
+  Bytes c(same, sizeof(same));
+  EXPECT_NE(c.data(), a.data());
+  EXPECT_EQ(c, a);  // equality is by content
+  EXPECT_FALSE(c == Bytes(std::vector<uint8_t>{1, 2, 3, 5}));
+  EXPECT_FALSE(c == Bytes(std::vector<uint8_t>{1, 2, 3}));
+  EXPECT_EQ(Bytes(), Bytes(std::vector<uint8_t>{}));
+}
+
+TEST(ProtoTest, BytesEditsCopyOnWrite) {
+  Bytes a(std::vector<uint8_t>{1, 2, 3, 4});
+  Bytes b = a;
+  Bytes patch(std::vector<uint8_t>{9, 9});
+  Bytes edited = a.Overwritten(1, patch, 0, 2);
+  EXPECT_EQ(edited.ToVector(), (std::vector<uint8_t>{1, 9, 9, 4}));
+  EXPECT_EQ(a.ToVector(), (std::vector<uint8_t>{1, 2, 3, 4}));  // holders see no change
+  EXPECT_EQ(b.data(), a.data());
+  // Writing past the end zero-extends.
+  EXPECT_EQ(a.Overwritten(6, patch, 1, 1).ToVector(), (std::vector<uint8_t>{1, 2, 3, 4, 0, 0, 9}));
+  // A write that replaces everything and is exactly the source is the source.
+  Bytes whole(std::vector<uint8_t>{7, 7, 7, 7, 7});
+  EXPECT_EQ(a.Overwritten(0, whole, 0, 5).data(), whole.data());
+  EXPECT_EQ(a.Overwritten(0, whole, 1, 4).ToVector(), (std::vector<uint8_t>{7, 7, 7, 7}));
+  EXPECT_EQ(a.Resized(2).ToVector(), (std::vector<uint8_t>{1, 2}));
+  EXPECT_EQ(a.Resized(6).ToVector(), (std::vector<uint8_t>{1, 2, 3, 4, 0, 0}));
 }
 
 TEST(ProtoTest, FileHandleEqualityAndHashing) {

@@ -56,7 +56,7 @@ proto::Request MakeCreate(const std::string& name) {
 TEST(RpcTest, BasicRoundTrip) {
   Rig rig;
   rig.server.set_handler(
-      [](const proto::Request& req, net::Address) -> sim::Task<proto::Reply> {
+      [](proto::Request req, net::Address) -> sim::Task<proto::Reply> {
         const auto& lookup = std::get<proto::LookupReq>(req);
         proto::LookupRep rep;
         rep.fh = proto::FileHandle{1, 99, 0};
@@ -86,7 +86,7 @@ TEST(RpcTest, BasicRoundTrip) {
 
 TEST(RpcTest, ErrorStatusPropagates) {
   Rig rig;
-  rig.server.set_handler([](const proto::Request&, net::Address) -> sim::Task<proto::Reply> {
+  rig.server.set_handler([](proto::Request, net::Address) -> sim::Task<proto::Reply> {
     co_return proto::ErrorReply(base::ErrNoEnt());
   });
   bool done = false;
@@ -124,7 +124,7 @@ TEST(RpcTest, RetransmitsUnderPacketLossAndSucceeds) {
   int executions = 0;
   rig.server.set_handler(
       // lint: coro-lambda-ok (handler and captures share the test scope)
-      [&executions](const proto::Request&, net::Address) -> sim::Task<proto::Reply> {
+      [&executions](proto::Request, net::Address) -> sim::Task<proto::Reply> {
         ++executions;
         co_return proto::OkReply(proto::NullRep{});
       });
@@ -158,7 +158,7 @@ TEST(RpcTest, DuplicateRequestsExecuteExactlyOnce) {
   int executions = 0;
   rig.server.set_handler(
       // lint: coro-lambda-ok (handler and captures share the test scope)
-      [&executions, &rig](const proto::Request&, net::Address) -> sim::Task<proto::Reply> {
+      [&executions, &rig](proto::Request, net::Address) -> sim::Task<proto::Reply> {
         ++executions;
         co_await sim::Sleep(rig.simulator, sim::Msec(200));
         co_return proto::OkReply(proto::NullRep{});
@@ -205,12 +205,12 @@ TEST(RpcTest, ServerCanCallBackIntoClient) {
   // The SNFS callback pattern: while serving a request from A, the server
   // calls B (here: calls A itself) and awaits the result before replying.
   Rig rig;
-  rig.client.set_handler([](const proto::Request&, net::Address) -> sim::Task<proto::Reply> {
+  rig.client.set_handler([](proto::Request, net::Address) -> sim::Task<proto::Reply> {
     co_return proto::OkReply(proto::CallbackRep{});
   });
   rig.server.set_handler(
       // lint: coro-lambda-ok (handler and captures share the test scope)
-      [&rig](const proto::Request&, net::Address from) -> sim::Task<proto::Reply> {
+      [&rig](proto::Request, net::Address from) -> sim::Task<proto::Reply> {
         proto::CallbackReq cb;
         cb.invalidate = true;
         auto result = co_await rig.server.Call(from, proto::Request(cb));
@@ -240,7 +240,7 @@ TEST(RpcTest, WorkerPoolBoundsConcurrency) {
   int peak = 0;
   rig.server.set_handler(
       // lint: coro-lambda-ok (handler and captures share the test scope)
-      [&](const proto::Request&, net::Address) -> sim::Task<proto::Reply> {
+      [&](proto::Request, net::Address) -> sim::Task<proto::Reply> {
         ++running;
         peak = std::max(peak, running);
         co_await sim::Sleep(rig.simulator, sim::Msec(50));
@@ -258,16 +258,16 @@ TEST(RpcTest, WorkerPoolBoundsConcurrency) {
 
 TEST(RpcTest, WireSizeScalesWithPayload) {
   proto::WriteReq small;
-  small.data.resize(100);
+  small.data = std::vector<uint8_t>(100);
   proto::WriteReq big;
-  big.data.resize(4096);
+  big.data = std::vector<uint8_t>(4096);
   EXPECT_GT(proto::WireSize(proto::Request(big)), proto::WireSize(proto::Request(small)) + 3900);
 }
 
 TEST(RpcTest, ShutdownFailsPendingCalls) {
   Rig rig;
   // lint: coro-lambda-ok (handler and captures share the test scope)
-  rig.server.set_handler([&rig](const proto::Request&, net::Address) -> sim::Task<proto::Reply> {
+  rig.server.set_handler([&rig](proto::Request, net::Address) -> sim::Task<proto::Reply> {
     co_await sim::Sleep(rig.simulator, sim::Sec(100));
     co_return proto::OkReply(proto::NullRep{});
   });
@@ -296,7 +296,7 @@ TEST(RpcTest, GhostRepliesFromDeadGenerationAreDropped) {
   int executions = 0;
   rig.server.set_handler(
       // lint: coro-lambda-ok (handler and captures share the test scope)
-      [&executions, &rig](const proto::Request&, net::Address) -> sim::Task<proto::Reply> {
+      [&executions, &rig](proto::Request, net::Address) -> sim::Task<proto::Reply> {
         int n = ++executions;
         co_await sim::Sleep(rig.simulator, sim::Msec(100));
         proto::LookupRep rep;
@@ -334,7 +334,7 @@ TEST(RpcTest, ShutdownClearsPendingCallsImmediately) {
   // incarnation, and repeated crash cycles must not grow the map.
   Rig rig;
   // lint: coro-lambda-ok (handler and captures share the test scope)
-  rig.server.set_handler([&rig](const proto::Request&, net::Address) -> sim::Task<proto::Reply> {
+  rig.server.set_handler([&rig](proto::Request, net::Address) -> sim::Task<proto::Reply> {
     co_await sim::Sleep(rig.simulator, sim::Sec(100));
     co_return proto::OkReply(proto::NullRep{});
   });
@@ -361,7 +361,7 @@ TEST(RpcTest, RetriedCallTracesOneLogicalSpanWithAttemptChildren) {
   trace::SetActive(&recorder);
 
   // lint: coro-lambda-ok (handler and captures share the test scope)
-  rig.server.set_handler([&rig](const proto::Request&, net::Address) -> sim::Task<proto::Reply> {
+  rig.server.set_handler([&rig](proto::Request, net::Address) -> sim::Task<proto::Reply> {
     co_await sim::Sleep(rig.simulator, sim::Msec(200));
     co_return proto::OkReply(proto::NullRep{});
   });
@@ -432,7 +432,7 @@ TEST(RpcTest, DupCacheEvictionIsBoundedWithInProgressEntries) {
   Rig rig({}, server_opts);
   rig.server.set_handler(
       // lint: coro-lambda-ok (handler and captures share the test scope)
-      [&rig](const proto::Request& req, net::Address) -> sim::Task<proto::Reply> {
+      [&rig](proto::Request req, net::Address) -> sim::Task<proto::Reply> {
         if (std::holds_alternative<proto::CreateReq>(req)) {
           co_await sim::Sleep(rig.simulator, sim::Sec(5000));  // park
         }
@@ -478,11 +478,11 @@ TEST(RpcTest, RetransmittedIdempotentCallRunsAgainUncached) {
   int executions = 0;
   rig.server.set_handler(
       // lint: coro-lambda-ok (handler and captures share the test scope)
-      [&executions, &rig](const proto::Request&, net::Address) -> sim::Task<proto::Reply> {
+      [&executions, &rig](proto::Request, net::Address) -> sim::Task<proto::Reply> {
         ++executions;
         co_await sim::Sleep(rig.simulator, sim::Msec(200));
         proto::ReadRep rep;
-        rep.data.assign(4096, 0x5a);
+        rep.data = std::vector<uint8_t>(4096, 0x5a);
         co_return proto::OkReply(std::move(rep));
       });
   bool done = false;
@@ -541,7 +541,7 @@ TEST(RpcRouterTest, RoutedRequestIsServedForTheClientAndRepliedDirectly) {
   std::vector<int> froms;
   rig.server.set_handler(
       // lint: coro-lambda-ok (handler and captures share the test scope)
-      [&froms](const proto::Request&, net::Address from) -> sim::Task<proto::Reply> {
+      [&froms](proto::Request, net::Address from) -> sim::Task<proto::Reply> {
         froms.push_back(from.host);
         co_return proto::OkReply(proto::CreateRep{});
       });
@@ -615,7 +615,7 @@ TEST(RpcRouterTest, RoutedRetransmissionHitsServerDupCacheKeyedByClient) {
   std::vector<int> froms;
   rig.server.set_handler(
       // lint: coro-lambda-ok (handler and captures share the test scope)
-      [&froms, &rig](const proto::Request&, net::Address from) -> sim::Task<proto::Reply> {
+      [&froms, &rig](proto::Request, net::Address from) -> sim::Task<proto::Reply> {
         froms.push_back(from.host);
         co_await sim::Sleep(rig.simulator, sim::Msec(200));
         co_return proto::OkReply(proto::CreateRep{});

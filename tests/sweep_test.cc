@@ -31,7 +31,7 @@ TEST_P(RpcLossSweep, AllCallsCompleteExactlyOnce) {
   int executions = 0;
   server.set_handler(
       // lint: coro-lambda-ok (handler and captures share the test scope)
-      [&executions](const proto::Request&, net::Address) -> sim::Task<proto::Reply> {
+      [&executions](proto::Request, net::Address) -> sim::Task<proto::Reply> {
         ++executions;
         co_return proto::OkReply(proto::NullRep{});
       });
@@ -75,19 +75,18 @@ TEST_P(CacheCapacitySweep, RandomWorkloadMatchesBackingStore) {
   cache::BufferCache cache(simulator, params);
 
   // A faithful backing store: an in-memory block map with simulated delay.
-  auto store_map = std::make_shared<std::map<std::pair<uint64_t, uint64_t>,
-                                             std::vector<uint8_t>>>();
+  auto store_map =
+      std::make_shared<std::map<std::pair<uint64_t, uint64_t>, proto::Bytes>>();
   cache::Backing backing;
   // lint: coro-lambda-ok (backing and simulator share the test scope)
   backing.fetch = [store_map, &simulator](uint64_t file, uint64_t block)
-      -> sim::Task<base::Result<std::vector<uint8_t>>> {
+      -> sim::Task<base::Result<proto::Bytes>> {
     co_await sim::Sleep(simulator, sim::Msec(5));
     auto it = store_map->find({file, block});
-    co_return it == store_map->end() ? std::vector<uint8_t>() : it->second;
+    co_return it == store_map->end() ? proto::Bytes() : it->second;
   };
   // lint: coro-lambda-ok (backing and simulator share the test scope)
-  backing.store = [store_map, &simulator](uint64_t file, uint64_t block,
-                                          std::vector<uint8_t> data)
+  backing.store = [store_map, &simulator](uint64_t file, uint64_t block, proto::Bytes data)
       -> sim::Task<base::Result<void>> {
     co_await sim::Sleep(simulator, sim::Msec(5));
     (*store_map)[{file, block}] = std::move(data);
@@ -107,7 +106,7 @@ TEST_P(CacheCapacitySweep, RandomWorkloadMatchesBackingStore) {
       uint64_t block = static_cast<uint64_t>(rng.UniformInt(0, 15));
       if (rng.Bernoulli(0.5)) {
         uint8_t fill = static_cast<uint8_t>(rng.Next());
-        std::vector<uint8_t> data(cache::kBlockSize, fill);
+        proto::Bytes data(std::vector<uint8_t>(cache::kBlockSize, fill));
         EXPECT_TRUE((co_await cache.WriteDelayed(mount, file, block * cache::kBlockSize, data,
                                                  file_size[file]))
                         .ok());
