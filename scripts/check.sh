@@ -18,10 +18,11 @@
 #     as LocalFs::Write and the protocol clients' counters) and run its
 #     selftest: every workload's correctness gates in both trace modes,
 #     determinism per seed, and metric names against BENCHMARK.json.
-#  6. ASan/UBSan: rebuild the whole tree under -fsanitize=address,undefined
-#     (the `asan` CMake preset) and run every test under it — coroutines
-#     outliving peers and use-after-free on restart or on a remove racing a
-#     suspended operation only show up there.
+#  6. ASan/UBSan with LeakSanitizer: rebuild the whole tree under
+#     -fsanitize=address,undefined (the `asan` CMake preset) and run every
+#     test under it with leak detection on — coroutines outliving peers,
+#     use-after-free on restart or on a remove racing a suspended operation,
+#     and a coroutine frame that outlives its simulation only show up there.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -130,12 +131,10 @@ else
   echo "== clang-tidy not installed; skipping =="
 fi
 
-echo "== sanitizers: ASan/UBSan over the whole test suite =="
-# Leak detection stays off: coroutine frames still suspended when a Simulator
-# is torn down are reported as leaks. This is a pre-existing, codebase-wide
-# pattern (the seed's sim_test reports the same under ASan); ASan/UBSan still
-# catch use-after-free, heap overflow, and UB with leak checking disabled.
-export ASAN_OPTIONS=detect_leaks=0
+echo "== sanitizers: ASan/UBSan and LeakSanitizer over the whole test suite =="
+# A Simulator destroys every coroutine frame still parked at its teardown
+# (sim::Simulator::ReapParked), so a leak report is a real leak.
+export ASAN_OPTIONS=detect_leaks=1
 cmake --preset asan
 cmake --build build-asan -j
 ctest --test-dir build-asan --output-on-failure -j

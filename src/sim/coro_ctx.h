@@ -31,6 +31,22 @@ inline uint64_t next_activity = 1;
 
 inline uint64_t NewActivity() { return next_activity++; }
 
+// True while a Simulator destroys the frames still parked at its teardown
+// (Simulator::ReapParked). Destroying a frame runs the destructors of its
+// locals; the ones that would otherwise act check this flag and stay
+// inert: Task destroys its started child instead of CHECK-failing,
+// Mutex::Release wakes no waiter, trace::Span records no end event.
+inline bool reaping = false;
+
+// Task starts (children begun by co_await) within the event now running;
+// Simulator::Step zeroes it before each event. A loop whose awaited child
+// never suspends spins at one virtual instant without completing an event,
+// so set_max_events never sees it; past this budget the simulator aborts
+// with its overflow report instead. The largest count the test suite,
+// bench/ and perfbench reach is DESIGN.md §9's; the budget is over 100x it.
+inline uint64_t event_task_starts = 0;
+inline constexpr uint64_t kMaxTaskStartsPerEvent = 4'000'000;
+
 }  // namespace sim::coroctx
 
 #endif  // SRC_SIM_CORO_CTX_H_

@@ -12,6 +12,15 @@
 // global allocator and are counted; pooled blocks are kept until process
 // exit (they remain reachable through the class heads, so leak checkers
 // stay quiet).
+//
+// Frame lifetime. Every frame this pool hands out comes back before its
+// simulation ends: an awaited frame is freed by the Task that awaited it,
+// a spawned root frees itself at final suspend, and a frame still parked
+// (a daemon on its channel, a background sleep) is destroyed by its
+// Simulator's teardown, together with the children it awaits
+// (Simulator::ReapParked, task.h's lifetime rules). LiveFrames() counts
+// allocations minus frees, so a test can assert that a torn-down
+// simulation left none behind.
 #ifndef SRC_SIM_FRAME_POOL_H_
 #define SRC_SIM_FRAME_POOL_H_
 
@@ -38,10 +47,14 @@ struct FreeBlock {
 
 inline FreeBlock* g_free[kNumClasses] = {};
 inline uint64_t g_unpooled_allocs = 0;
+inline uint64_t g_live_frames = 0;
 
 // Frames allocated with plain new because they exceed kMaxPooledBytes,
 // since process start.
 inline uint64_t UnpooledAllocs() { return g_unpooled_allocs; }
+
+// Frames allocated and not yet freed, pooled or not.
+inline uint64_t LiveFrames() { return g_live_frames; }
 
 // Class index for a request of n bytes; kNumClasses if not pooled.
 inline size_t ClassOf(size_t n) {
@@ -49,6 +62,7 @@ inline size_t ClassOf(size_t n) {
 }
 
 inline void* Alloc(size_t n) {
+  ++g_live_frames;
   size_t cls = ClassOf(n);
   if (cls >= kNumClasses) {
     ++g_unpooled_allocs;
@@ -63,6 +77,7 @@ inline void* Alloc(size_t n) {
 }
 
 inline void Free(void* p, size_t n) {
+  --g_live_frames;
   size_t cls = ClassOf(n);
   if (cls >= kNumClasses) {
     ::operator delete(p);

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "src/base/log.h"
 #include "src/sim/coro_ctx.h"
@@ -44,12 +45,14 @@ struct FarLater {
 }  // namespace
 
 Simulator::Simulator() : wheel_(std::make_unique<Bucket[]>(kWheelSpan)) {
+  roots_.prev = roots_.next = &roots_;
   LiveSimulators().push_back(this);
   g_current = this;
   base::SetLogNowHook(&LogNow);
 }
 
 Simulator::~Simulator() {
+  ReapParked();
   std::vector<Simulator*>& live = LiveSimulators();
   live.erase(std::remove(live.begin(), live.end(), this), live.end());
   if (g_current == this) {
@@ -260,26 +263,56 @@ void Simulator::Spawn(Task<void> task) {
   // A spawned task is a new top-level chain, not part of the spawner's
   // activity — re-mint so lock-ownership checks see it as a stranger.
   handle.promise().activity = coroctx::NewActivity();
+  handle.promise().InsertBefore(roots_);
   ScheduleResumeAt(now_, handle);
 }
 
-void Simulator::ReportEventOverflow(Time at, uint64_t seq, bool background) {
-  std::fprintf(
-      stderr,
-      "sim::Simulator: event budget exhausted after %llu events (set_max_events)\n"
-      "  virtual time: %lld us\n"
-      "  offending event: at=%lld us seq=%llu %s\n"
-      "  pending: %llu foreground + %llu background events\n"
-      "  last completed event's trace span: %llu\n"
-      "Likely a runaway event loop; if the workload is genuinely this large,\n"
-      "raise the budget with set_max_events().\n",
-      static_cast<unsigned long long>(events_processed_), static_cast<long long>(now_),
-      static_cast<long long>(at), static_cast<unsigned long long>(seq),
-      background ? "background" : "foreground",
-      static_cast<unsigned long long>(foreground_pending_),
-      static_cast<unsigned long long>(background_pending_),
-      static_cast<unsigned long long>(last_event_span_));
+void Simulator::ReapParked() {
+  reaped_ = true;
+  bool outer_reaping = std::exchange(coroctx::reaping, true);
+  // A reaped trace::Span restores the ambient span it saved; put the
+  // caller's back, since roots created after teardown inherit it.
+  uint64_t span = tracectx::current_span;
+  while (roots_.next != &roots_) {
+    detail::RootLink* root = roots_.next;
+    root->Unlink();
+    // Spawn only takes Task<void>, so every root has its promise type.
+    auto& promise =
+        static_cast<Task<void>::promise_type&>(static_cast<detail::PromiseBase&>(*root));
+    Task<void>::Handle::from_promise(promise).destroy();
+  }
+  coroctx::reaping = outer_reaping;
+  tracectx::current_span = span;
+}
+
+void Simulator::ReportOverflow(const char* budget, const char* span_label, uint64_t span,
+                               const char* hint) {
+  std::fprintf(stderr,
+               "sim::Simulator: %s\n"
+               "  virtual time: %lld us\n"
+               "  offending event: at=%lld us seq=%llu %s\n"
+               "  pending: %llu foreground + %llu background events\n"
+               "  %s: %llu\n"
+               "%s\n",
+               budget, static_cast<long long>(now_), static_cast<long long>(now_),
+               static_cast<unsigned long long>(running_seq_),
+               running_background_ ? "background" : "foreground",
+               static_cast<unsigned long long>(foreground_pending_),
+               static_cast<unsigned long long>(background_pending_), span_label,
+               static_cast<unsigned long long>(span), hint);
   std::abort();
+}
+
+void detail::ReportTaskStartOverflow() {
+  char budget[160];
+  std::snprintf(budget, sizeof budget,
+                "task-start budget exhausted: more than %llu Task starts within one event",
+                static_cast<unsigned long long>(coroctx::kMaxTaskStartsPerEvent));
+  CHECK(g_current != nullptr);  // tasks start only inside a simulator's events
+  g_current->ReportOverflow(
+      budget, "ambient trace span", tracectx::current_span,
+      "Likely a loop whose awaited child never suspends: it re-tests a condition\n"
+      "that cannot change until the loop yields to another event.");
 }
 
 bool Simulator::Step() {
@@ -299,8 +332,16 @@ bool Simulator::Step() {
     --foreground_pending_;
   }
   ++events_processed_;
+  running_seq_ = node->seq;
+  running_background_ = node->background;
   if (events_processed_ >= max_events_) {
-    ReportEventOverflow(node->at, node->seq, node->background);
+    char budget[96];
+    std::snprintf(budget, sizeof budget,
+                  "event budget exhausted after %llu events (set_max_events)",
+                  static_cast<unsigned long long>(events_processed_));
+    ReportOverflow(budget, "last completed event's trace span", last_event_span_,
+                   "Likely a runaway event loop; if the workload is genuinely this large,\n"
+                   "raise the budget with set_max_events().");
   }
   if (step_observer_) {
     step_observer_(node->at, node->seq);
@@ -311,6 +352,7 @@ bool Simulator::Step() {
   // awaiter hooks.
   tracectx::current_span = 0;
   coroctx::current_activity = 0;
+  coroctx::event_task_starts = 0;
   if (node->handle) {
     std::coroutine_handle<> h = node->handle;
     FreeNode(node);
@@ -325,12 +367,14 @@ bool Simulator::Step() {
 }
 
 Time Simulator::Run() {
+  CHECK(!reaped_);  // queued resumptions may name reaped frames
   while (foreground_pending_ > 0 && Step()) {
   }
   return now_;
 }
 
 Time Simulator::RunUntil(Time deadline) {
+  CHECK(!reaped_);
   while (true) {
     Time next = PeekNextTime();
     if (next == kNoTime || next > deadline) {

@@ -67,7 +67,16 @@ class Simulator {
 
   // Start a detached coroutine. The task begins running at the current
   // virtual time (via the event queue) and owns itself until completion.
+  // Until then it is one of this simulator's roots (see ReapParked).
   void Spawn(Task<void> task);
+
+  // Destroy every spawned root still parked (on a channel, a lock, a
+  // future, a sleep, or not yet started), together with the child tasks it
+  // awaits. Resumes nothing, schedules no event and records no trace event,
+  // so no figure moves; the simulator cannot Run again afterwards. The
+  // destructor calls it. An owner whose parked frames may hold locks in
+  // objects it destroys before the simulator calls it first (testbed::Rig).
+  void ReapParked();
 
   // Process events until no foreground events remain. Returns the final
   // time. Parked coroutines (channel receivers with nothing to receive) and
@@ -80,7 +89,9 @@ class Simulator {
 
   // Safety valve: on overflow, abort with the current virtual time, the
   // pending-event counts, and the last event's trace span (catches
-  // accidental infinite event loops in tests and fault sweeps).
+  // accidental infinite event loops in tests and fault sweeps). A loop
+  // that never lets its event end trips the per-event task-start budget
+  // instead (coroctx::kMaxTaskStartsPerEvent), through the same report.
   void set_max_events(uint64_t n) { max_events_ = n; }
 
   uint64_t events_processed() const { return events_processed_; }
@@ -134,7 +145,11 @@ class Simulator {
   // Time of the next event without advancing the clock; kNoTime if none.
   Time PeekNextTime() const;
   bool Step();  // run one event; false if queue empty
-  [[noreturn]] void ReportEventOverflow(Time at, uint64_t seq, bool background);
+  // Abort naming the budget that tripped, the running event's (at, seq)
+  // and kind, the pending counts, and a trace span.
+  [[noreturn]] void ReportOverflow(const char* budget, const char* span_label, uint64_t span,
+                                   const char* hint);
+  friend void detail::ReportTaskStartOverflow();
 
   Time now_ = 0;
   uint64_t foreground_pending_ = 0;
@@ -143,8 +158,15 @@ class Simulator {
   uint64_t events_processed_ = 0;
   uint64_t max_events_ = 2'000'000'000;
   // Trace span left ambient by the most recently completed event; reported
-  // by ReportEventOverflow so runaway loops name their causal span.
+  // by ReportOverflow so runaway loops name their causal span.
   uint64_t last_event_span_ = 0;
+  // The event Step is running, for ReportOverflow.
+  uint64_t running_seq_ = 0;
+  bool running_background_ = false;
+
+  // Sentinel of the circular list of spawned roots not yet finished.
+  detail::RootLink roots_;
+  bool reaped_ = false;
 
   // Now lane: intrusive FIFO of events at exactly now_.
   EventNode* now_head_ = nullptr;

@@ -57,6 +57,14 @@ class Mutex {
 
   void Release() {
     CHECK(locked_);
+    if (coroctx::reaping) {
+      // A ScopedLock in a frame destroyed at teardown: its waiters are
+      // parked frames being destroyed too, so unlock and wake nobody.
+      locked_ = false;
+      owner_ = 0;
+      waiters_.clear();
+      return;
+    }
     CHECK(owner_ == coroctx::current_activity);  // release by non-owner
     if (!waiters_.empty()) {
       // Ownership transfers directly to the first waiter.

@@ -9,8 +9,21 @@
 //  - An awaited task completes before the awaiter resumes, so the Task
 //    object always outlives the coroutine frame.
 //  - A spawned task owns itself; its frame is destroyed at final-suspend.
-//  - Destroying a Task that was started but is not finished is a bug
-//    (some awaitable still holds its handle); we CHECK against it.
+//    Until then it is linked into its simulator's list of roots.
+//  - A root still parked when its simulation ends (a daemon on its
+//    channel, a background sleep, an op cut off by RunUntil) is destroyed
+//    by Simulator::ReapParked: from testbed::Rig's destructor before the
+//    machines die, else from ~Simulator. Destroying a root destroys the
+//    Task objects in its frame, and each destroys the child it awaits, so
+//    the whole parked chain goes with it. Reaping resumes nothing,
+//    schedules no event and records no trace event (coroctx::reaping).
+//  - An owner that destroys its machines before its simulator (perfbench's
+//    Topology) relies on ~Simulator alone, so the reaped frames' locals
+//    must touch nothing the machines owned. That holds once Run() has
+//    drained: no frame is then parked inside a ScopedLock section, the
+//    one local whose destructor reaches into a machine.
+//  - Destroying a Task that was started but is not finished is otherwise a
+//    bug (some awaitable still holds its handle); we CHECK against it.
 #ifndef SRC_SIM_TASK_H_
 #define SRC_SIM_TASK_H_
 
@@ -65,7 +78,37 @@ struct TraceAwaiter {
   }
 };
 
-struct PromiseBase {
+// Links a spawned root's frame into its simulator's circular list of live
+// roots (Simulator::Spawn links, final suspend unlinks), so that teardown
+// can find every root still parked.
+struct RootLink {
+  RootLink* prev = nullptr;
+  RootLink* next = nullptr;
+
+  void InsertBefore(RootLink& head) {
+    prev = head.prev;
+    next = &head;
+    head.prev->next = this;
+    head.prev = this;
+  }
+  void Unlink() {
+    prev->next = next;
+    next->prev = prev;
+    prev = next = nullptr;
+  }
+};
+
+// Aborts through the running simulator's overflow report once the running
+// event has started more than coroctx::kMaxTaskStartsPerEvent tasks.
+[[noreturn]] void ReportTaskStartOverflow();
+
+inline void CountTaskStart() {
+  if (++coroctx::event_task_starts > coroctx::kMaxTaskStartsPerEvent) {
+    ReportTaskStartOverflow();
+  }
+}
+
+struct PromiseBase : RootLink {
   // Coroutine frames allocate through the size-class pool: every simulated
   // activity is a Task, so this removes a malloc/free pair per activity on
   // the hot path (frame_pool.h).
@@ -115,6 +158,7 @@ struct PromiseBase {
           std::fprintf(stderr, "sim::Task: unhandled exception in detached task\n");
           std::abort();
         }
+        p.Unlink();
         h.destroy();
       }
       return std::noop_coroutine();
@@ -164,6 +208,7 @@ class [[nodiscard]] Task {
   bool await_ready() const noexcept { return false; }
   std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiter) {
     CHECK(handle_ && !handle_.promise().started);
+    detail::CountTaskStart();
     handle_.promise().started = true;
     handle_.promise().continuation = awaiter;
     return handle_;
@@ -183,8 +228,9 @@ class [[nodiscard]] Task {
  private:
   void Reset() {
     if (handle_) {
-      // Either never started, or ran to completion under co_await.
-      CHECK(!handle_.promise().started || handle_.done());
+      // Either never started, or ran to completion under co_await, or its
+      // parked awaiter is being reaped at teardown.
+      CHECK(!handle_.promise().started || handle_.done() || coroctx::reaping);
       handle_.destroy();
       handle_ = {};
     }
@@ -227,6 +273,7 @@ class [[nodiscard]] Task<void> {
   bool await_ready() const noexcept { return false; }
   std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiter) {
     CHECK(handle_ && !handle_.promise().started);
+    detail::CountTaskStart();
     handle_.promise().started = true;
     handle_.promise().continuation = awaiter;
     return handle_;
@@ -243,7 +290,7 @@ class [[nodiscard]] Task<void> {
  private:
   void Reset() {
     if (handle_) {
-      CHECK(!handle_.promise().started || handle_.done());
+      CHECK(!handle_.promise().started || handle_.done() || coroctx::reaping);
       handle_.destroy();
       handle_ = {};
     }

@@ -43,6 +43,8 @@ Rig::Rig(RigOptions options)
   }
 }
 
+Rig::~Rig() { simulator_.ReapParked(); }
+
 void Rig::BuildClassic() {
   bool remote = options_.protocol != Protocol::kLocal;
   if (remote) {

@@ -70,6 +70,13 @@ struct RigOptions {
 class Rig {
  public:
   explicit Rig(RigOptions options);
+  // Reaps the simulator's parked frames (daemons, and any op a RunUntil
+  // cut short) before the machines die, so a frame parked inside a
+  // critical section releases a lock that still exists.
+  ~Rig();
+
+  Rig(const Rig&) = delete;
+  Rig& operator=(const Rig&) = delete;
 
   // Where benchmark data / temporaries should go.
   const std::string& data_root() const { return data_root_; }    // "/data"

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "src/base/check.h"
+#include "src/sim/coro_ctx.h"
 #include "src/sim/simulator.h"
 
 namespace trace {
@@ -275,7 +276,10 @@ void Span::End(std::string args) {
   if (id_ == 0) {
     return;
   }
-  if (Recorder* recorder = Active()) {
+  // A span in a frame reaped at teardown ended with its simulation, not
+  // here: record nothing.
+  Recorder* recorder = Active();
+  if (recorder != nullptr && !sim::coroctx::reaping) {
     recorder->EndSpan(id_, std::move(args));
   }
   sim::tracectx::current_span = saved_ambient_;

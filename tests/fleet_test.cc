@@ -1,15 +1,22 @@
 // Fleet tests: ShardMap routing edges, the N-server x M-client rig topology
-// for all three protocols, and the fleet::MetaCache metadata tier
-// (coherence through interposed mutations, reads routed around the tier,
-// miss coalescing, bounded eviction, and the MetaInval administration RPC).
+// for all three protocols, the fleet::MetaCache metadata tier (coherence
+// through interposed mutations, reads routed around the tier, miss
+// coalescing, bounded eviction, and the MetaInval administration RPC), and
+// teardown: every classic and fleet rig, and a rig-less topology, frees
+// every coroutine frame its simulation left parked.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/fault/plan.h"
 #include "src/fleet/meta_cache.h"
 #include "src/fleet/shard_map.h"
+#include "src/sim/frame_pool.h"
+#include "src/sim/trace_ctx.h"
 #include "src/testbed/rig.h"
+#include "src/trace/trace.h"
 
 namespace fleet {
 namespace {
@@ -415,6 +422,148 @@ TEST(MetaCacheTest, EvictionKeepsTablesBounded) {
   EXPECT_GT(rig.meta_cache()->evictions(), 0u);
   EXPECT_LE(rig.meta_cache()->attr_entries(), 2u);
   EXPECT_LE(rig.meta_cache()->lookup_entries(), 2u);
+}
+
+// --- teardown ----------------------------------------------------------------
+
+sim::Task<void> WriteThenRead(Rig& rig, std::string path, bool& done) {
+  EXPECT_TRUE((co_await rig.client(0).vfs().WriteFile(path, Bytes("payload"))).ok());
+  auto got = co_await rig.client(rig.num_clients() - 1).vfs().ReadFile(path);
+  EXPECT_TRUE(got.ok() && Str(*got) == "payload");
+  done = true;
+}
+
+// A short workload leaves the rig's daemons parked: RPC workers, biods,
+// sync and callback daemons, the tier's workers. A second op is cut off
+// mid-flight, so frames are also parked inside open spans. Destroying the
+// rig frees every frame, records no trace event and leaves the ambient
+// span as it was.
+void ExpectRigTeardownFreesEveryFrame(const RigOptions& options, const std::string& dir) {
+  uint64_t live_before = sim::framepool::LiveFrames();
+  auto rig = std::make_unique<Rig>(options);
+  trace::Recorder recorder(rig->simulator());
+  trace::SetActive(&recorder);
+  bool done = false;
+  rig->simulator().Spawn(WriteThenRead(*rig, dir + "/f", done));
+  rig->simulator().Run();
+  EXPECT_TRUE(done);
+  bool cut_done = false;
+  rig->simulator().Spawn(WriteThenRead(*rig, dir + "/g", cut_done));
+  rig->simulator().RunUntil(rig->simulator().Now() + sim::Msec(3));
+  EXPECT_FALSE(cut_done);
+
+  size_t recorded = recorder.events().size();
+  uint64_t ambient_span = sim::tracectx::current_span;
+  rig.reset();
+  EXPECT_EQ(recorder.events().size(), recorded);
+  EXPECT_EQ(sim::tracectx::current_span, ambient_span);
+  trace::SetActive(nullptr);
+  EXPECT_EQ(sim::framepool::LiveFrames(), live_before);
+}
+
+TEST(TeardownTest, ClassicRigsFreeEveryFrame) {
+  for (Protocol protocol : {Protocol::kNfs, Protocol::kSnfs, Protocol::kNqnfs}) {
+    SCOPED_TRACE(std::string(ProtocolName(protocol)));
+    RigOptions options;
+    options.protocol = protocol;
+    options.remote_tmp = true;
+    ExpectRigTeardownFreesEveryFrame(options, "/data");
+  }
+}
+
+TEST(TeardownTest, FourShardFleetRigWithMetaCacheFreesEveryFrame) {
+  ExpectRigTeardownFreesEveryFrame(FleetOptions(Protocol::kNfs, 4, 2, /*cache=*/true),
+                                   "/data/s1");
+}
+
+// perfbench's topology, built without Rig: the members are declared in
+// this order, so clients, tier, servers and network die before the
+// simulator, and ~Simulator alone reaps the frames they left parked. Their
+// locals must touch nothing those machines owned.
+struct TopologyOrdered {
+  TopologyOrdered(Protocol protocol, int num_servers, int num_clients) {
+    testbed::ServerProtocol server_protocol =
+        protocol == Protocol::kNfs    ? testbed::ServerProtocol::kNfs
+        : protocol == Protocol::kSnfs ? testbed::ServerProtocol::kSnfs
+                                      : testbed::ServerProtocol::kNqnfs;
+    for (int s = 0; s < num_servers; ++s) {
+      testbed::ServerMachineParams params;
+      params.fs.fsid = static_cast<uint32_t>(1 + s);
+      servers.push_back(std::make_unique<testbed::ServerMachine>(
+          sim, network, "server" + std::to_string(s), server_protocol, params));
+    }
+    sim.Spawn([](TopologyOrdered& t) -> sim::Task<void> {
+      for (const auto& server : t.servers) {
+        auto data = co_await server->fs().Mkdir(server->fs().root(), "data");
+        CHECK(data.ok());
+        t.exports.push_back(data->fh);
+      }
+    }(*this));
+    sim.Run();
+    if (protocol == Protocol::kNfs) {
+      ShardMap shards;
+      for (int s = 0; s < num_servers; ++s) {
+        shards.AddShard(Shard{s, Rig::ShardRoot(s), servers[static_cast<size_t>(s)]->fs().fsid(),
+                              servers[static_cast<size_t>(s)]->address(),
+                              exports[static_cast<size_t>(s)]});
+      }
+      tier = std::make_unique<MetaCache>(sim, network, "metacache", shards);
+    }
+    for (int c = 0; c < num_clients; ++c) {
+      clients.push_back(
+          std::make_unique<testbed::ClientMachine>(sim, network, "client" + std::to_string(c)));
+      testbed::ClientMachine& client = *clients.back();
+      for (int s = 0; s < num_servers; ++s) {
+        std::string root = Rig::ShardRoot(s);
+        net::Address server = servers[static_cast<size_t>(s)]->address();
+        proto::FileHandle fh = exports[static_cast<size_t>(s)];
+        if (protocol == Protocol::kNfs) {
+          client.MountNfs(root, tier->address(), fh);
+        } else if (protocol == Protocol::kSnfs) {
+          client.MountSnfs(root, server, fh);
+        } else {
+          client.MountNqnfs(root, server, fh);
+        }
+      }
+    }
+    for (const auto& server : servers) {
+      server->Start();
+    }
+    if (tier != nullptr) {
+      tier->Start();
+    }
+    for (const auto& client : clients) {
+      client->Start();
+    }
+  }
+
+  sim::Simulator sim;
+  net::Network network{sim, net::NetworkParams{}, /*seed=*/11};
+  std::vector<std::unique_ptr<testbed::ServerMachine>> servers;
+  std::unique_ptr<MetaCache> tier;
+  std::vector<std::unique_ptr<testbed::ClientMachine>> clients;
+  std::vector<proto::FileHandle> exports;
+};
+
+TEST(TeardownTest, TopologyOrderedMachinesNeedOnlyTheSimulatorDestructor) {
+  for (Protocol protocol : {Protocol::kNfs, Protocol::kSnfs, Protocol::kNqnfs}) {
+    SCOPED_TRACE(std::string(ProtocolName(protocol)));
+    uint64_t live_before = sim::framepool::LiveFrames();
+    {
+      TopologyOrdered t(protocol, 2, 2);
+      bool done = false;
+      t.sim.Spawn([](TopologyOrdered& t, bool& done) -> sim::Task<void> {
+        EXPECT_TRUE((co_await t.clients[0]->vfs().WriteFile("/data/s1/f", Bytes("x"))).ok());
+        auto got = co_await t.clients[1]->vfs().ReadFile("/data/s1/f");
+        EXPECT_TRUE(got.ok() && Str(*got) == "x");
+        done = true;
+      }(t, done));
+      t.sim.Run();
+      EXPECT_TRUE(done);
+      EXPECT_GT(sim::framepool::LiveFrames(), live_before);
+    }
+    EXPECT_EQ(sim::framepool::LiveFrames(), live_before);
+  }
 }
 
 }  // namespace

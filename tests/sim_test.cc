@@ -4,18 +4,21 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/base/log.h"
 #include "src/sim/cpu.h"
+#include "src/sim/frame_pool.h"
 #include "src/sim/future.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
+#include "src/sim/trace_ctx.h"
 
 namespace sim {
 namespace {
@@ -442,6 +445,166 @@ TEST(SimulatorDeathTest, EventBudgetOverflowReportsDiagnostics) {
   EXPECT_DEATH(RunawayLoop(), "virtual time: 3 us");
   EXPECT_DEATH(RunawayLoop(), "offending event: at=3 us seq=3 foreground");
   EXPECT_DEATH(RunawayLoop(), "pending: 0 foreground \\+ 1 background");
+}
+
+// --- per-event task-start budget -------------------------------------------
+
+Task<void> FlushNothing() { co_return; }
+
+// The NQNFS expiry-daemon spin in miniature: the loop re-tests a condition
+// that only another event could change, and its awaited child never
+// suspends, so the event never ends and set_max_events never counts it.
+void SpinWithoutSuspending() {
+  Simulator s;
+  bool dirty = true;
+  s.Spawn([](bool& dirty) -> Task<void> {
+    ScopedTraceSpan span(42);
+    while (dirty) {
+      co_await FlushNothing();
+    }
+  }(dirty));
+  s.Run();
+}
+
+TEST(SimulatorDeathTest, LoopWhoseAwaitedChildNeverSuspendsTripsTheStartBudget) {
+#ifdef __SANITIZE_ADDRESS__
+  // Sanitizer instrumentation keeps symmetric transfer from being a tail
+  // call, so each synchronous await nests two stack frames and the loop
+  // exhausts the stack (after ~25k starts) before it reaches the budget.
+  // It dies either way; it never hangs.
+  EXPECT_DEATH(SpinWithoutSuspending(), "stack-overflow");
+#else
+  EXPECT_DEATH(SpinWithoutSuspending(),
+               "task-start budget exhausted: more than 4000000 Task starts within one event.*"
+               "virtual time: 0 us.*offending event: at=0 us seq=0 foreground.*"
+               "ambient trace span: 42");
+#endif
+}
+
+// --- teardown ----------------------------------------------------------------
+
+Task<void> ParkOnChannel(Channel<int>& channel, bool& resumed) {
+  co_await channel.Recv();
+  resumed = true;
+}
+
+Task<void> LeafInsideScopedLock(Mutex& mutex, Channel<int>& channel, bool& resumed) {
+  ScopedLock lock(mutex);
+  co_await lock;
+  co_await ParkOnChannel(channel, resumed);
+}
+
+Task<void> MiddleOfChain(Mutex& mutex, Channel<int>& channel, bool& resumed) {
+  co_await LeafInsideScopedLock(mutex, channel, resumed);
+  resumed = true;
+}
+
+// Destroying a simulator destroys every root it leaves parked, with the
+// children each awaits, wherever it is parked: a channel, a mutex held by
+// another parked root, a semaphore, a wait group, a future, a background
+// sleep, and two awaits below a held ScopedLock whose mutex has a parked
+// waiter. Nothing resumes, every frame is freed, and the ScopedLock's
+// mutex is released.
+TEST(TeardownTest, DestroyingTheSimulatorReapsEveryParkedRoot) {
+  uint64_t live_before = framepool::LiveFrames();
+  auto s = std::make_unique<Simulator>();
+  Channel<int> channel(*s);
+  Mutex held(*s);
+  Mutex scoped(*s);
+  Semaphore semaphore(*s, 0);
+  WaitGroup group(*s);
+  group.Add();
+  Promise<int> promise(*s);
+  bool resumed = false;
+
+  s->Spawn(ParkOnChannel(channel, resumed));
+  s->Spawn([](Mutex& held, Semaphore& semaphore, bool& resumed) -> Task<void> {
+    co_await held.Acquire();
+    co_await semaphore.Acquire();
+    resumed = true;
+  }(held, semaphore, resumed));
+  s->Spawn([](Mutex& held, bool& resumed) -> Task<void> {
+    co_await held.Acquire();
+    resumed = true;
+  }(held, resumed));
+  s->Spawn([](WaitGroup& group, bool& resumed) -> Task<void> {
+    co_await group.Wait();
+    resumed = true;
+  }(group, resumed));
+  s->Spawn([](Future<int> future, bool& resumed) -> Task<void> {
+    co_await future;
+    resumed = true;
+  }(promise.GetFuture(), resumed));
+  s->Spawn([](Simulator& sim, bool& resumed) -> Task<void> {
+    co_await Sleep(sim, Sec(30), /*background=*/true);
+    resumed = true;
+  }(*s, resumed));
+  s->Spawn([](Mutex& scoped, Channel<int>& channel, bool& resumed) -> Task<void> {
+    co_await MiddleOfChain(scoped, channel, resumed);
+    resumed = true;
+  }(scoped, channel, resumed));
+  s->Spawn([](Mutex& scoped, bool& resumed) -> Task<void> {
+    ScopedLock lock(scoped);
+    co_await lock;
+    resumed = true;
+  }(scoped, resumed));
+  s->Run();
+  ASSERT_TRUE(held.locked());
+  ASSERT_TRUE(scoped.locked());
+  // Eight roots, plus the three-frame chain below the ScopedLock root.
+  EXPECT_EQ(framepool::LiveFrames() - live_before, 11u);
+
+  s.reset();
+  EXPECT_EQ(framepool::LiveFrames(), live_before);
+  EXPECT_FALSE(resumed);
+  EXPECT_FALSE(scoped.locked());  // released by the reaped ScopedLock
+  EXPECT_TRUE(held.locked());     // a manual Acquire has no destructor
+}
+
+// Reaping runs no event and queues none: the pending counts and the event
+// total stay where the run left them, and the simulator cannot run again.
+TEST(TeardownTest, ReapingSchedulesNothing) {
+  Simulator s;
+  Channel<int> channel(s);
+  Mutex mutex(s);
+  bool resumed = false;
+  s.Spawn(LeafInsideScopedLock(mutex, channel, resumed));
+  s.Spawn([](Mutex& mutex, bool& resumed) -> Task<void> {
+    co_await mutex.Acquire();
+    resumed = true;
+  }(mutex, resumed));
+  s.Spawn([](Simulator& sim) -> Task<void> {
+    co_await Sleep(sim, Sec(5), /*background=*/true);
+  }(s));
+  s.Run();
+  uint64_t events = s.events_processed();
+  ASSERT_EQ(s.background_pending(), 1u);
+
+  s.ReapParked();
+  EXPECT_EQ(s.events_processed(), events);
+  EXPECT_EQ(s.foreground_pending(), 0u);
+  EXPECT_EQ(s.background_pending(), 1u);
+  EXPECT_FALSE(resumed);
+  EXPECT_FALSE(mutex.locked());
+  EXPECT_DEATH(s.Run(), "reaped_");
+}
+
+// Outside teardown, destroying a child that was started and has not
+// finished is still a bug: something still holds its handle.
+void DestroyStartedChildOutsideTeardown() {
+  Simulator s;
+  Channel<int> channel(s);
+  bool resumed = false;
+  std::optional<Task<void>> child;
+  child.emplace(ParkOnChannel(channel, resumed));
+  s.Spawn([](std::optional<Task<void>>& child) -> Task<void> { co_await *child; }(child));
+  s.Run();
+  child.reset();
+}
+
+TEST(TeardownDeathTest, DestroyingAStartedUnfinishedTaskOutsideTeardownChecks) {
+  EXPECT_DEATH(DestroyStartedChildOutsideTeardown(),
+               "started \\|\\| handle_.done\\(\\) \\|\\| coroctx::reaping");
 }
 
 TEST(RngTest, ForkedStreamsDiffer) {
