@@ -28,8 +28,8 @@ cd "$(dirname "$0")/.."
 
 echo "== tier-1: build + full test suite =="
 cmake -B build -S .
-cmake --build build -j
-(cd build && ctest --output-on-failure -j)
+cmake --build build -j "$(nproc)"
+(cd build && ctest --output-on-failure -j "$(nproc)")
 
 echo "== snfslint: simulator-aware static analysis =="
 # The interprocedural passes (call graph and may-suspend fixpoint) run on
@@ -136,7 +136,7 @@ echo "== sanitizers: ASan/UBSan and LeakSanitizer over the whole test suite =="
 # (sim::Simulator::ReapParked), so a leak report is a real leak.
 export ASAN_OPTIONS=detect_leaks=1
 cmake --preset asan
-cmake --build build-asan -j
-ctest --test-dir build-asan --output-on-failure -j
+cmake --build build-asan -j "$(nproc)"
+ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
 
 echo "All checks passed."

@@ -9,6 +9,14 @@
 namespace cache {
 namespace {
 
+// The sync daemon is traditional Unix /etc/update: every kSyncInterval it
+// writes ALL dirty blocks.
+constexpr sim::Duration kSyncInterval = sim::Sec(30);
+// Dirty evictions go through a bounded asynchronous write-behind pipeline;
+// the evicting writer stalls only when all kFlushBehindSlots are busy (i.e.
+// the process outruns the backing store's drain rate).
+constexpr int kFlushBehindSlots = 4;
+
 // Appends block bytes [from, to) to `out`, clipped to what the block holds.
 void AppendRange(std::vector<uint8_t>& out, const proto::Bytes& block, uint64_t from,
                  uint64_t to) {
@@ -23,7 +31,7 @@ void AppendRange(std::vector<uint8_t>& out, const proto::Bytes& block, uint64_t 
 BufferCache::BufferCache(sim::Simulator& simulator, BufferCacheParams params)
     : simulator_(simulator),
       params_(params),
-      flush_behind_(simulator, params.flush_behind_slots) {}
+      flush_behind_(simulator, kFlushBehindSlots) {}
 
 sim::Mutex& BufferCache::FileGate(const FileKey& fk) {
   auto it = file_gates_.find(fk);
@@ -57,37 +65,11 @@ void BufferCache::Stop() { stop_requested_ = true; }
 
 sim::Task<void> BufferCache::SyncDaemon() {
   while (!stop_requested_) {
-    co_await sim::Sleep(simulator_, params_.sync_interval, /*background=*/true);
+    co_await sim::Sleep(simulator_, kSyncInterval, /*background=*/true);
     if (stop_requested_) {
       break;
     }
-    if (params_.sync_policy == SyncPolicy::kSyncAll) {
-      co_await FlushAll();
-    } else {
-      // Age-based: flush blocks that have been dirty for >= dirty_age.
-      sim::Time cutoff = simulator_.Now() - params_.dirty_age;
-      std::vector<Key> old_blocks;
-      // The flush order of aged blocks is part of the modeled behaviour the
-      // benchmarks lock in; it is stable for a fixed insertion sequence.
-      for (const auto& [fk, blocks] : dirty_blocks_) {  // lint: ordered-ok
-        for (uint64_t b : blocks) {
-          Key key{fk.mount, fk.fileid, b};
-          auto it = entries_.find(key);
-          if (it != entries_.end() && it->second.dirty && it->second.dirty_since <= cutoff) {
-            old_blocks.push_back(key);
-          }
-        }
-      }
-      for (const Key& key : old_blocks) {
-        auto it = entries_.find(key);
-        if (it == entries_.end() || !it->second.dirty) {
-          continue;  // cancelled or flushed while we were writing others
-        }
-        proto::Bytes data = it->second.data;
-        MarkClean(key, it->second);
-        (void)co_await StoreBlock(key, std::move(data));
-      }
-    }
+    co_await FlushAll();
   }
   running_ = false;
 }
@@ -169,7 +151,6 @@ void BufferCache::MarkDirty(const Key& key, Entry& entry) {
     FileKey fk{key.mount, key.fileid};
     bool was_dirty = trace::Active() != nullptr && HasDirty(fk.mount, fk.fileid);
     entry.dirty = true;
-    entry.dirty_since = simulator_.Now();
     dirty_blocks_[fk].insert(key.block);
     NoteDirtyTransition(fk, was_dirty);
   }

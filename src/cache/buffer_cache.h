@@ -48,30 +48,15 @@ namespace cache {
 
 inline constexpr uint32_t kBlockSize = 4096;
 
-// How the sync daemon picks blocks to write back.
-enum class SyncPolicy {
-  // Traditional Unix /etc/update: every interval, write ALL dirty blocks.
-  kSyncAll,
-  // Sprite: write blocks once they reach `dirty_age` in age.
-  kAgeBased,
-};
-
 struct BufferCacheParams {
-  size_t capacity_blocks = 4096;        // 16 MB — the paper's client cache
-  sim::Duration sync_interval = sim::Sec(30);
-  sim::Duration dirty_age = sim::Sec(30);  // used by kAgeBased
-  SyncPolicy sync_policy = SyncPolicy::kSyncAll;
-  bool enable_sync_daemon = true;       // off = "infinite write-delay" (§5.4)
+  size_t capacity_blocks = 4096;   // 16 MB — the paper's client cache
+  bool enable_sync_daemon = true;  // off = "infinite write-delay" (§5.4)
   // 4.3BSD-style sync(): while the update daemon is pushing a file's dirty
   // buffers, a writer to the same file stalls on the busy buffers. This is
   // the mechanism that keeps the paper's SNFS sort slower than the local
   // sort despite identical CPU use: the stall lasts as long as the flush,
   // and remote flushes are an order of magnitude slower per block.
   bool flush_blocks_writers = true;
-  // Dirty evictions go through a bounded asynchronous write-behind
-  // pipeline; the evicting writer stalls only when all slots are busy
-  // (i.e. the process outruns the backing store's drain rate).
-  int flush_behind_slots = 4;
 };
 
 // Per-mount backing store callbacks (issue RPCs / local disk ops).
@@ -184,7 +169,6 @@ class BufferCache {
   struct Entry {
     proto::Bytes data;  // bytes known for this block (<= kBlockSize)
     bool dirty = false;
-    sim::Time dirty_since = 0;
     std::list<Key>::iterator lru_it;
   };
 

@@ -64,11 +64,7 @@ base::Result<LocalFs::Inode*> LocalFs::ResolveDir(proto::FileHandle fh) {
   return inode;
 }
 
-sim::Task<void> LocalFs::MetadataWrite() {
-  if (params_.sync_metadata) {
-    co_await disk_.Write(kBlockSize);
-  }
-}
+sim::Task<void> LocalFs::MetadataWrite() { co_await disk_.Write(kBlockSize); }
 
 // --- Server block cache (timing only) ---------------------------------------
 

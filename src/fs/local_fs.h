@@ -48,7 +48,6 @@ struct LocalFsParams {
   uint32_t fsid = 1;
   // Server buffer cache size in blocks (paper: ~3.5 MB on the server).
   size_t cache_blocks = 896;
-  bool sync_metadata = true;  // FFS-style synchronous structural writes
 };
 
 class LocalFs {
@@ -141,7 +140,7 @@ class LocalFs {
   // range is exactly one block's content, else a new buffer.
   static proto::Bytes LoadData(const Inode& inode, uint64_t offset, uint64_t end);
 
-  // Structural (metadata) write: synchronous when params_.sync_metadata.
+  // Structural (metadata) write: synchronous, as FFS's are.
   sim::Task<void> MetadataWrite();
 
   // Block-presence server cache (timing only; data lives in the inode).

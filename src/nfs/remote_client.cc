@@ -38,10 +38,6 @@ void RemoteClient::Crash() {
   nodes_.clear();
 }
 
-sim::Task<proto::Reply> RemoteClient::HandleCallback(proto::CallbackReq req) {
-  co_return proto::OkReply(proto::CallbackRep{});
-}
-
 // --- node table ----------------------------------------------------------------
 
 void RemoteClient::MergeAttrs(vfs::Gnode& node, const proto::Attr& attr) {

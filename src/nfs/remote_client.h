@@ -7,8 +7,9 @@
 // write RPCs. Only the consistency protocol differs — SNFS is NFS plus
 // open/close RPCs and callbacks (§4.3.1), NQNFS is NFS plus leases — so
 // this class owns everything else, and each protocol supplies open, close,
-// read, write, getattr, truncate, remove, fsync and its callback service,
-// plus a few hooks:
+// read, write, getattr, truncate, remove and fsync, plus a few hooks (SNFS
+// and NQNFS share their data path and callback service in
+// snfs::CachingClient):
 //
 //  * NewNode: the protocol's per-file state (a vfs::Gnode subclass);
 //  * MergeAttrs: how server attributes update a node the mount already
@@ -50,11 +51,6 @@ class RemoteClient : public vfs::FileSystem {
   // lives in kernel memory — dies with the machine. The buffer cache is
   // dropped separately by the machine.
   void Crash();
-
-  // Service a callback RPC from this mount's server (SNFS callbacks and
-  // NQNFS vacates share the channel). A protocol without callbacks has
-  // nothing to write back or invalidate.
-  virtual sim::Task<proto::Reply> HandleCallback(proto::CallbackReq req);
 
   // True when this mount tracks exactly `fh`.
   bool Owns(const proto::FileHandle& fh) const { return FindNode(fh) != nullptr; }

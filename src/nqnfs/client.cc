@@ -11,7 +11,7 @@ namespace nqnfs {
 NqnfsClient::NqnfsClient(sim::Simulator& simulator, rpc::Peer& peer, net::Address server,
                          proto::FileHandle root_fh, cache::BufferCache& cache,
                          NqnfsClientParams params)
-    : RemoteClient(simulator, peer, server, root_fh, cache, "nqnfs"), params_(params) {}
+    : CachingClient(simulator, peer, server, root_fh, cache, "nqnfs"), params_(params) {}
 
 void NqnfsClient::SpawnDaemons(uint64_t generation) {
   simulator_.Spawn(ExpiryDaemon(generation));
@@ -50,14 +50,38 @@ void NqnfsClient::OnReply(const proto::Reply& reply) {
   }
 }
 
-void NqnfsClient::DropLease(NodeRef node, const char* reason) {
-  if (node->lease_expires == 0) {
+void NqnfsClient::DropLease(NqnfsNode& node, const char* reason) {
+  if (node.lease_expires == 0) {
     return;
   }
-  node->lease_expires = 0;
-  node->lease_write = false;
+  node.lease_expires = 0;
+  node.lease_write = false;
   TRACE_INSTANT("nqnfs.lease_end", peer_.address().host,
-                "file=" + std::to_string(node->fh.fileid) + " reason=" + reason);
+                "file=" + std::to_string(node.fh.fileid) + " reason=" + reason);
+}
+
+bool NqnfsClient::MayCache(const CachingNode& gnode, bool write) const {
+  const auto& node = static_cast<const NqnfsNode&>(gnode);
+  return node.lease_expires > simulator_.Now() && (node.lease_write || !write);
+}
+
+void NqnfsClient::AdoptUncachedAttrs(CachingNode& node, const proto::Attr& attr) {
+  if (!cache_.HasDirty(mount_id_, node.fh.fileid)) {
+    node.attr = attr;
+  }
+}
+
+void NqnfsClient::BeforeWriteThrough(CachingNode& node) {
+  // Our own cached blocks would miss this write, so stop trusting them.
+  // This drops cache residency, not the lease — a live read lease (e.g.
+  // after a failed upgrade) stays valid — so emit a distinct event:
+  // `nqnfs.invalidated` would make the trace checker retire the lease
+  // record and flag the next cached read as spurious.
+  if (node.have_cached_data) {
+    DropCachedData(node);
+    TRACE_INSTANT("nqnfs.self_invalidate", peer_.address().host,
+                  "file=" + std::to_string(node.fh.fileid) + " reason=write_through");
+  }
 }
 
 sim::Task<void> NqnfsClient::EnsureLease(NodeRef node, bool write) {
@@ -91,13 +115,11 @@ sim::Task<void> NqnfsClient::EnsureLease(NodeRef node, bool write) {
     // longer vacate us — so any lease a previous incarnation granted on
     // this file is unenforceable and must not license cached service.
     ++grants_denied_seen_;
-    DropLease(node, "denied");
+    DropLease(*node, "denied");
     node->retry_grant_after = std::max(rep->retry_after, now + params_.denied_retry);
     if (node->have_cached_data) {
-      cache_.InvalidateFile(mount_id_, node->fh.fileid);
-      node->have_cached_data = false;
-      TRACE_INSTANT("nqnfs.invalidated", peer_.address().host,
-                    "file=" + std::to_string(node->fh.fileid) + " reason=denied");
+      DropCachedData(*node);
+      TraceInvalidated(*node, "denied");
     }
     if (!cache_.HasDirty(mount_id_, node->fh.fileid)) {
       node->attr = rep->attr;
@@ -105,28 +127,15 @@ sim::Task<void> NqnfsClient::EnsureLease(NodeRef node, bool write) {
     co_return;
   }
 
-  // Cache validation, exactly as an SNFS open (§3.1): cached blocks are
-  // good if they match the latest version or the previous one. The server
-  // reports a distinct prev_version only when a cache at that version on
-  // this host is known coherent: a write grant's own pessimistic bump, or
-  // a version bump caused by this host's leaseless write-through burst.
-  bool cache_valid = node->have_cached_data &&
-                     (node->cached_version == rep->version ||
-                      node->cached_version == rep->prev_version);
-  if (node->have_cached_data && !cache_valid) {
-    cache_.InvalidateFile(mount_id_, node->fh.fileid);
-    node->have_cached_data = false;
-    TRACE_INSTANT("nqnfs.invalidated", peer_.address().host,
-                  "file=" + std::to_string(node->fh.fileid) + " reason=version");
-  }
-  node->cached_version = rep->version;
+  // Cached blocks are good at the previous version too: the server reports
+  // a distinct prev_version only when a cache at that version on this host
+  // is known coherent — a write grant's own pessimistic bump, or a version
+  // bump caused by this host's leaseless write-through burst.
+  Revalidate(*node, rep->version, rep->prev_version, /*accept_prev=*/true);
   node->lease_write = write;
   node->lease_expires = rep->expires;
   node->retry_grant_after = 0;
   node->possibly_inconsistent = rep->possibly_inconsistent;
-  if (rep->possibly_inconsistent) {
-    ++inconsistent_grants_;
-  }
   // The grant carries attributes, replacing NFS's open-time getattr.
   if (!cache_.HasDirty(mount_id_, node->fh.fileid)) {
     node->attr = rep->attr;
@@ -161,7 +170,7 @@ sim::Task<void> NqnfsClient::ExpiryDaemon(uint64_t generation) {
         // out as plain write-throughs. Clean blocks stay for version
         // revalidation at the next grant.
         bool was_write = node->lease_write;
-        DropLease(node, "expire");
+        DropLease(*node, "expire");
         ++lease_expiries_;
         if (was_write && cache_.HasDirty(mount_id_, fileid)) {
           (void)co_await cache_.FlushFile(mount_id_, fileid);
@@ -186,37 +195,7 @@ sim::Task<void> NqnfsClient::ExpiryDaemon(uint64_t generation) {
   }
 }
 
-// --- callbacks ----------------------------------------------------------------
-
-sim::Task<proto::Reply> NqnfsClient::HandleCallback(proto::CallbackReq req) {
-  ++callbacks_served_;
-  trace::Span serve_span;
-  if (trace::Active() != nullptr) {
-    serve_span.Begin("nqnfs.callback_serve", peer_.address().host,
-                     "file=" + std::to_string(req.fh.fileid) +
-                         " wb=" + (req.writeback ? "1" : "0") +
-                         " inv=" + (req.invalidate ? "1" : "0"));
-  }
-  NodeRef node = AsNode<NqnfsNode>(FindNode(req.fh));
-  if (node == nullptr) {
-    co_return proto::OkReply(proto::CallbackRep{});
-  }
-  if (req.writeback) {
-    // "The client should not return from the callback RPC until all the
-    // dirty blocks have been written back to the server."
-    (void)co_await cache_.FlushFile(mount_id_, node->fh.fileid);
-  }
-  if (req.invalidate) {
-    cache_.InvalidateFile(mount_id_, node->fh.fileid);
-    node->have_cached_data = false;
-    DropLease(node, "vacate");
-    TRACE_INSTANT("nqnfs.invalidated", peer_.address().host,
-                  "file=" + std::to_string(node->fh.fileid) + " reason=callback");
-  }
-  co_return proto::OkReply(proto::CallbackRep{});
-}
-
-// --- data ----------------------------------------------------------------------
+// --- open/close/remove ----------------------------------------------------------
 
 sim::Task<base::Result<void>> NqnfsClient::Open(vfs::GnodeRef gnode, bool write) {
   NodeRef node = AsNode<NqnfsNode>(gnode);
@@ -243,124 +222,13 @@ sim::Task<base::Result<void>> NqnfsClient::Close(vfs::GnodeRef gnode, bool write
   co_return base::OkStatus();
 }
 
-sim::Task<base::Result<std::vector<uint8_t>>> NqnfsClient::Read(vfs::GnodeRef gnode,
-                                                                uint64_t offset, uint32_t count) {
-  NodeRef node = AsNode<NqnfsNode>(gnode);
-  co_await EnsureLease(node, /*write=*/false);
-  if (node->lease_expires <= simulator_.Now()) {
-    // No lease: every read goes through to the server, read-ahead disabled.
-    proto::ReadReq req;
-    req.fh = node->fh;
-    req.offset = offset;
-    req.count = count;
-    auto rep = rpc::Expect<proto::ReadRep>(co_await Call(proto::Request(std::move(req))));
-    if (!rep.ok()) {
-      co_return rep.status();
-    }
-    if (!cache_.HasDirty(mount_id_, node->fh.fileid)) {
-      node->attr = rep->attr;
-    }
-    co_return rep->data.ToVector();
-  }
-  // Observation point for the lease-expired-read invariant: a cached read
-  // may only be served inside a live lease, at the version it granted.
-  TRACE_INSTANT("nqnfs.read_observe", peer_.address().host,
-                "file=" + std::to_string(node->fh.fileid) +
-                    " version=" + std::to_string(node->cached_version));
-  auto data = co_await cache_.Read(mount_id_, node->fh.fileid, offset, count, node->attr.size,
-                                   /*read_ahead=*/true);
-  if (data.ok() && !data->empty()) {
-    node->have_cached_data = true;
-  }
-  co_return data;
-}
-
-sim::Task<base::Result<void>> NqnfsClient::Write(vfs::GnodeRef gnode, uint64_t offset,
-                                                 std::vector<uint8_t> data) {
-  NodeRef node = AsNode<NqnfsNode>(gnode);
-  co_await EnsureLease(node, /*write=*/true);
-  if (node->lease_expires <= simulator_.Now() || !node->lease_write) {
-    // No write lease: revert to synchronous write-through. Our own cached
-    // blocks would miss this write, so stop trusting them. This drops cache
-    // residency, not the lease — a live read lease (e.g. after a failed
-    // upgrade) stays valid — so emit a distinct event: `nqnfs.invalidated`
-    // would make the trace checker retire the lease record and flag the
-    // next cached read as spurious.
-    if (node->have_cached_data) {
-      cache_.InvalidateFile(mount_id_, node->fh.fileid);
-      node->have_cached_data = false;
-      TRACE_INSTANT("nqnfs.self_invalidate", peer_.address().host,
-                    "file=" + std::to_string(node->fh.fileid) + " reason=write_through");
-    }
-    proto::WriteReq req;
-    req.fh = node->fh;
-    req.offset = offset;
-    req.data = std::move(data);
-    auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(std::move(req))));
-    if (!rep.ok()) {
-      co_return rep.status();
-    }
-    node->attr = rep->attr;
-    co_return base::OkStatus();
-  }
-  uint64_t end = offset + data.size();
-  CO_RETURN_IF_ERROR(co_await cache_.WriteDelayed(mount_id_, node->fh.fileid, offset,
-                                                  std::move(data), node->attr.size));
-  node->have_cached_data = true;
-  node->attr.size = std::max(node->attr.size, end);
-  node->attr.mtime = simulator_.Now();
-  co_return base::OkStatus();
-}
-
-sim::Task<base::Result<proto::Attr>> NqnfsClient::GetAttr(vfs::GnodeRef gnode) {
-  NodeRef node = AsNode<NqnfsNode>(gnode);
-  if (node->lease_expires > simulator_.Now()) {
-    // A live lease keeps the attribute cache valid: any foreign write would
-    // have vacated us first.
-    co_return node->attr;
-  }
-  proto::GetAttrReq req;
-  req.fh = node->fh;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(std::move(req))));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  if (!cache_.HasDirty(mount_id_, node->fh.fileid)) {
-    node->attr = rep->attr;
-  }
-  co_return node->attr;
-}
-
-sim::Task<base::Result<void>> NqnfsClient::Truncate(vfs::GnodeRef gnode, uint64_t size) {
-  NodeRef node = AsNode<NqnfsNode>(gnode);
-  cache_.CancelDirty(mount_id_, node->fh.fileid);
-  cache_.InvalidateFile(mount_id_, node->fh.fileid);
-  node->have_cached_data = false;
-  proto::SetAttrReq req;
-  req.fh = node->fh;
-  req.size = size;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(std::move(req))));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  node->attr = rep->attr;
-  co_return base::OkStatus();
-}
-
 sim::Task<base::Result<void>> NqnfsClient::Remove(vfs::GnodeRef dir, std::string name,
                                                   vfs::GnodeRef target) {
   NodeRef victim = AsNode<NqnfsNode>(target);
-  // Deleting a file cancels its delayed writes, exactly as in Sprite/SNFS.
-  cache_.CancelDirty(mount_id_, victim->fh.fileid);
-  cache_.InvalidateFile(mount_id_, victim->fh.fileid);
+  DiscardFile(*victim);
   victim->have_cached_data = false;
-  DropLease(victim, "remove");
+  DropLease(*victim, "remove");
   co_return co_await RemoveName(dir, std::move(name), victim->fh.fileid);
-}
-
-sim::Task<base::Result<void>> NqnfsClient::Fsync(vfs::GnodeRef gnode) {
-  NodeRef node = AsNode<NqnfsNode>(gnode);
-  co_return co_await cache_.FlushFile(mount_id_, node->fh.fileid);
 }
 
 }  // namespace nqnfs

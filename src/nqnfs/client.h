@@ -21,6 +21,10 @@
 // refused only until the server's quiet window closes. Close does nothing
 // but bookkeeping — delayed writes survive across closes exactly as in
 // Sprite and SNFS.
+//
+// The cached data path is the caching core's (src/snfs/caching_client.h),
+// shared with SNFS; this class adds lease acquisition, the expiry daemon and
+// the piggybacked lease extensions.
 #ifndef SRC_NQNFS_CLIENT_H_
 #define SRC_NQNFS_CLIENT_H_
 
@@ -31,10 +35,10 @@
 
 #include "src/cache/buffer_cache.h"
 #include "src/net/network.h"
-#include "src/nfs/remote_client.h"
 #include "src/proto/messages.h"
 #include "src/rpc/peer.h"
 #include "src/sim/simulator.h"
+#include "src/snfs/caching_client.h"
 #include "src/vfs/vfs.h"
 
 namespace nqnfs {
@@ -49,42 +53,27 @@ struct NqnfsClientParams {
   sim::Duration denied_retry = sim::Sec(1);
 };
 
-class NqnfsClient : public nfs::RemoteClient {
+class NqnfsClient : public snfs::CachingClient {
  public:
   NqnfsClient(sim::Simulator& simulator, rpc::Peer& peer, net::Address server,
               proto::FileHandle root_fh, cache::BufferCache& cache,
               NqnfsClientParams params = {});
 
-  // Service a vacate callback from the server.
-  sim::Task<proto::Reply> HandleCallback(proto::CallbackReq req) override;
-
   // --- vfs::FileSystem ------------------------------------------------------
   sim::Task<base::Result<void>> Open(vfs::GnodeRef node, bool write) override;
   sim::Task<base::Result<void>> Close(vfs::GnodeRef node, bool write) override;
-  sim::Task<base::Result<std::vector<uint8_t>>> Read(vfs::GnodeRef node, uint64_t offset,
-                                                     uint32_t count) override;
-  sim::Task<base::Result<void>> Write(vfs::GnodeRef node, uint64_t offset,
-                                      std::vector<uint8_t> data) override;
-  sim::Task<base::Result<proto::Attr>> GetAttr(vfs::GnodeRef node) override;
-  sim::Task<base::Result<void>> Truncate(vfs::GnodeRef node, uint64_t size) override;
   sim::Task<base::Result<void>> Remove(vfs::GnodeRef dir, std::string name,
                                        vfs::GnodeRef target) override;
-  sim::Task<base::Result<void>> Fsync(vfs::GnodeRef node) override;
 
   uint64_t leases_acquired() const { return leases_acquired_; }
   uint64_t grants_denied_seen() const { return grants_denied_seen_; }
   uint64_t lease_expiries() const { return lease_expiries_; }
-  uint64_t callbacks_served() const { return callbacks_served_; }
-  uint64_t inconsistent_grants() const { return inconsistent_grants_; }
 
  private:
-  struct NqnfsNode : vfs::Gnode {
-    bool have_cached_data = false;  // any blocks might be in the cache
-    uint64_t cached_version = 0;    // version the cached blocks correspond to
+  struct NqnfsNode : CachingNode {
     bool lease_write = false;
     sim::Time lease_expires = 0;  // 0 = no lease; cache is not consulted
     sim::Time retry_grant_after = 0;
-    bool possibly_inconsistent = false;
   };
   using NodeRef = std::shared_ptr<NqnfsNode>;
 
@@ -97,20 +86,32 @@ class NqnfsClient : public nfs::RemoteClient {
   // Lease state lives in kernel memory and dies with the machine.
   void OnCrash() override;
 
+  // --- CachingClient hooks -----------------------------------------------------
+  sim::Task<void> Admit(CachingNodeRef node, bool write) override {
+    return EnsureLease(std::static_pointer_cast<NqnfsNode>(node), write);
+  }
+  // The cache serves a live lease's accesses; a write needs a write lease.
+  bool MayCache(const CachingNode& node, bool write) const override;
+  // Dirty cached blocks (a lapsed lease's, not yet pushed out) keep the
+  // node's attributes authoritative.
+  void AdoptUncachedAttrs(CachingNode& node, const proto::Attr& attr) override;
+  void BeforeWriteThrough(CachingNode& node) override;
+  void RevokeCaching(CachingNode& node) override {
+    DropLease(static_cast<NqnfsNode&>(node), "vacate");
+  }
+
   // Make sure a lease covering `write` access is in hand if the server will
   // give us one. Never fails the operation: on denial or RPC failure the
   // node is left leaseless and the caller runs uncached.
   sim::Task<void> EnsureLease(NodeRef node, bool write);
 
-  void DropLease(NodeRef node, const char* reason);
+  void DropLease(NqnfsNode& node, const char* reason);
   sim::Task<void> ExpiryDaemon(uint64_t generation);
 
   NqnfsClientParams params_;
   uint64_t leases_acquired_ = 0;
   uint64_t grants_denied_seen_ = 0;
   uint64_t lease_expiries_ = 0;
-  uint64_t callbacks_served_ = 0;
-  uint64_t inconsistent_grants_ = 0;
 };
 
 }  // namespace nqnfs

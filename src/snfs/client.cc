@@ -1,6 +1,5 @@
 #include "src/snfs/client.h"
 
-#include <algorithm>
 #include <string>
 
 #include "src/base/log.h"
@@ -11,7 +10,7 @@ namespace snfs {
 SnfsClient::SnfsClient(sim::Simulator& simulator, rpc::Peer& peer, net::Address server,
                        proto::FileHandle root_fh, cache::BufferCache& cache,
                        SnfsClientParams params)
-    : RemoteClient(simulator, peer, server, root_fh, cache, "snfs"), params_(params) {}
+    : CachingClient(simulator, peer, server, root_fh, cache, "snfs"), params_(params) {}
 
 void SnfsClient::SpawnDaemons(uint64_t generation) {
   if (params_.delayed_close) {
@@ -39,19 +38,9 @@ sim::Task<base::Result<void>> SnfsClient::SendOpen(NodeRef node, bool write) {
       co_return rep.status();
     }
 
-    // Cache validation (§3.1): valid if the cached version matches the
-    // latest version; a writer's cache is also valid if it matches the
-    // previous version (the bump was caused by this very open).
-    bool cache_valid = node->have_cached_data &&
-                       (node->cached_version == rep->version ||
-                        (write && node->cached_version == rep->prev_version));
-    if (node->have_cached_data && !cache_valid) {
-      cache_.InvalidateFile(mount_id_, node->fh.fileid);
-      node->have_cached_data = false;
-      TRACE_INSTANT("snfs.invalidated", peer_.address().host,
-                    "file=" + std::to_string(node->fh.fileid) + " reason=version");
-    }
-    node->cached_version = rep->version;
+    // A writer's cache is also valid at the previous version: the bump was
+    // caused by this very open.
+    Revalidate(*node, rep->version, rep->prev_version, /*accept_prev=*/write);
     node->cache_enabled = rep->cache_enabled;
     TRACE_INSTANT("snfs.open_granted", peer_.address().host,
                   "file=" + std::to_string(node->fh.fileid) +
@@ -64,8 +53,7 @@ sim::Task<base::Result<void>> SnfsClient::SendOpen(NodeRef node, bool write) {
       if (cache_.HasDirty(mount_id_, node->fh.fileid)) {
         (void)co_await cache_.FlushFile(mount_id_, node->fh.fileid);
       }
-      cache_.InvalidateFile(mount_id_, node->fh.fileid);
-      node->have_cached_data = false;
+      DropCachedData(*node);
     }
     node->possibly_inconsistent = rep->possibly_inconsistent;
     if (rep->possibly_inconsistent) {
@@ -176,32 +164,8 @@ sim::Task<void> SnfsClient::DelayedCloseDaemon(uint64_t generation) {
 
 // --- callbacks ----------------------------------------------------------------
 
-sim::Task<proto::Reply> SnfsClient::HandleCallback(proto::CallbackReq req) {
-  ++callbacks_served_;
-  trace::Span serve_span;
-  if (trace::Active() != nullptr) {
-    serve_span.Begin("snfs.callback_serve", peer_.address().host,
-                     "file=" + std::to_string(req.fh.fileid) +
-                         " wb=" + (req.writeback ? "1" : "0") +
-                         " inv=" + (req.invalidate ? "1" : "0") +
-                         " rel=" + (req.relinquish ? "1" : "0"));
-  }
-  NodeRef node = AsNode<SnfsNode>(FindNode(req.fh));
-  if (node == nullptr) {
-    co_return proto::OkReply(proto::CallbackRep{});
-  }
-  if (req.writeback) {
-    // "The client should not return from the callback RPC until all the
-    // dirty blocks have been written back to the server."
-    (void)co_await cache_.FlushFile(mount_id_, node->fh.fileid);
-  }
-  if (req.invalidate) {
-    cache_.InvalidateFile(mount_id_, node->fh.fileid);
-    node->have_cached_data = false;
-    node->cache_enabled = false;
-    TRACE_INSTANT("snfs.invalidated", peer_.address().host,
-                  "file=" + std::to_string(node->fh.fileid) + " reason=callback");
-  }
+void SnfsClient::AfterCallback(CachingNodeRef gnode, const proto::CallbackReq& req) {
+  NodeRef node = std::static_pointer_cast<SnfsNode>(gnode);
   // §6.2: "if a client with a delayed-close file receives a callback for
   // that file, the appropriate response is to close the file so that it can
   // be cached by the new client host". Deferred: issuing close RPCs from
@@ -212,7 +176,6 @@ sim::Task<proto::Reply> SnfsClient::HandleCallback(proto::CallbackReq req) {
   if (params_.delayed_close && owes_closes && (req.relinquish || fully_closed_locally)) {
     simulator_.Spawn(FlushOwedCloses(node));
   }
-  co_return proto::OkReply(proto::CallbackRep{});
 }
 
 // --- recovery -----------------------------------------------------------------
@@ -292,124 +255,24 @@ sim::Task<void> SnfsClient::RunRecovery() {
       if (has_dirty) {
         (void)co_await cache_.FlushFile(mount_id_, fileid);
       }
-      cache_.InvalidateFile(mount_id_, fileid);
-      node->have_cached_data = false;
+      DropCachedData(*node);
       node->cache_enabled = false;
-      TRACE_INSTANT("snfs.invalidated", peer_.address().host,
-                    "file=" + std::to_string(fileid) + " reason=reopen");
+      TraceInvalidated(*node, "reopen");
     }
   }
 }
 
-// --- data ----------------------------------------------------------------------
-
-sim::Task<base::Result<std::vector<uint8_t>>> SnfsClient::Read(vfs::GnodeRef gnode,
-                                                               uint64_t offset, uint32_t count) {
-  NodeRef node = AsNode<SnfsNode>(gnode);
-  if (!node->cache_enabled) {
-    // Write-shared: every read goes to the server, read-ahead disabled.
-    proto::ReadReq req;
-    req.fh = node->fh;
-    req.offset = offset;
-    req.count = count;
-    auto rep = rpc::Expect<proto::ReadRep>(co_await Call(proto::Request(std::move(req))));
-    if (!rep.ok()) {
-      co_return rep.status();
-    }
-    node->attr = rep->attr;
-    co_return rep->data.ToVector();
-  }
-  // Observation point for the stale-read invariant: a cached read may only
-  // see the version the server granted at open.
-  TRACE_INSTANT("snfs.read_observe", peer_.address().host,
-                "file=" + std::to_string(node->fh.fileid) +
-                    " version=" + std::to_string(node->cached_version));
-  auto data = co_await cache_.Read(mount_id_, node->fh.fileid, offset, count, node->attr.size,
-                                   /*read_ahead=*/true);
-  if (data.ok() && !data->empty()) {
-    node->have_cached_data = true;
-  }
-  co_return data;
-}
-
-sim::Task<base::Result<void>> SnfsClient::Write(vfs::GnodeRef gnode, uint64_t offset,
-                                                std::vector<uint8_t> data) {
-  NodeRef node = AsNode<SnfsNode>(gnode);
-  if (!node->cache_enabled) {
-    // Reverts to (synchronous) write-through, giving single-copy
-    // consistency between writer and server.
-    proto::WriteReq req;
-    req.fh = node->fh;
-    req.offset = offset;
-    req.data = std::move(data);
-    auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(std::move(req))));
-    if (!rep.ok()) {
-      co_return rep.status();
-    }
-    node->attr = rep->attr;
-    co_return base::OkStatus();
-  }
-  uint64_t end = offset + data.size();
-  CO_RETURN_IF_ERROR(co_await cache_.WriteDelayed(mount_id_, node->fh.fileid, offset,
-                                                  std::move(data), node->attr.size));
-  node->have_cached_data = true;
-  node->attr.size = std::max(node->attr.size, end);
-  node->attr.mtime = simulator_.Now();
-  co_return base::OkStatus();
-}
-
-sim::Task<base::Result<proto::Attr>> SnfsClient::GetAttr(vfs::GnodeRef gnode) {
-  NodeRef node = AsNode<SnfsNode>(gnode);
-  if (node->cache_enabled) {
-    // "In SNFS, the attributes cache needs no refreshing if the file is
-    // cachable."
-    co_return node->attr;
-  }
-  proto::GetAttrReq req;
-  req.fh = node->fh;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(std::move(req))));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  node->attr = rep->attr;
-  co_return node->attr;
-}
-
-sim::Task<base::Result<void>> SnfsClient::Truncate(vfs::GnodeRef gnode, uint64_t size) {
-  NodeRef node = AsNode<SnfsNode>(gnode);
-  cache_.CancelDirty(mount_id_, node->fh.fileid);
-  cache_.InvalidateFile(mount_id_, node->fh.fileid);
-  node->have_cached_data = false;
-  proto::SetAttrReq req;
-  req.fh = node->fh;
-  req.size = size;
-  auto rep = rpc::Expect<proto::AttrRep>(co_await Call(proto::Request(std::move(req))));
-  if (!rep.ok()) {
-    co_return rep.status();
-  }
-  node->attr = rep->attr;
-  co_return base::OkStatus();
-}
+// --- remove --------------------------------------------------------------------
 
 sim::Task<base::Result<void>> SnfsClient::Remove(vfs::GnodeRef dir, std::string name,
                                                  vfs::GnodeRef target) {
   NodeRef victim = AsNode<SnfsNode>(target);
-  // "Sprite and SNFS take advantage of this behavior by 'cancelling'
-  // delayed writes when a file is deleted."
-  cache_.CancelDirty(mount_id_, victim->fh.fileid);
-  cache_.InvalidateFile(mount_id_, victim->fh.fileid);
+  DiscardFile(*victim);
   // Settle any delayed closes so the server can drop its entry cleanly.
   if (params_.delayed_close) {
     co_await FlushOwedCloses(victim);
   }
   co_return co_await RemoveName(dir, std::move(name), victim->fh.fileid);
-}
-
-sim::Task<base::Result<void>> SnfsClient::Fsync(vfs::GnodeRef gnode) {
-  NodeRef node = AsNode<SnfsNode>(gnode);
-  // "If reliability is more important than performance, an application can
-  // use explicit file-flushing operations to cause write-through."
-  co_return co_await cache_.FlushFile(mount_id_, node->fh.fileid);
 }
 
 }  // namespace snfs

@@ -1,6 +1,8 @@
 // The SNFS client (§4.2): explicit open/close RPCs, version-validated
 // client caching, server callbacks (write-back / invalidate), and the
-// Sprite-style delayed-write policy.
+// Sprite-style delayed-write policy. The cached data path is the caching
+// core's (src/snfs/caching_client.h); this class adds the opens that grant
+// the permission to cache, delayed close and crash recovery.
 //
 // Key behavioural differences from the NFS client:
 //  * no attribute-cache refreshing while a file is cachable — the explicit
@@ -25,10 +27,10 @@
 
 #include "src/cache/buffer_cache.h"
 #include "src/net/network.h"
-#include "src/nfs/remote_client.h"
 #include "src/proto/messages.h"
 #include "src/rpc/peer.h"
 #include "src/sim/simulator.h"
+#include "src/snfs/caching_client.h"
 #include "src/vfs/vfs.h"
 
 namespace snfs {
@@ -48,44 +50,29 @@ struct SnfsClientParams {
   sim::Duration keepalive_interval = sim::Sec(30);
 };
 
-class SnfsClient : public nfs::RemoteClient {
+class SnfsClient : public CachingClient {
  public:
   SnfsClient(sim::Simulator& simulator, rpc::Peer& peer, net::Address server,
              proto::FileHandle root_fh, cache::BufferCache& cache, SnfsClientParams params = {});
 
-  // Must not issue close RPCs inline — see §3.2's deadlock discussion — so
-  // relinquish work is deferred.
-  sim::Task<proto::Reply> HandleCallback(proto::CallbackReq req) override;
-
   // --- vfs::FileSystem ------------------------------------------------------
   sim::Task<base::Result<void>> Open(vfs::GnodeRef node, bool write) override;
   sim::Task<base::Result<void>> Close(vfs::GnodeRef node, bool write) override;
-  sim::Task<base::Result<std::vector<uint8_t>>> Read(vfs::GnodeRef node, uint64_t offset,
-                                                     uint32_t count) override;
-  sim::Task<base::Result<void>> Write(vfs::GnodeRef node, uint64_t offset,
-                                      std::vector<uint8_t> data) override;
-  sim::Task<base::Result<proto::Attr>> GetAttr(vfs::GnodeRef node) override;
-  sim::Task<base::Result<void>> Truncate(vfs::GnodeRef node, uint64_t size) override;
   sim::Task<base::Result<void>> Remove(vfs::GnodeRef dir, std::string name,
                                        vfs::GnodeRef target) override;
-  sim::Task<base::Result<void>> Fsync(vfs::GnodeRef node) override;
 
-  uint64_t callbacks_served() const { return callbacks_served_; }
   uint64_t delayed_close_hits() const { return delayed_close_hits_; }
   uint64_t recoveries_run() const { return recoveries_run_; }
   uint64_t inconsistent_opens() const { return inconsistent_opens_; }
 
  private:
-  struct SnfsNode : vfs::Gnode {
+  struct SnfsNode : CachingNode {
     bool cache_enabled = true;
-    bool have_cached_data = false;   // any blocks might be in the cache
-    uint64_t cached_version = 0;     // version the cached blocks correspond to
     // What the server believes about our opens (differs from open_reads /
     // open_writes when delayed-close is holding closes back).
     uint32_t server_reads = 0;
     uint32_t server_writes = 0;
     sim::Time last_close = 0;
-    bool possibly_inconsistent = false;
   };
   using NodeRef = std::shared_ptr<SnfsNode>;
 
@@ -96,6 +83,24 @@ class SnfsClient : public nfs::RemoteClient {
   // The cached-data flags, versions and open counts the server was told
   // about die with the machine, and so does the server epoch last seen.
   void OnCrash() override { last_seen_epoch_ = 0; }
+
+  // --- CachingClient hooks -----------------------------------------------------
+  // The cache serves a file only while the server's last word on it said
+  // cachable. An uncached reply's attributes always replace the node's (the
+  // default), even while a flush-behind store from before caching was
+  // turned off is still in flight.
+  bool MayCache(const CachingNode& node, bool write) const override {
+    return static_cast<const SnfsNode&>(node).cache_enabled;
+  }
+  std::string CallbackSpanArgs(const proto::CallbackReq& req) const override {
+    return std::string(" rel=") + (req.relinquish ? "1" : "0");
+  }
+  void RevokeCaching(CachingNode& node) override {
+    static_cast<SnfsNode&>(node).cache_enabled = false;
+  }
+  // Settles the closes delayed close owes, in a spawned task: a close RPC
+  // issued inline would deadlock (§3.2).
+  void AfterCallback(CachingNodeRef node, const proto::CallbackReq& req) override;
 
   sim::Task<base::Result<void>> SendOpen(NodeRef node, bool write);
   sim::Task<void> SendClose(NodeRef node, bool write);
@@ -113,7 +118,6 @@ class SnfsClient : public nfs::RemoteClient {
 
   SnfsClientParams params_;
   uint64_t last_seen_epoch_ = 0;
-  uint64_t callbacks_served_ = 0;
   uint64_t delayed_close_hits_ = 0;
   uint64_t recoveries_run_ = 0;
   uint64_t inconsistent_opens_ = 0;

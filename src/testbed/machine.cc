@@ -29,7 +29,7 @@ sim::Task<proto::Reply> ClientMachine::HandleRequest(proto::Request request,
   // well as the handle: every server numbers its files from the same start,
   // so mounts of two servers can both track a handle.
   if (const auto* cb = std::get_if<proto::CallbackReq>(&request)) {
-    for (nfs::RemoteClient* client : callback_mounts_) {
+    for (snfs::CachingClient* client : callback_mounts_) {
       if (client->server() == from && client->Owns(cb->fh)) {
         co_return co_await client->HandleCallback(*cb);
       }
@@ -74,7 +74,7 @@ void ClientMachine::Start() {
   started_ = true;
   peer_->Start();
   cache_->Start();
-  for (nfs::RemoteClient* client : callback_mounts_) {
+  for (snfs::CachingClient* client : callback_mounts_) {
     client->Start();
   }
 }
@@ -83,7 +83,7 @@ void ClientMachine::Crash(net::Network& network) {
   TRACE_INSTANT("machine.crash", address().host, "kind=client");
   network.SetHostUp(address(), false);
   peer_->Shutdown();
-  for (nfs::RemoteClient* client : callback_mounts_) {
+  for (snfs::CachingClient* client : callback_mounts_) {
     client->Crash();
   }
   cache_->Stop();

@@ -115,7 +115,7 @@ class ClientMachine {
   std::unique_ptr<disk::Disk> disk_;
   std::unique_ptr<fs::LocalFs> local_fs_;
   std::vector<std::unique_ptr<vfs::FileSystem>> mounts_;
-  std::vector<nfs::RemoteClient*> callback_mounts_;  // SNFS and NQNFS mounts
+  std::vector<snfs::CachingClient*> callback_mounts_;  // SNFS and NQNFS mounts
   bool started_ = false;
   int crash_generation_ = 0;
 };
@@ -153,7 +153,6 @@ class ServerMachine {
   proto::FileHandle root() const { return fs_->root(); }
   snfs::SnfsServer* snfs_server() { return snfs_server_.get(); }
   nqnfs::NqnfsServer* nqnfs_server() { return nqnfs_server_.get(); }
-  nfs::NfsServer* nfs_server() { return nfs_server_.get(); }
 
  private:
   sim::Simulator& simulator_;

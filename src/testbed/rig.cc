@@ -1,7 +1,6 @@
 #include "src/testbed/rig.h"
 
 #include "src/base/log.h"
-#include "src/testbed/fault_runner.h"
 
 namespace testbed {
 
@@ -118,11 +117,6 @@ void Rig::BuildClassic() {
   }
   clients_[0]->Start();
 
-  if (!options_.faults.empty()) {
-    ApplyFaultSchedule(simulator_, network_, servers_.empty() ? nullptr : servers_[0].get(),
-                       {clients_[0].get()}, options_.faults);
-  }
-
   // Create the local temp directory if the configuration uses one.
   if (tmp_dir_ == "/local/tmp") {
     simulator_.Spawn([](Rig& rig) -> sim::Task<void> {
@@ -136,7 +130,6 @@ void Rig::BuildClassic() {
 void Rig::BuildFleet() {
   CHECK(options_.protocol != Protocol::kLocal);  // a fleet is remote by definition
   CHECK(!options_.remote_tmp);                   // temporaries stay on the client disk
-  CHECK(options_.faults.empty());                // fleet benches script faults directly
   if (options_.fleet.meta_cache) {
     CHECK(options_.protocol == Protocol::kNfs);
   }

@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "src/fault/schedule.h"
 #include "src/fleet/meta_cache.h"
 #include "src/fleet/shard_map.h"
 #include "src/testbed/machine.h"
@@ -60,10 +59,6 @@ struct RigOptions {
   ClientMachineParams client;
   ServerMachineParams server;
   net::NetworkParams network;  // network.faults enables link-fault injection
-  // Scripted crash/restart points, applied when the rig is built. Ignored
-  // for machines the configuration does not have (no server under kLocal).
-  // Not supported in fleet mode (fleet benches script faults directly).
-  fault::FaultSchedule faults;
   FleetOptions fleet;
 };
 
@@ -79,9 +74,8 @@ class Rig {
   Rig& operator=(const Rig&) = delete;
 
   // Where benchmark data / temporaries should go.
-  const std::string& data_root() const { return data_root_; }    // "/data"
-  const std::string& tmp_dir() const { return tmp_dir_; }        // varies
-  const std::string& local_root() const { return local_root_; }  // "/local"
+  const std::string& data_root() const { return data_root_; }  // "/data"
+  const std::string& tmp_dir() const { return tmp_dir_; }      // varies
 
   // The file system that holds /data (for out-of-band population) and the
   // directory handle /data is mounted on. In fleet mode: shard 0's.
@@ -100,7 +94,6 @@ class Rig {
   disk::Disk& served_disk();
 
   // --- fleet topology -------------------------------------------------------
-  bool fleet_mode() const { return options_.fleet.active(); }
   int num_shards() const { return static_cast<int>(servers_.size()); }
   int num_clients() const { return static_cast<int>(clients_.size()); }
   ServerMachine& shard(int s) { return *servers_[static_cast<size_t>(s)]; }

@@ -50,8 +50,6 @@ std::string_view EventKindName(EventKind kind) {
       return "E";
     case EventKind::kInstant:
       return "I";
-    case EventKind::kCounter:
-      return "C";
   }
   return "?";
 }
@@ -103,7 +101,7 @@ uint64_t Recorder::BeginSpanUnder(uint64_t parent, std::string name, int machine
   int resolved = ResolveMachine(machine, parent);
   span_machines_.push_back(resolved);
   events_.push_back(Event{EventKind::kSpanBegin, Now(), resolved, id, parent, std::move(name),
-                          std::move(args), 0.0});
+                          std::move(args)});
   sim::tracectx::current_span = id;
   return id;
 }
@@ -113,7 +111,7 @@ void Recorder::EndSpan(uint64_t span, std::string args) {
     return;
   }
   events_.push_back(Event{EventKind::kSpanEnd, Now(), span_machines_[span - 1], span, 0,
-                          std::string(), std::move(args), 0.0});
+                          std::string(), std::move(args)});
 }
 
 void Recorder::Instant(std::string name, int machine, std::string args) {
@@ -122,13 +120,7 @@ void Recorder::Instant(std::string name, int machine, std::string args) {
 
 void Recorder::InstantInSpan(uint64_t span, std::string name, int machine, std::string args) {
   events_.push_back(Event{EventKind::kInstant, Now(), ResolveMachine(machine, span), span, 0,
-                          std::move(name), std::move(args), 0.0});
-}
-
-void Recorder::Counter(std::string name, int machine, double value) {
-  events_.push_back(Event{EventKind::kCounter, Now(),
-                          ResolveMachine(machine, sim::tracectx::current_span),
-                          sim::tracectx::current_span, 0, std::move(name), std::string(), value});
+                          std::move(name), std::move(args)});
 }
 
 std::string Recorder::ToCompactText() const {
@@ -141,10 +133,6 @@ std::string Recorder::ToCompactText() const {
                   std::string(EventKindName(e.kind)).c_str(), e.span, e.parent);
     out += buf;
     out += e.name;
-    if (e.kind == EventKind::kCounter) {
-      std::snprintf(buf, sizeof(buf), "=%.6g", e.value);
-      out += buf;
-    }
     if (!e.args.empty()) {
       out += ' ';
       out += e.args;
@@ -176,9 +164,6 @@ std::string Recorder::ToChromeJson() const {
       case EventKind::kInstant:
         ph = "i";
         break;
-      case EventKind::kCounter:
-        ph = "C";
-        break;
     }
     out += "{\"ph\":\"";
     out += ph;
@@ -194,17 +179,12 @@ std::string Recorder::ToChromeJson() const {
     if (e.kind == EventKind::kInstant) {
       out += ",\"s\":\"t\"";
     }
-    if (e.kind == EventKind::kCounter) {
-      std::snprintf(buf, sizeof(buf), ",\"args\":{\"value\":%.6g}", e.value);
-      out += buf;
-    } else {
-      std::snprintf(buf, sizeof(buf), ",\"args\":{\"span\":%" PRIu64 ",\"parent\":%" PRIu64,
-                    e.span, e.parent);
-      out += buf;
-      out += ",\"detail\":\"";
-      AppendJsonEscaped(out, e.args);
-      out += "\"}";
-    }
+    std::snprintf(buf, sizeof(buf), ",\"args\":{\"span\":%" PRIu64 ",\"parent\":%" PRIu64,
+                  e.span, e.parent);
+    out += buf;
+    out += ",\"detail\":\"";
+    AppendJsonEscaped(out, e.args);
+    out += "\"}";
     out += "}";
   }
   out += "\n]\n";

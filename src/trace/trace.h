@@ -1,7 +1,7 @@
 // Deterministic causal event tracing.
 //
-// A trace::Recorder collects fixed-schema events — span begin/end, instants,
-// counters — stamped with the virtual time, the machine (network host id)
+// A trace::Recorder collects fixed-schema events — span begin/end and
+// instants — stamped with the virtual time, the machine (network host id)
 // they occurred on, and a causal span id. Span ids are assigned from a
 // sequential counter and propagated implicitly through the simulator's
 // ambient trace context (src/sim/trace_ctx.h): coroutines inherit the span
@@ -38,7 +38,7 @@ class Simulator;
 
 namespace trace {
 
-enum class EventKind : uint8_t { kSpanBegin, kSpanEnd, kInstant, kCounter };
+enum class EventKind : uint8_t { kSpanBegin, kSpanEnd, kInstant };
 
 std::string_view EventKindName(EventKind kind);
 
@@ -54,7 +54,6 @@ struct Event {
   uint64_t parent = 0; // begin events only: causal parent span (0 = root)
   std::string name;    // dotted event name, e.g. "rpc.call"
   std::string args;    // deterministic "k=v k=v ..." detail string
-  double value = 0.0;  // counter events only
 };
 
 class Recorder {
@@ -79,10 +78,8 @@ class Recorder {
   // Instant attributed to an explicit span (for code holding a captured span
   // id, e.g. a packet-delivery lambda).
   void InstantInSpan(uint64_t span, std::string name, int machine, std::string args = {});
-  void Counter(std::string name, int machine, double value);
 
   const std::vector<Event>& events() const { return events_; }
-  uint64_t spans_begun() const { return next_span_ - 1; }
   // Machine a span was begun on (-1 for unknown span / unattributed).
   int SpanMachine(uint64_t span) const;
 
@@ -155,13 +152,6 @@ class Span {
   do {                                                                                   \
     if (trace::Recorder* trace_recorder_ = trace::Active()) {                            \
       trace_recorder_->Instant((name), (machine), (args));                               \
-    }                                                                                    \
-  } while (0)
-
-#define TRACE_COUNTER(name, machine, value)                                              \
-  do {                                                                                   \
-    if (trace::Recorder* trace_recorder_ = trace::Active()) {                            \
-      trace_recorder_->Counter((name), (machine), (value));                              \
     }                                                                                    \
   } while (0)
 

@@ -20,7 +20,10 @@
 //                       longer than one reply;
 //  fetched-block edit   a delayed write into a block the client fetched
 //                       stays out of the server's file until written back
-//                       (the cached block and the server's share a buffer).
+//                       (the cached block and the server's share a buffer);
+//  rejected write       a partial block the server's file can no longer
+//                       take (removed out of band) fails the fsync that
+//                       forces it out — a barrier never returns a silent OK.
 //
 // Plus the original property test: random multi-client workloads against an
 // in-memory oracle, serialized by a (simulated) global lock, mirroring the
@@ -317,6 +320,29 @@ sim::Task<void> DelayedWriteIntoFetchedBlockScenario(World& w, bool* finished) {
   *finished = true;
 }
 
+// --- scenario 7: a write the server rejects -----------------------------------
+
+// SNFS and NQNFS hold the partial block as a delayed write, and their fsync
+// fails in BufferCache::FlushFile when the store is rejected; NFS delays
+// the partial block too, and its fsync reports the biod's error.
+sim::Task<void> RejectedWriteScenario(World& w, bool* finished) {
+  vfs::Vfs& v = w.client(0).vfs();
+  auto fd = co_await v.Open("/data/f", vfs::OpenFlags::WriteCreate());
+  EXPECT_TRUE(fd.ok());
+  if (!fd.ok()) {
+    co_return;
+  }
+  EXPECT_TRUE((co_await v.Pwrite(*fd, 0, std::vector<uint8_t>(100, 0xAB))).ok());
+
+  fs::LocalFs& server_fs = w.server->fs();
+  EXPECT_TRUE((co_await server_fs.Remove(server_fs.root(), "f")).ok());
+
+  auto synced = co_await v.Fsync(*fd);
+  EXPECT_FALSE(synced.ok()) << "fsync reported OK for a write the server rejected";
+  (void)co_await v.Close(*fd);
+  *finished = true;
+}
+
 class ProtocolConformance : public ::testing::TestWithParam<ServerProtocol> {};
 
 TEST_P(ProtocolConformance, SequentialSharingIsConsistent) {
@@ -404,6 +430,15 @@ TEST_P(ProtocolConformance, DelayedWriteIntoFetchedBlockStaysLocalUntilWriteBack
   MountData(w, 0, GetParam());
   bool finished = false;
   w.simulator.Spawn(DelayedWriteIntoFetchedBlockScenario(w, &finished));
+  w.simulator.Run();
+  EXPECT_TRUE(finished);
+}
+
+TEST_P(ProtocolConformance, FsyncReportsAWriteTheServerRejected) {
+  World w(GetParam(), 1);
+  MountData(w, 0, GetParam());
+  bool finished = false;
+  w.simulator.Spawn(RejectedWriteScenario(w, &finished));
   w.simulator.Run();
   EXPECT_TRUE(finished);
 }

@@ -648,38 +648,6 @@ TEST(BufferCacheTest, RedirtyDuringEvictionWritebackKeepsNewestData) {
   EXPECT_EQ(disk[1].ToVector(), std::vector<uint8_t>(cache::kBlockSize, 0x02));
 }
 
-TEST(BufferCacheTest, AgeBasedSyncOnlyWritesOldBlocks) {
-  sim::Simulator simulator;
-  cache::BufferCacheParams params;
-  params.capacity_blocks = 64;
-  params.sync_policy = cache::SyncPolicy::kAgeBased;
-  params.sync_interval = sim::Sec(5);
-  params.dirty_age = sim::Sec(30);
-  cache::BufferCache cache(simulator, params);
-  cache::Backing backing;
-  int stores = 0;
-  backing.fetch = [](uint64_t, uint64_t) -> sim::Task<base::Result<proto::Bytes>> {
-    co_return proto::Bytes();
-  };
-  // lint: coro-lambda-ok (backing and counters share the test scope)
-  backing.store = [&stores](uint64_t, uint64_t, proto::Bytes) -> sim::Task<base::Result<void>> {
-    ++stores;
-    co_return base::OkStatus();
-  };
-  int mount = cache.RegisterMount(std::move(backing));
-  cache.Start();
-  simulator.Spawn([](cache::BufferCache& cache, int mount) -> sim::Task<void> {
-    proto::Bytes block(std::vector<uint8_t>(cache::kBlockSize, 1));
-    EXPECT_TRUE((co_await cache.WriteDelayed(mount, 1, 0, block, 0)).ok());
-  }(cache, mount));
-  simulator.RunUntil(sim::Sec(20));
-  EXPECT_EQ(stores, 0);  // not yet 30 s old
-  simulator.RunUntil(sim::Sec(40));
-  EXPECT_EQ(stores, 1);
-  cache.Stop();
-  simulator.RunUntil(sim::Sec(50));
-}
-
 TEST(BufferCacheTest, CancelDirtyDropsWithoutStore) {
   sim::Simulator simulator;
   cache::BufferCacheParams params;
