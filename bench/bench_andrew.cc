@@ -19,6 +19,7 @@
 namespace {
 
 using bench::AndrewRun;
+using bench::PrintShapeCheck;
 using bench::Ratio;
 using bench::RunAndrewConfig;
 using metrics::Table;
@@ -26,12 +27,6 @@ using testbed::Protocol;
 
 std::string PhaseCell(const workload::AndrewReport& r, workload::AndrewPhase p) {
   return Table::Num(sim::ToSeconds(r.phase_time[static_cast<int>(p)]), 1);
-}
-
-void PrintShapeCheck(const char* what, double measured, double lo, double hi) {
-  bool ok = measured >= lo && measured <= hi;
-  std::printf("  [%s] %-58s measured=%6.3f expected=[%.2f, %.2f]\n", ok ? "ok" : "!!", what,
-              measured, lo, hi);
 }
 
 }  // namespace
@@ -189,5 +184,5 @@ int main(int argc, char** argv) {
     std::printf("\nwrote Chrome trace of SNFS tmp=remote (last trial) to %s\n",
                 flags.trace_path.c_str());
   }
-  return 0;
+  return bench::ShapeCheckStatus();
 }

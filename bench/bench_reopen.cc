@@ -14,11 +14,13 @@
 // NQNFS avoid both (delayed writes under an open grant / a write lease).
 #include <cstdio>
 
+#include "bench/bench_util.h"
 #include "src/metrics/table.h"
 #include "src/testbed/rig.h"
 
 namespace {
 
+using bench::PrintShapeCheck;
 using metrics::Table;
 using testbed::Protocol;
 using testbed::Rig;
@@ -85,12 +87,6 @@ ReopenResult RunCase(Protocol protocol, bool invalidate_on_close) {
   return result;
 }
 
-void PrintShapeCheck(const char* what, double measured, double lo, double hi) {
-  bool ok = measured >= lo && measured <= hi;
-  std::printf("  [%s] %-58s measured=%6.3f expected=[%.2f, %.2f]\n", ok ? "ok" : "!!", what,
-              measured, lo, hi);
-}
-
 }  // namespace
 
 int main() {
@@ -136,5 +132,5 @@ int main() {
                   nqnfs.write_close_s / nfs_bug.write_close_s, 0.0, 0.2);
   PrintShapeCheck("NQNFS reread read-RPC count (lease live, ==0)",
                   static_cast<double>(nqnfs.read_rpcs), 0.0, 0.5);
-  return 0;
+  return bench::ShapeCheckStatus();
 }

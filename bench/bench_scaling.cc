@@ -13,11 +13,13 @@
 #include <memory>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/metrics/table.h"
 #include "src/testbed/machine.h"
 
 namespace {
 
+using bench::PrintShapeCheck;
 using testbed::ClientMachine;
 using testbed::ServerMachine;
 using testbed::ServerProtocol;
@@ -95,12 +97,6 @@ ScalePoint RunScale(ServerProtocol protocol, int num_clients) {
   return point;
 }
 
-void PrintShapeCheck(const char* what, double measured, double lo, double hi) {
-  bool ok = measured >= lo && measured <= hi;
-  std::printf("  [%s] %-58s measured=%6.3f expected=[%.2f, %.2f]\n", ok ? "ok" : "!!", what,
-              measured, lo, hi);
-}
-
 }  // namespace
 
 int main() {
@@ -144,5 +140,5 @@ int main() {
   PrintShapeCheck("SNFS degrades less than NFS with client count",
                   nfs_slowdown / snfs_slowdown, 1.2, 100.0);
   PrintShapeCheck("single-client SNFS at least as fast as NFS", snfs1 / nfs1, 0.0, 1.0);
-  return 0;
+  return bench::ShapeCheckStatus();
 }

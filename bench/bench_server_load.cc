@@ -17,6 +17,7 @@
 
 namespace {
 
+using bench::PrintShapeCheck;
 using metrics::TimeSeries;
 using testbed::Protocol;
 using testbed::Rig;
@@ -103,12 +104,6 @@ void PrintTrace(const char* name, const LoadTrace& trace) {
   }
 }
 
-void PrintShapeCheck(const char* what, double measured, double lo, double hi) {
-  bool ok = measured >= lo && measured <= hi;
-  std::printf("  [%s] %-58s measured=%6.3f expected=[%.2f, %.2f]\n", ok ? "ok" : "!!", what,
-              measured, lo, hi);
-}
-
 }  // namespace
 
 int main() {
@@ -146,5 +141,5 @@ int main() {
                   1.05);
   PrintShapeCheck("SNFS/NFS elapsed (SNFS completes significantly faster)",
                   sim::ToSeconds(snfs.elapsed) / sim::ToSeconds(nfs.elapsed), 0.6, 0.95);
-  return 0;
+  return bench::ShapeCheckStatus();
 }

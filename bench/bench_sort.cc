@@ -16,17 +16,12 @@
 
 namespace {
 
+using bench::PrintShapeCheck;
 using bench::Ratio;
 using bench::RunSortConfig;
 using bench::SortRun;
 using metrics::Table;
 using testbed::Protocol;
-
-void PrintShapeCheck(const char* what, double measured, double lo, double hi) {
-  bool ok = measured >= lo && measured <= hi;
-  std::printf("  [%s] %-58s measured=%6.3f expected=[%.2f, %.2f]\n", ok ? "ok" : "!!", what,
-              measured, lo, hi);
-}
 
 }  // namespace
 
@@ -159,5 +154,5 @@ int main(int argc, char** argv) {
     bench::WriteTextFile(flags.trace_path, snfs[2].chrome_json);
     std::printf("\nwrote Chrome trace of SNFS 2816k to %s\n", flags.trace_path.c_str());
   }
-  return 0;
+  return bench::ShapeCheckStatus();
 }

@@ -18,17 +18,12 @@
 
 namespace {
 
+using bench::PrintShapeCheck;
 using bench::Ratio;
 using bench::RunSortConfig;
 using bench::SortRun;
 using metrics::Table;
 using testbed::Protocol;
-
-void PrintShapeCheck(const char* what, double measured, double lo, double hi) {
-  bool ok = measured >= lo && measured <= hi;
-  std::printf("  [%s] %-58s measured=%6.3f expected=[%.2f, %.2f]\n", ok ? "ok" : "!!", what,
-              measured, lo, hi);
-}
 
 std::string RpcRow(const SortRun& run) {
   return Table::Int(run.rpcs.Get(proto::OpKind::kRead)) + " / " +
@@ -124,5 +119,5 @@ int main(int argc, char** argv) {
     bench::WriteTextFile(flags.trace_path, snfs_off.chrome_json);
     std::printf("\nwrote Chrome trace of SNFS no-update to %s\n", flags.trace_path.c_str());
   }
-  return 0;
+  return bench::ShapeCheckStatus();
 }

@@ -333,6 +333,21 @@ void WriteBenchJson(const std::string& path, const std::string& bench_name,
   WriteTextFile(path, out);
 }
 
+namespace {
+int g_shape_check_failures = 0;
+}  // namespace
+
+void PrintShapeCheck(const char* what, double measured, double lo, double hi) {
+  bool ok = measured >= lo && measured <= hi;
+  if (!ok) {
+    ++g_shape_check_failures;
+  }
+  std::printf("  [%s] %-58s measured=%6.3f expected=[%.2f, %.2f]\n", ok ? "ok" : "!!", what,
+              measured, lo, hi);
+}
+
+int ShapeCheckStatus() { return g_shape_check_failures > 0 ? 1 : 0; }
+
 void PrintLatencyTable(const std::string& title,
                        const std::map<std::string, metrics::Histogram>& by_op) {
   std::printf("\n%s\n", title.c_str());

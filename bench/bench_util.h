@@ -86,6 +86,12 @@ SortRun RunSortConfig(testbed::Protocol protocol, uint64_t input_bytes, bool syn
 
 inline double Ratio(double a, double b) { return b == 0 ? 0 : a / b; }
 
+// Prints one expected-shape check ("[ok]" or "[!!]" with the measured value
+// and its bounds) and counts the failures.
+void PrintShapeCheck(const char* what, double measured, double lo, double hi);
+// A bench's exit status: 1 if any shape check failed, else 0.
+int ShapeCheckStatus();
+
 // --- machine-readable output (--json) -------------------------------------
 
 // One run as a JSON object. Key order is fixed (struct order; RPC counts in

@@ -12,7 +12,9 @@
 #  4. Deterministic snapshots: bench_andrew/bench_sort against the pinned
 #     baselines, bench_fleet against BENCH_fleet.json, and bench_simperf's
 #     event counts, work units and simulated seconds against
-#     BENCH_simperf.json.
+#     BENCH_simperf.json. The paper benches with no pinned output
+#     (bench_reopen, bench_server_load, bench_sort_nodelay, bench_scaling)
+#     run for their shape checks: a bench exits 1 when one fails.
 #  5. perfbench: build the repository benchmark from this tree into
 #     .bench_build/ (its own CMake package, which compiles src/ APIs such
 #     as LocalFs::Write and the protocol clients' counters) and run its
@@ -86,6 +88,18 @@ diff <(grep -v '^wrote ' bench/baselines/bench_andrew_stdout.txt) \
      <(grep -v '^wrote ' "$baseline_tmp/andrew_stdout.txt")
 diff <(grep -v '^wrote ' bench/baselines/bench_sort_stdout.txt) \
      <(grep -v '^wrote ' "$baseline_tmp/sort_stdout.txt")
+
+echo "== paper shape checks: the benches no snapshot pins =="
+# Each prints its expected-shape checks against the paper and exits 1 if any
+# reads [!!] (bench_andrew and bench_sort run theirs above). They stay out of
+# ctest: under ASan, bench_sort_nodelay's sort merge overflows the stack.
+for shape_bench in bench_reopen bench_server_load bench_sort_nodelay bench_scaling; do
+  if ! ./build/bench/"$shape_bench" > "$baseline_tmp/$shape_bench.txt"; then
+    grep -F '[!!]' "$baseline_tmp/$shape_bench.txt" >&2
+    echo "FAIL: $shape_bench: a shape check failed" >&2
+    exit 1
+  fi
+done
 
 echo "== fleet snapshot: full sweep identical to BENCH_fleet.json =="
 # Every field bench_fleet --json writes is a count or on the virtual clock,

@@ -193,6 +193,10 @@ void BufferCache::FinishStore(const Key& key) {
   CHECK(fit != flushing_files_.end());
   if (--fit->second == 0) {
     flushing_files_.erase(fit);
+    if (auto landed = stores_landed_.find(fk); landed != stores_landed_.end()) {
+      landed->second.TrySet(true);
+      stores_landed_.erase(landed);
+    }
   }
   NoteDirtyTransition(fk, was_dirty);
 }
@@ -233,8 +237,13 @@ sim::Task<bool> BufferCache::StoreBlock(Key key, proto::Bytes data) {
   co_return co_await PerformStore(key, std::move(data));
 }
 
-sim::Task<void> BufferCache::AsyncStore(Key key, proto::Bytes data) {
-  (void)co_await PerformStore(key, std::move(data));
+sim::Task<void> BufferCache::AsyncStore(Key key, proto::Bytes data, uint64_t drops) {
+  // Nobody waits for a flush-behind store, so a rejection waits for the
+  // file's next durability barrier — unless the cache crashed meanwhile.
+  bool stored = co_await PerformStore(key, std::move(data));
+  if (!stored && drops == drops_) {
+    rejected_flush_behind_.insert(FileKey{key.mount, key.fileid});
+  }
   flush_behind_.Release();
 }
 
@@ -263,7 +272,7 @@ sim::Task<void> BufferCache::EvictIfNeeded() {
       RemoveEntry(it);
       RegisterStore(victim);
       co_await flush_behind_.Acquire();
-      simulator_.Spawn(AsyncStore(victim, std::move(data)));
+      simulator_.Spawn(AsyncStore(victim, std::move(data), drops_));
     } else {
       RemoveEntry(it);
     }
@@ -453,8 +462,28 @@ void BufferCache::InsertClean(int mount, uint64_t fileid, uint64_t offset,
 sim::Task<base::Result<void>> BufferCache::FlushFile(int mount, uint64_t fileid,
                                                      uint64_t max_blocks) {
   FileKey fk{mount, fileid};
+  bool all_stored = co_await StoreDirty(fk, max_blocks);
+  // A durability barrier: blocks evicted earlier may still be on the wire.
+  while (flushing_files_.contains(fk)) {
+    auto [landing, inserted] = stores_landed_.try_emplace(fk, simulator_);
+    sim::Future<bool> landed = landing->second.GetFuture();
+    co_await landed;
+  }
+  if (rejected_flush_behind_.erase(fk) > 0) {
+    all_stored = false;
+  }
+  // A failed store leaves the block clean in the cache but absent from the
+  // backing store; callers using FlushFile as a durability barrier (fsync,
+  // the callback write-back) must see the failure, not a silent OK.
+  if (!all_stored) {
+    co_return base::ErrIo();
+  }
+  co_return base::OkStatus();
+}
+
+sim::Task<bool> BufferCache::StoreDirty(FileKey fk, uint64_t max_blocks) {
   sim::Mutex* gate = nullptr;
-  if (params_.flush_blocks_writers && HasDirty(mount, fileid)) {
+  if (params_.flush_blocks_writers && HasDirty(fk.mount, fk.fileid)) {
     gate = &FileGate(fk);
     co_await gate->Acquire();
   }
@@ -467,7 +496,7 @@ sim::Task<base::Result<void>> BufferCache::FlushFile(int mount, uint64_t fileid,
     }
     ++flushed;
     uint64_t block = *it->second.begin();
-    Key key{mount, fileid, block};
+    Key key{fk.mount, fk.fileid, block};
     auto eit = entries_.find(key);
     CHECK(eit != entries_.end());
     proto::Bytes data = eit->second.data;
@@ -479,19 +508,13 @@ sim::Task<base::Result<void>> BufferCache::FlushFile(int mount, uint64_t fileid,
   if (gate != nullptr) {
     gate->Release();
   }
-  // A failed store leaves the block clean in the cache but absent from the
-  // backing store; callers using FlushFile as a durability barrier (NQNFS
-  // fsync, SNFS close) must see the failure, not a silent OK.
-  if (!all_stored) {
-    co_return base::ErrIo();
-  }
-  co_return base::OkStatus();
+  co_return all_stored;
 }
 
 sim::Task<void> BufferCache::FlushAll() {
   while (!dirty_blocks_.empty()) {
     FileKey fk = dirty_blocks_.begin()->first;
-    (void)co_await FlushFile(fk.mount, fk.fileid);
+    (void)co_await StoreDirty(fk, 0);
   }
 }
 
@@ -522,6 +545,8 @@ uint64_t BufferCache::CancelDirty(int mount, uint64_t fileid) {
 }
 
 void BufferCache::DropAll() {
+  rejected_flush_behind_.clear();
+  ++drops_;
   if (trace::Active() != nullptr) {
     // The dirty data just died with the kernel: close out the traced dirty
     // state so the checker does not blame this machine for blocks it no

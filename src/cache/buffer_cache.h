@@ -34,6 +34,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "src/base/result.h"
@@ -114,12 +115,16 @@ class BufferCache {
   void InsertClean(int mount, uint64_t fileid, uint64_t offset, const proto::Bytes& data);
 
   // Write the file's dirty blocks (lowest-numbered first) to the backing
-  // store; with `max_blocks` > 0, stop after that many. Fails if any store
-  // was rejected by the backing (the block stays clean but undurable, so
-  // durability barriers must surface the error).
+  // store; with `max_blocks` > 0, stop after that many. Then wait until no
+  // store of the file is in flight, so an evicted block's flush-behind store
+  // has landed too. Fails if the backing rejected any of these stores, or a
+  // flush-behind store of the file since its last FlushFile (the block stays
+  // clean but undurable, so durability barriers must surface the error).
   sim::Task<base::Result<void>> FlushFile(int mount, uint64_t fileid, uint64_t max_blocks = 0);
 
-  // Write every dirty block (sync daemon body; also usable at shutdown).
+  // Write every dirty block (sync daemon body). Neither waits for
+  // flush-behind stores nor reports their rejections, which stay for the
+  // file's next FlushFile.
   sim::Task<void> FlushAll();
 
   // Drop every cached block of the file (including dirty ones — callers
@@ -131,8 +136,9 @@ class BufferCache {
   uint64_t CancelDirty(int mount, uint64_t fileid);
 
   // Crash simulation: every cached block, clean or dirty, vanishes with the
-  // kernel. Write-backs already in flight keep their bookkeeping; their
-  // coroutines run to completion against the backing store and clean up.
+  // kernel, and so do unreported flush-behind rejections. Write-backs
+  // already in flight keep their bookkeeping; their coroutines run to
+  // completion against the backing store and clean up.
   void DropAll();
 
   bool HasDirty(int mount, uint64_t fileid) const;
@@ -187,7 +193,11 @@ class BufferCache {
   // May exit holding a flush-behind slot that the spawned AsyncStore
   // releases when the write-back lands.
   sim::Task<void> EvictIfNeeded();
-  sim::Task<void> AsyncStore(Key key, proto::Bytes data);
+  // A flush-behind store, issued after `drops` DropAll calls.
+  sim::Task<void> AsyncStore(Key key, proto::Bytes data, uint64_t drops);
+  // FlushFile's writing half: stores the dirty blocks under the writer gate
+  // and returns whether the backing accepted every one.
+  sim::Task<bool> StoreDirty(FileKey fk, uint64_t max_blocks);
   sim::Task<void> SyncDaemon();
   // In-flight store registration must be synchronous with the decision to
   // write a block back, or a concurrent fetch could read stale backing data.
@@ -219,6 +229,12 @@ class BufferCache {
   // Files with write-backs in flight: they still count as dirty (their data
   // has not reached the backing store yet).
   std::unordered_map<FileKey, int, FileKeyHash> flushing_files_;
+  // Set when the last in-flight store of a file lands, for FlushFile.
+  std::unordered_map<FileKey, sim::Promise<bool>, FileKeyHash> stores_landed_;
+  // Files with a flush-behind store the backing rejected, not yet reported
+  // by a FlushFile.
+  std::unordered_set<FileKey, FileKeyHash> rejected_flush_behind_;
+  uint64_t drops_ = 0;  // DropAll calls
   CacheStats stats_;
 };
 

@@ -4,7 +4,8 @@
 // the disk ("an NFS server is required to write data to stable storage
 // before returning from the remote procedure call"); the server retains no
 // per-client or per-open-file state, so crash recovery is "the server
-// simply restarts".
+// simply restarts". The SNFS and NQNFS servers derive from it through
+// snfs::CallbackServer.
 #ifndef SRC_NFS_SERVER_H_
 #define SRC_NFS_SERVER_H_
 
@@ -20,15 +21,20 @@ class NfsServer {
  public:
   // Installs itself as `peer`'s request handler.
   NfsServer(fs::LocalFs& fs, rpc::Peer& peer);
+  virtual ~NfsServer() = default;
 
   NfsServer(const NfsServer&) = delete;
   NfsServer& operator=(const NfsServer&) = delete;
 
-  proto::FileHandle root() const { return fs_.root(); }
+  virtual sim::Task<proto::Reply> Handle(proto::Request request, net::Address from);
 
-  sim::Task<proto::Reply> Handle(proto::Request request, net::Address from);
+  // Crash simulation: lose the state kept in kernel memory (none here). The
+  // caller also marks the host down and calls peer.Shutdown().
+  virtual void Crash() {}
+  // Reboot, before the caller brings the host back up and calls peer.Start().
+  virtual void Restart() {}
 
- private:
+ protected:
   fs::LocalFs& fs_;
   rpc::Peer& peer_;
 };

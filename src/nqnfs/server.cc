@@ -3,30 +3,19 @@
 #include <string>
 #include <utility>
 
-#include "src/base/log.h"
-#include "src/snfs/server.h"
 #include "src/trace/trace.h"
 
 namespace nqnfs {
 
 NqnfsServer::NqnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& peer,
                          NqnfsServerParams params)
-    : simulator_(simulator),
-      fs_(fs),
-      peer_(peer),
-      params_(params),
-      vacate_budget_(simulator, snfs::CallbackBudget(peer)) {
-  nfs_ = std::make_unique<nfs::NfsServer>(fs, peer);
-  // NfsServer installed itself; take over the dispatch.
-  peer_.set_handler([this](proto::Request request, net::Address from) {
-    return Handle(std::move(request), from);
-  });
+    : snfs::CallbackServer(simulator, fs, peer, "nqnfs.vacate"), params_(params) {
   simulator_.Spawn(LeaseDaemon());
 }
 
 void NqnfsServer::Crash() {
   leases_.Clear();
-  file_locks_.clear();
+  CallbackServer::Crash();
   vacates_in_progress_.clear();
   inconsistent_files_.clear();
   leaseless_bursts_.clear();
@@ -36,14 +25,6 @@ void NqnfsServer::Restart() {
   // Every lease a previous incarnation could have granted lapses within one
   // lease term of now; until then, grant nothing and serve data uncached.
   no_grant_until_ = simulator_.Now() + params_.lease_term;
-}
-
-sim::Mutex& NqnfsServer::FileLock(const proto::FileHandle& fh) {
-  auto it = file_locks_.find(fh.fileid);
-  if (it == file_locks_.end()) {
-    it = file_locks_.emplace(fh.fileid, std::make_unique<sim::Mutex>(simulator_)).first;
-  }
-  return *it->second;
 }
 
 sim::Task<void> NqnfsServer::LeaseDaemon() {
@@ -60,28 +41,10 @@ sim::Task<void> NqnfsServer::LeaseDaemon() {
 
 sim::Task<void> NqnfsServer::VacateOne(proto::FileHandle fh, LeaseKey key, Lease lease) {
   ++vacates_issued_;
-  co_await vacate_budget_.Acquire();
-  uint64_t in_progress_key = (key.fileid << 16) ^ static_cast<uint64_t>(key.host);
-  vacates_in_progress_.insert(in_progress_key);
-  trace::Span span;
-  if (trace::Active() != nullptr) {
-    span.Begin("nqnfs.vacate", peer_.address().host,
-               "file=" + std::to_string(key.fileid) + " host=" + std::to_string(key.host) +
-                   " wb=" + (lease.write ? "1" : "0"));
-  }
-  proto::CallbackReq req;
-  req.fh = fh;
-  req.writeback = lease.write;
-  req.invalidate = true;
-  auto reply = co_await peer_.Call(net::Address{key.host}, req, snfs::kCallbackCall);
-  bool delivered = reply.ok() && reply->status.ok();
-  span.End(std::string("ok=") + (delivered ? "1" : "0"));
-  vacate_budget_.Release();
+  bool delivered = co_await Callback(
+      key.host, proto::CallbackReq{.fh = fh, .writeback = lease.write, .invalidate = true});
   if (!delivered) {
     ++vacates_failed_;
-    LOG_INFO("nqnfs", "vacate to host %d failed (%s); waiting out the lease on file %llu",
-             key.host, reply.ok() ? "error reply" : "timeout",
-             static_cast<unsigned long long>(key.fileid));
     // The holder is unreachable but its lease is still a promise; the only
     // correct move is to wait for it to lapse. A dead write-lease holder
     // takes its un-flushed dirty blocks with it. The in-progress marker
@@ -100,7 +63,7 @@ sim::Task<void> NqnfsServer::VacateOne(proto::FileHandle fh, LeaseKey key, Lease
       inconsistent_files_.insert(key.fileid);
     }
   }
-  vacates_in_progress_.erase(in_progress_key);
+  vacates_in_progress_.erase(key);
   leases_.Erase(key.fileid, key.host);
   if (delivered && lease.write) {
     TRACE_INSTANT("nqnfs.write_lease_end", peer_.address().host,
@@ -281,24 +244,11 @@ sim::Task<proto::Reply> NqnfsServer::Handle(proto::Request request, net::Address
       write_lock = co_await PrepareForeignWrite(req.fh, from.host);
       break;
     }
-    case proto::OpKind::kRemove: {
-      // Drop lease state for the victim so holders stop receiving vacates
-      // for a dead handle; their client-side leases lapse on their own.
-      const auto& req = std::get<proto::RemoveReq>(request);
-      auto looked = co_await fs_.Lookup(req.dir, req.name);
-      if (looked.ok()) {
-        for (const auto& [key, lease] : leases_.HoldersOf(looked->fh.fileid)) {
-          leases_.Erase(key.fileid, key.host);
-        }
-        inconsistent_files_.erase(looked->fh.fileid);
-      }
-      break;
-    }
     default:
       break;  // namespace traffic and everything else passes straight through
   }
 
-  proto::Reply reply = co_await nfs_->Handle(std::move(request), from);
+  proto::Reply reply = co_await CallbackServer::Handle(std::move(request), from);
   if (write_lock != nullptr) {
     write_lock->Release();
   }

@@ -14,23 +14,18 @@
 // period anywhere.
 //
 // Like the SNFS server, "our only modification to the original NFS server
-// code" is additive: data operations are delegated to a wrapped NfsServer,
-// with the lease machinery layered in front.
+// code" is additive: the lease machinery is layered in front of the
+// callback-server core (snfs::CallbackServer), which vacates over its
+// callback channel.
 #ifndef SRC_NQNFS_SERVER_H_
 #define SRC_NQNFS_SERVER_H_
 
-#include <memory>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "src/fs/local_fs.h"
-#include "src/net/network.h"
-#include "src/nfs/server.h"
 #include "src/nqnfs/lease_table.h"
-#include "src/proto/messages.h"
-#include "src/rpc/peer.h"
-#include "src/sim/simulator.h"
-#include "src/sim/sync.h"
+#include "src/snfs/callback_server.h"
 
 namespace nqnfs {
 
@@ -40,27 +35,21 @@ struct NqnfsServerParams {
   sim::Duration lease_scan = sim::Sec(1);
 };
 
-class NqnfsServer {
+class NqnfsServer : public snfs::CallbackServer {
  public:
-  // Installs itself as `peer`'s request handler (owning an NfsServer that
-  // serves every NFS operation, whose handler it overrides).
+  // Installs itself as `peer`'s request handler.
   NqnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& peer,
               NqnfsServerParams params = {});
 
-  NqnfsServer(const NqnfsServer&) = delete;
-  NqnfsServer& operator=(const NqnfsServer&) = delete;
-
-  proto::FileHandle root() const { return fs_.root(); }
-
-  sim::Task<proto::Reply> Handle(proto::Request request, net::Address from);
+  sim::Task<proto::Reply> Handle(proto::Request request, net::Address from) override;
 
   // Crash simulation: the lease table lives in kernel memory and dies with
-  // it. The caller also marks the host down and calls peer.Shutdown().
-  void Crash();
+  // it.
+  void Crash() override;
 
   // Reboot: open the quiet window — no new leases until every lease a dead
   // incarnation could have granted has lapsed. Data RPCs serve immediately.
-  void Restart();
+  void Restart() override;
 
   bool in_quiet_window() const { return simulator_.Now() < no_grant_until_; }
 
@@ -95,23 +84,28 @@ class NqnfsServer {
   sim::Task<void> LeaseDaemon();
 
   bool VacateInProgress(uint64_t fileid, int host) const {
-    return vacates_in_progress_.contains((fileid << 16) ^ static_cast<uint64_t>(host));
+    return vacates_in_progress_.contains(LeaseKey{fileid, host});
   }
 
-  sim::Mutex& FileLock(const proto::FileHandle& fh);
+  // --- CallbackServer hooks --------------------------------------------------
+  // A removed file's leases and inconsistent mark go with it; the holders'
+  // client-side leases lapse on their own.
+  void Forget(const proto::FileHandle& fh) override {
+    for (const auto& [key, lease] : leases_.HoldersOf(fh.fileid)) {
+      leases_.Erase(key.fileid, key.host);
+    }
+    inconsistent_files_.erase(fh.fileid);
+  }
+  // The vacate-in-progress marker goes up only once the vacate holds a
+  // budget slot, so a holder's data RPCs extend its lease while the vacate
+  // still waits for one.
+  void OnCallbackSlot(int host, const proto::CallbackReq& req) override {
+    vacates_in_progress_.insert(LeaseKey{req.fh.fileid, host});
+  }
 
-  sim::Simulator& simulator_;
-  fs::LocalFs& fs_;
-  rpc::Peer& peer_;
   NqnfsServerParams params_;
-  std::unique_ptr<nfs::NfsServer> nfs_;
   LeaseTable leases_;
-  // At most workers-1 concurrent vacates, so one worker always remains to
-  // service the write-backs they trigger (§3.2's budget argument applies
-  // unchanged to leases).
-  sim::Semaphore vacate_budget_;
-  std::unordered_map<uint64_t, std::unique_ptr<sim::Mutex>> file_locks_;
-  std::unordered_set<uint64_t> vacates_in_progress_;
+  std::set<LeaseKey> vacates_in_progress_;
   // Files whose last write-lease holder could not be reached for its final
   // write-back; cleared by the next successful foreign write.
   std::unordered_set<uint64_t> inconsistent_files_;

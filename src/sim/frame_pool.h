@@ -32,11 +32,12 @@ namespace sim {
 namespace framepool {
 
 // 64-byte classes up to 4 KB cover every frame bench_andrew, bench_sort and
-// bench_fleet allocate. The largest are the server handlers' —
-// NfsServer::Handle at ~3.0 KB and SnfsServer::HandleData at ~3.2 KB in a
-// RelWithDebInfo build — which a 2 KB ceiling sent to malloc on every
-// server RPC. FramePoolTest (consistency_test) pins that NFS, SNFS and
-// NQNFS read round trips make no fall-through allocation.
+// bench_fleet allocate. The largest is the server handler every protocol's
+// requests reach, NfsServer::Handle, at 3,056 bytes in a RelWithDebInfo
+// build with GCC 12 (then SnfsServer::Handle at 1,320, NqnfsServer::Handle
+// at 1,048 and snfs::CallbackServer::Remove at 856); a 2 KB ceiling sent it
+// to malloc on every server RPC. FramePoolTest (consistency_test) pins that
+// NFS, SNFS and NQNFS read round trips make no fall-through allocation.
 inline constexpr size_t kClassBytes = 64;
 inline constexpr size_t kMaxPooledBytes = 4096;
 inline constexpr size_t kNumClasses = kMaxPooledBytes / kClassBytes;

@@ -3,34 +3,19 @@
 #include <string>
 #include <utility>
 
-#include "src/base/log.h"
 #include "src/trace/trace.h"
 
 namespace snfs {
 
-int CallbackBudget(const rpc::Peer& peer) {
-  CHECK_GE(peer.num_workers(), 2);
-  return peer.num_workers() - 1;
-}
-
 SnfsServer::SnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& peer,
                        SnfsServerParams params)
-    : simulator_(simulator),
-      fs_(fs),
-      peer_(peer),
+    : CallbackServer(simulator, fs, peer, "snfs.callback"),
       params_(params),
-      table_(StateTableParams{params.max_state_entries}),
-      callback_budget_(simulator, CallbackBudget(peer)) {
-  nfs_ = std::make_unique<nfs::NfsServer>(fs, peer);
-  // NfsServer installed itself; take over the dispatch.
-  peer_.set_handler([this](proto::Request request, net::Address from) {
-    return Handle(std::move(request), from);
-  });
-}
+      table_(StateTableParams{params.max_state_entries}) {}
 
 void SnfsServer::Crash() {
   table_.Clear();
-  file_locks_.clear();
+  CallbackServer::Crash();
 }
 
 void SnfsServer::Restart() {
@@ -40,45 +25,21 @@ void SnfsServer::Restart() {
   }
 }
 
-sim::Mutex& SnfsServer::FileLock(const proto::FileHandle& fh) {
-  auto it = file_locks_.find(fh.fileid);
-  if (it == file_locks_.end()) {
-    it = file_locks_.emplace(fh.fileid, std::make_unique<sim::Mutex>(simulator_)).first;
-  }
-  return *it->second;
-}
-
 sim::Task<void> SnfsServer::IssueCallback(proto::FileHandle fh,
                                           CallbackAction action) {
   if (action.host < 0) {
     co_return;
   }
   ++callbacks_issued_;
-  co_await callback_budget_.Acquire();
-  trace::Span cb_span;
-  if (trace::Active() != nullptr) {
-    cb_span.Begin("snfs.callback", peer_.address().host,
-                  "file=" + std::to_string(fh.fileid) + " host=" + std::to_string(action.host) +
-                      " wb=" + (action.writeback ? "1" : "0") +
-                      " inv=" + (action.invalidate ? "1" : "0") +
-                      " rel=" + (action.relinquish ? "1" : "0"));
-  }
-  proto::CallbackReq req;
-  req.fh = fh;
-  req.writeback = action.writeback;
-  req.invalidate = action.invalidate;
-  req.relinquish = action.relinquish;
-  auto reply = co_await peer_.Call(net::Address{action.host}, req, kCallbackCall);
-  cb_span.End(std::string("ok=") + (reply.ok() && reply->status.ok() ? "1" : "0"));
-  callback_budget_.Release();
-  if (!reply.ok() || !reply->status.ok()) {
+  proto::CallbackReq req{.fh = fh,
+                         .writeback = action.writeback,
+                         .invalidate = action.invalidate,
+                         .relinquish = action.relinquish};
+  if (!co_await Callback(action.host, req)) {
     // "If the client 'serving' the callback is down, the SNFS server can
     // honor the new open operation, but it should inform the new client
     // that the file may be in an inconsistent state."
     ++callbacks_failed_;
-    LOG_INFO("snfs", "callback to host %d failed (%s); marking file %llu inconsistent",
-             action.host, reply.ok() ? "error reply" : "timeout",
-             static_cast<unsigned long long>(fh.fileid));
     table_.MarkInconsistent(fh, action.host);
   } else if (action.writeback) {
     table_.MarkFlushed(fh);
@@ -206,21 +167,10 @@ sim::Task<proto::Reply> SnfsServer::Handle(proto::Request request, net::Address 
       rep.in_recovery = in_recovery();
       co_return proto::OkReply(rep);
     }
-    case proto::OpKind::kRemove: {
-      // Forget consistency state for the victim so stale write-backs from
-      // its last writer are rejected with ESTALE rather than resurrecting
-      // the file.
-      const auto& req = std::get<proto::RemoveReq>(request);
-      auto looked = co_await fs_.Lookup(req.dir, req.name);
-      if (looked.ok()) {
-        table_.Forget(looked->fh);
-      }
-      break;
-    }
     default:
       break;  // every other operation is plain NFS
   }
-  co_return co_await nfs_->Handle(std::move(request), from);
+  co_return co_await CallbackServer::Handle(std::move(request), from);
 }
 
 }  // namespace snfs

@@ -1,22 +1,14 @@
 // The SNFS server: the NFS server plus the state table manager, the two new
 // open/close RPC services (§4.3.1: "our only modification to the original
-// NFS server code was to add the two new RPC service functions"), callback
-// issuance with a deadlock-avoiding thread budget (§3.2: "if there are N
-// threads, only N-1 may be doing callbacks simultaneously"), state-table
-// entry reclamation, and the crash-recovery extension (§2.4).
+// NFS server code was to add the two new RPC service functions"), callbacks
+// through the callback-server core, state-table entry reclamation, and the
+// crash-recovery extension (§2.4).
 #ifndef SRC_SNFS_SERVER_H_
 #define SRC_SNFS_SERVER_H_
 
-#include <memory>
-#include <unordered_map>
+#include <string>
 
-#include "src/fs/local_fs.h"
-#include "src/net/network.h"
-#include "src/nfs/server.h"
-#include "src/proto/messages.h"
-#include "src/rpc/peer.h"
-#include "src/sim/simulator.h"
-#include "src/sim/sync.h"
+#include "src/snfs/callback_server.h"
 #include "src/snfs/state_table.h"
 
 namespace snfs {
@@ -28,20 +20,6 @@ namespace snfs {
 // version with the file (as Sprite does) and never invalidates spuriously.
 enum class VersionMode { kStable, kGlobalCounter };
 
-// How many callbacks a server may have outstanding at once: "if there are
-// N threads, only N-1 may be doing callbacks simultaneously, so that at
-// least one thread can service the write-backs" (§3.2). N is the worker
-// pool of the server's `peer`, which must have a worker to spare.
-int CallbackBudget(const rpc::Peer& peer);
-
-// Callbacks trigger write-backs that are themselves multi-RPC operations,
-// so the callback call must be patient ("usually the callback, together
-// with any required write-backs, should finish long before the RPC times
-// out, but this is not guaranteed"). The opener's own retry budget covers
-// the wait; a truly dead client costs ~30 s before the file is flagged.
-inline constexpr rpc::CallOptions kCallbackCall{
-    .timeout = sim::Sec(2), .max_attempts = 4, .backoff = 2.0};
-
 struct SnfsServerParams {
   size_t max_state_entries = 1000;
   VersionMode version_mode = VersionMode::kStable;
@@ -51,31 +29,24 @@ struct SnfsServerParams {
   bool enable_recovery = false;
 };
 
-class SnfsServer {
+class SnfsServer : public CallbackServer {
  public:
-  // Installs itself as `peer`'s request handler (owning an NfsServer that
-  // serves every NFS operation, whose handler it overrides).
+  // Installs itself as `peer`'s request handler.
   SnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& peer,
              SnfsServerParams params = {});
 
-  SnfsServer(const SnfsServer&) = delete;
-  SnfsServer& operator=(const SnfsServer&) = delete;
-
-  proto::FileHandle root() const { return fs_.root(); }
   StateTable& state_table() { return table_; }
   uint64_t epoch() const { return epoch_; }
   bool in_recovery() const { return simulator_.Now() < recovery_until_; }
 
-  sim::Task<proto::Reply> Handle(proto::Request request, net::Address from);
+  sim::Task<proto::Reply> Handle(proto::Request request, net::Address from) override;
 
   // Crash simulation: lose all state (the state table lives in kernel
-  // memory). The caller also marks the host down in the Network and calls
-  // peer.Shutdown().
-  void Crash();
+  // memory).
+  void Crash() override;
 
-  // Reboot: bump the epoch and enter the recovery grace period. The caller
-  // brings the host back up and calls peer.Start().
-  void Restart();
+  // Reboot: bump the epoch and enter the recovery grace period.
+  void Restart() override;
 
   uint64_t callbacks_issued() const { return callbacks_issued_; }
   uint64_t callbacks_failed() const { return callbacks_failed_; }
@@ -93,16 +64,16 @@ class SnfsServer {
   // Reclaim CLOSED_DIRTY entries when the table is over its limit.
   sim::Task<void> ReclaimEntries();
 
-  sim::Mutex& FileLock(const proto::FileHandle& fh);
+  // --- CallbackServer hooks --------------------------------------------------
+  // A removed file's state-table entry goes with it.
+  void Forget(const proto::FileHandle& fh) override { table_.Forget(fh); }
+  std::string CallbackSpanArgs(const proto::CallbackReq& req) const override {
+    return std::string(" inv=") + (req.invalidate ? "1" : "0") +
+           " rel=" + (req.relinquish ? "1" : "0");
+  }
 
-  sim::Simulator& simulator_;
-  fs::LocalFs& fs_;
-  rpc::Peer& peer_;
   SnfsServerParams params_;
-  std::unique_ptr<nfs::NfsServer> nfs_;
   StateTable table_;
-  sim::Semaphore callback_budget_;
-  std::unordered_map<uint64_t, std::unique_ptr<sim::Mutex>> file_locks_;
   uint64_t epoch_ = 1;
   uint64_t global_version_counter_ = 1;
   sim::Time recovery_until_ = 0;

@@ -104,11 +104,11 @@ ServerMachine::ServerMachine(sim::Simulator& simulator, net::Network& network, s
   fs_ = std::make_unique<fs::LocalFs>(simulator, disk_, params.fs);
   peer_ = std::make_unique<rpc::Peer>(simulator, network, cpu_, name_, params.peer);
   if (protocol == ServerProtocol::kNfs) {
-    nfs_server_ = std::make_unique<nfs::NfsServer>(*fs_, *peer_);
+    server_ = std::make_unique<nfs::NfsServer>(*fs_, *peer_);
   } else if (protocol == ServerProtocol::kSnfs) {
-    snfs_server_ = std::make_unique<snfs::SnfsServer>(simulator, *fs_, *peer_, params.snfs);
+    server_ = std::make_unique<snfs::SnfsServer>(simulator, *fs_, *peer_, params.snfs);
   } else {
-    nqnfs_server_ = std::make_unique<nqnfs::NqnfsServer>(simulator, *fs_, *peer_, params.nqnfs);
+    server_ = std::make_unique<nqnfs::NqnfsServer>(simulator, *fs_, *peer_, params.nqnfs);
   }
 }
 
@@ -118,23 +118,13 @@ void ServerMachine::Crash(net::Network& network) {
   TRACE_INSTANT("machine.crash", address().host, "kind=server");
   network.SetHostUp(address(), false);
   peer_->Shutdown();
-  if (snfs_server_ != nullptr) {
-    snfs_server_->Crash();
-  }
-  if (nqnfs_server_ != nullptr) {
-    nqnfs_server_->Crash();
-  }
+  server_->Crash();
 }
 
 void ServerMachine::Reboot(net::Network& network) {
   TRACE_INSTANT("machine.restart", address().host, "kind=server");
   network.SetHostUp(address(), true);
-  if (snfs_server_ != nullptr) {
-    snfs_server_->Restart();
-  }
-  if (nqnfs_server_ != nullptr) {
-    nqnfs_server_->Restart();
-  }
+  server_->Restart();
   peer_->Start();
 }
 

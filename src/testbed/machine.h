@@ -151,8 +151,9 @@ class ServerMachine {
   fs::LocalFs& fs() { return *fs_; }
   net::Address address() const { return peer_->address(); }
   proto::FileHandle root() const { return fs_->root(); }
-  snfs::SnfsServer* snfs_server() { return snfs_server_.get(); }
-  nqnfs::NqnfsServer* nqnfs_server() { return nqnfs_server_.get(); }
+  // The protocol's server, or nullptr when the machine serves another.
+  snfs::SnfsServer* snfs_server() { return dynamic_cast<snfs::SnfsServer*>(server_.get()); }
+  nqnfs::NqnfsServer* nqnfs_server() { return dynamic_cast<nqnfs::NqnfsServer*>(server_.get()); }
 
  private:
   sim::Simulator& simulator_;
@@ -161,9 +162,7 @@ class ServerMachine {
   disk::Disk disk_;
   std::unique_ptr<fs::LocalFs> fs_;
   std::unique_ptr<rpc::Peer> peer_;
-  std::unique_ptr<nfs::NfsServer> nfs_server_;
-  std::unique_ptr<snfs::SnfsServer> snfs_server_;
-  std::unique_ptr<nqnfs::NqnfsServer> nqnfs_server_;
+  std::unique_ptr<nfs::NfsServer> server_;
 };
 
 }  // namespace testbed

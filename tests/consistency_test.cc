@@ -25,6 +25,9 @@
 //                       take (removed out of band) fails the fsync that
 //                       forces it out — a barrier never returns a silent OK.
 //
+// On SNFS and NQNFS, removing a file also drops the server's consistency
+// state for it: its state-table entry, or its leases.
+//
 // Plus the original property test: random multi-client workloads against an
 // in-memory oracle, serialized by a (simulated) global lock, mirroring the
 // paper's proviso that consistency holds "provided that some other
@@ -446,6 +449,49 @@ TEST_P(ProtocolConformance, FsyncReportsAWriteTheServerRejected) {
 INSTANTIATE_TEST_SUITE_P(Protocols, ProtocolConformance,
                          ::testing::Values(ServerProtocol::kNfs, ServerProtocol::kSnfs,
                                            ServerProtocol::kNqnfs),
+                         [](const ::testing::TestParamInfo<ServerProtocol>& info) {
+                           return ProtocolLabel(info.param);
+                         });
+
+// --- remove drops the server's consistency state ------------------------------
+
+// How much consistency state the server holds for `fh`: its state-table
+// entry (SNFS) or its leases (NQNFS; the test's only file).
+size_t ServerStateFor(World& w, const proto::FileHandle& fh) {
+  if (snfs::SnfsServer* snfs = w.server->snfs_server()) {
+    return snfs->state_table().Lookup(fh) != nullptr ? 1 : 0;
+  }
+  return w.server->nqnfs_server()->active_leases();
+}
+
+sim::Task<void> WriteCloseUnlinkScenario(World& w, bool* finished) {
+  vfs::Vfs& v = w.client(0).vfs();
+  EXPECT_TRUE((co_await v.WriteFile("/data/f", testbed::TestPattern(100))).ok());
+  fs::LocalFs& server_fs = w.server->fs();
+  auto file = co_await server_fs.Lookup(server_fs.root(), "f");
+  EXPECT_TRUE(file.ok());
+  if (!file.ok()) {
+    co_return;
+  }
+  EXPECT_EQ(ServerStateFor(w, file->fh), 1u) << "the written file left no server state";
+  EXPECT_TRUE((co_await v.Unlink("/data/f")).ok());
+  EXPECT_EQ(ServerStateFor(w, file->fh), 0u) << "remove left the file's server state behind";
+  *finished = true;
+}
+
+class RemoveDropsServerState : public ::testing::TestWithParam<ServerProtocol> {};
+
+TEST_P(RemoveDropsServerState, AfterWriteCloseUnlink) {
+  World w(GetParam(), 1);
+  MountData(w, 0, GetParam());
+  bool finished = false;
+  w.simulator.Spawn(WriteCloseUnlinkScenario(w, &finished));
+  w.simulator.Run();
+  EXPECT_TRUE(finished);
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, RemoveDropsServerState,
+                         ::testing::Values(ServerProtocol::kSnfs, ServerProtocol::kNqnfs),
                          [](const ::testing::TestParamInfo<ServerProtocol>& info) {
                            return ProtocolLabel(info.param);
                          });

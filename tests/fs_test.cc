@@ -771,5 +771,82 @@ TEST(BufferCacheTest, InvalidateFileLeavesOtherMountsBlocksOfTheSameFileid) {
   EXPECT_EQ(fetches[1], 2);  // still cached
 }
 
+// A one-block cache whose backing store takes 10 ms per store and rejects
+// every store of file 1 while `reject` is set. Writing file 1's block 0 and
+// then file 2's evicts the first into a flush-behind store.
+struct FlushBehindRig {
+  sim::Simulator simulator;
+  cache::BufferCache cache{simulator, cache::BufferCacheParams{.capacity_blocks = 1,
+                                                               .enable_sync_daemon = false}};
+  std::vector<uint64_t> landed;  // fileid of each accepted store, in landing order
+  bool reject = false;
+  int mount = -1;
+
+  FlushBehindRig() {
+    cache::Backing backing;
+    backing.fetch = [](uint64_t, uint64_t) -> sim::Task<base::Result<proto::Bytes>> {
+      co_return proto::Bytes();
+    };
+    backing.store = [this](uint64_t fileid, uint64_t,
+                           proto::Bytes) -> sim::Task<base::Result<void>> {
+      co_await sim::Sleep(simulator, sim::Msec(10));
+      if (reject && fileid == 1) {
+        co_return base::ErrStale();
+      }
+      landed.push_back(fileid);
+      co_return base::OkStatus();
+    };
+    mount = cache.RegisterMount(std::move(backing));
+  }
+
+  sim::Task<void> EvictFileOne(uint64_t block) {
+    proto::Bytes data(std::vector<uint8_t>(cache::kBlockSize, 0x01));
+    EXPECT_TRUE((co_await cache.WriteDelayed(mount, 1, block * cache::kBlockSize, data, 0)).ok());
+    EXPECT_TRUE((co_await cache.WriteDelayed(mount, 2, block * cache::kBlockSize, data, 0)).ok());
+  }
+};
+
+TEST(BufferCacheTest, FlushFileWaitsForAnEvictedBlocksStore) {
+  FlushBehindRig rig;
+  bool completed = false;
+  rig.simulator.Spawn([](FlushBehindRig& rig, bool& completed) -> sim::Task<void> {
+    co_await rig.EvictFileOne(0);
+    EXPECT_TRUE(rig.landed.empty());  // file 1's block is still on the wire
+    EXPECT_TRUE((co_await rig.cache.FlushFile(rig.mount, 1)).ok());
+    EXPECT_EQ(rig.landed, std::vector<uint64_t>{1});
+    EXPECT_GE(rig.simulator.Now(), sim::Msec(10));
+    completed = true;
+  }(rig, completed));
+  rig.simulator.Run();
+  EXPECT_TRUE(completed);
+}
+
+TEST(BufferCacheTest, RejectedFlushBehindStoreFailsTheNextFlushFile) {
+  FlushBehindRig rig;
+  rig.reject = true;
+  bool completed = false;
+  rig.simulator.Spawn([](FlushBehindRig& rig, bool& completed) -> sim::Task<void> {
+    co_await rig.EvictFileOne(0);
+    co_await sim::Sleep(rig.simulator, sim::Msec(20));  // the store was rejected
+    // The sync daemon's pass over the file, dirty again, leaves the error alone.
+    proto::Bytes data(std::vector<uint8_t>(cache::kBlockSize, 0x02));
+    EXPECT_TRUE((co_await rig.cache.WriteDelayed(rig.mount, 1, 0, data, 0)).ok());
+    co_await rig.cache.FlushAll();
+    EXPECT_FALSE((co_await rig.cache.FlushFile(rig.mount, 1)).ok());
+    EXPECT_TRUE((co_await rig.cache.FlushFile(rig.mount, 1)).ok());  // reported once
+    // A crash drops an unreported rejection, and one that lands after it.
+    co_await rig.EvictFileOne(1);
+    co_await sim::Sleep(rig.simulator, sim::Msec(20));
+    rig.cache.DropAll();
+    EXPECT_TRUE((co_await rig.cache.FlushFile(rig.mount, 1)).ok());
+    co_await rig.EvictFileOne(2);
+    rig.cache.DropAll();
+    EXPECT_TRUE((co_await rig.cache.FlushFile(rig.mount, 1)).ok());
+    completed = true;
+  }(rig, completed));
+  rig.simulator.Run();
+  EXPECT_TRUE(completed);
+}
+
 }  // namespace
 }  // namespace fs
