@@ -13,8 +13,9 @@
 #     baselines, bench_fleet against BENCH_fleet.json, and bench_simperf's
 #     event counts, work units and simulated seconds against
 #     BENCH_simperf.json. The paper benches with no pinned output
-#     (bench_reopen, bench_server_load, bench_sort_nodelay, bench_scaling)
-#     run for their shape checks: a bench exits 1 when one fails.
+#     (bench_reopen, bench_server_load, bench_sort_nodelay, bench_scaling,
+#     bench_ablation, bench_state_table) run for their shape checks: a bench
+#     exits 1 when one fails.
 #  5. perfbench: build the repository benchmark from this tree into
 #     .bench_build/ (its own CMake package, which compiles src/ APIs such
 #     as LocalFs::Write and the protocol clients' counters) and run its
@@ -91,9 +92,11 @@ diff <(grep -v '^wrote ' bench/baselines/bench_sort_stdout.txt) \
 
 echo "== paper shape checks: the benches no snapshot pins =="
 # Each prints its expected-shape checks against the paper and exits 1 if any
-# reads [!!] (bench_andrew and bench_sort run theirs above). They stay out of
-# ctest: under ASan, bench_sort_nodelay's sort merge overflows the stack.
-for shape_bench in bench_reopen bench_server_load bench_sort_nodelay bench_scaling; do
+# reads [!!] (bench_andrew and bench_sort run theirs above); bench_state_table
+# prints Table 4-1 and only has to run. They stay out of ctest: under ASan,
+# bench_sort_nodelay's sort merge overflows the stack.
+for shape_bench in bench_reopen bench_server_load bench_sort_nodelay bench_scaling \
+    bench_ablation bench_state_table; do
   if ! ./build/bench/"$shape_bench" > "$baseline_tmp/$shape_bench.txt"; then
     grep -F '[!!]' "$baseline_tmp/$shape_bench.txt" >&2
     echo "FAIL: $shape_bench: a shape check failed" >&2

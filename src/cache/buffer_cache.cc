@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "src/base/log.h"
 #include "src/trace/trace.h"
 
 namespace cache {
@@ -214,11 +213,6 @@ sim::Task<bool> BufferCache::PerformStore(Key key, proto::Bytes data) {
   auto result = co_await mounts_[key.mount].store(key.fileid, key.block, std::move(data));
   store_span.End(std::string("ok=") + (result.ok() ? "1" : "0"));
   FinishStore(key);
-  if (!result.ok()) {
-    LOG_ERROR("cache", "writeback failed for file %llu block %llu: %s",
-              static_cast<unsigned long long>(key.fileid),
-              static_cast<unsigned long long>(key.block), std::string(result.status().name()).c_str());
-  }
   co_return result.ok();
 }
 
@@ -242,7 +236,7 @@ sim::Task<void> BufferCache::AsyncStore(Key key, proto::Bytes data, uint64_t dro
   // file's next durability barrier — unless the cache crashed meanwhile.
   bool stored = co_await PerformStore(key, std::move(data));
   if (!stored && drops == drops_) {
-    rejected_flush_behind_.insert(FileKey{key.mount, key.fileid});
+    rejected_stores_.insert(FileKey{key.mount, key.fileid});
   }
   flush_behind_.Release();
 }
@@ -376,14 +370,15 @@ sim::Task<base::Result<void>> BufferCache::WriteDelayed(int mount, uint64_t file
   if (data.empty()) {
     co_return base::OkStatus();
   }
-  if (params_.flush_blocks_writers) {
-    sim::Mutex& gate = FileGate(FileKey{mount, fileid});
-    if (gate.locked()) {
-      // This file is being flushed; stall on the busy buffers like a
-      // 4.3BSD writer would.
-      sim::ScopedLock stall(gate);
-      co_await stall;
-    }
+  // 4.3BSD-style sync(): while a flush is pushing this file's dirty
+  // buffers, a writer to the file stalls on the busy buffers. This is the
+  // mechanism that keeps the paper's SNFS sort slower than the local sort
+  // despite identical CPU use: the stall lasts as long as the flush, and
+  // remote flushes are an order of magnitude slower per block.
+  sim::Mutex& gate = FileGate(FileKey{mount, fileid});
+  if (gate.locked()) {
+    sim::ScopedLock stall(gate);
+    co_await stall;
   }
   uint64_t end = offset + data.size();
   uint64_t first_block = offset / kBlockSize;
@@ -469,7 +464,7 @@ sim::Task<base::Result<void>> BufferCache::FlushFile(int mount, uint64_t fileid,
     sim::Future<bool> landed = landing->second.GetFuture();
     co_await landed;
   }
-  if (rejected_flush_behind_.erase(fk) > 0) {
+  if (rejected_stores_.erase(fk) > 0) {
     all_stored = false;
   }
   // A failed store leaves the block clean in the cache but absent from the
@@ -483,7 +478,7 @@ sim::Task<base::Result<void>> BufferCache::FlushFile(int mount, uint64_t fileid,
 
 sim::Task<bool> BufferCache::StoreDirty(FileKey fk, uint64_t max_blocks) {
   sim::Mutex* gate = nullptr;
-  if (params_.flush_blocks_writers && HasDirty(fk.mount, fk.fileid)) {
+  if (HasDirty(fk.mount, fk.fileid)) {
     gate = &FileGate(fk);
     co_await gate->Acquire();
   }
@@ -514,7 +509,13 @@ sim::Task<bool> BufferCache::StoreDirty(FileKey fk, uint64_t max_blocks) {
 sim::Task<void> BufferCache::FlushAll() {
   while (!dirty_blocks_.empty()) {
     FileKey fk = dirty_blocks_.begin()->first;
-    (void)co_await StoreDirty(fk, 0);
+    // Nobody waits for the sync pass either, so a rejection waits for the
+    // file's next FlushFile, unless the cache crashed meanwhile.
+    uint64_t drops = drops_;
+    bool stored = co_await StoreDirty(fk, 0);
+    if (!stored && drops == drops_) {
+      rejected_stores_.insert(fk);
+    }
   }
 }
 
@@ -545,7 +546,7 @@ uint64_t BufferCache::CancelDirty(int mount, uint64_t fileid) {
 }
 
 void BufferCache::DropAll() {
-  rejected_flush_behind_.clear();
+  rejected_stores_.clear();
   ++drops_;
   if (trace::Active() != nullptr) {
     // The dirty data just died with the kernel: close out the traced dirty

@@ -52,12 +52,6 @@ inline constexpr uint32_t kBlockSize = 4096;
 struct BufferCacheParams {
   size_t capacity_blocks = 4096;   // 16 MB — the paper's client cache
   bool enable_sync_daemon = true;  // off = "infinite write-delay" (§5.4)
-  // 4.3BSD-style sync(): while the update daemon is pushing a file's dirty
-  // buffers, a writer to the same file stalls on the busy buffers. This is
-  // the mechanism that keeps the paper's SNFS sort slower than the local
-  // sort despite identical CPU use: the stall lasts as long as the flush,
-  // and remote flushes are an order of magnitude slower per block.
-  bool flush_blocks_writers = true;
 };
 
 // Per-mount backing store callbacks (issue RPCs / local disk ops).
@@ -118,13 +112,14 @@ class BufferCache {
   // store; with `max_blocks` > 0, stop after that many. Then wait until no
   // store of the file is in flight, so an evicted block's flush-behind store
   // has landed too. Fails if the backing rejected any of these stores, or a
-  // flush-behind store of the file since its last FlushFile (the block stays
-  // clean but undurable, so durability barriers must surface the error).
+  // flush-behind or sync-pass store of the file since its last FlushFile
+  // (the block stays clean but undurable, so durability barriers must
+  // surface the error).
   sim::Task<base::Result<void>> FlushFile(int mount, uint64_t fileid, uint64_t max_blocks = 0);
 
   // Write every dirty block (sync daemon body). Neither waits for
-  // flush-behind stores nor reports their rejections, which stay for the
-  // file's next FlushFile.
+  // flush-behind stores nor reports a rejection, its own or theirs: each
+  // stays for the file's next FlushFile.
   sim::Task<void> FlushAll();
 
   // Drop every cached block of the file (including dirty ones — callers
@@ -136,9 +131,9 @@ class BufferCache {
   uint64_t CancelDirty(int mount, uint64_t fileid);
 
   // Crash simulation: every cached block, clean or dirty, vanishes with the
-  // kernel, and so do unreported flush-behind rejections. Write-backs
-  // already in flight keep their bookkeeping; their coroutines run to
-  // completion against the backing store and clean up.
+  // kernel, and so do unreported store rejections. Write-backs already in
+  // flight keep their bookkeeping; their coroutines run to completion
+  // against the backing store and clean up.
   void DropAll();
 
   bool HasDirty(int mount, uint64_t fileid) const;
@@ -231,9 +226,9 @@ class BufferCache {
   std::unordered_map<FileKey, int, FileKeyHash> flushing_files_;
   // Set when the last in-flight store of a file lands, for FlushFile.
   std::unordered_map<FileKey, sim::Promise<bool>, FileKeyHash> stores_landed_;
-  // Files with a flush-behind store the backing rejected, not yet reported
-  // by a FlushFile.
-  std::unordered_set<FileKey, FileKeyHash> rejected_flush_behind_;
+  // Files with a flush-behind or sync-pass store the backing rejected, not
+  // yet reported by a FlushFile.
+  std::unordered_set<FileKey, FileKeyHash> rejected_stores_;
   uint64_t drops_ = 0;  // DropAll calls
   CacheStats stats_;
 };

@@ -23,21 +23,17 @@
 
 namespace disk {
 
-struct DiskParams {
-  // Full positioning (seek + rotation) for a random access. RA81: ~28 ms
-  // average seek plus 8.3 ms half-rotation.
-  sim::Duration access_latency = sim::Msec(36);
-  // Positioning for a sequential continuation (track buffer / same
-  // cylinder).
-  sim::Duration sequential_latency = sim::Msec(4);
-  // Media transfer rate. RA81: ~2.2 MB/s.
-  double transfer_bytes_per_sec = 2.2e6;
-};
+// Full positioning (seek + rotation) for a random access. RA81: ~28 ms
+// average seek plus 8.3 ms half-rotation.
+inline constexpr sim::Duration kAccessLatency = sim::Msec(36);
+// Positioning for a sequential continuation (track buffer / same cylinder).
+inline constexpr sim::Duration kSequentialLatency = sim::Msec(4);
+// Media transfer rate. RA81: ~2.2 MB/s.
+inline constexpr double kTransferBytesPerSec = 2.2e6;
 
 class Disk {
  public:
-  Disk(sim::Simulator& simulator, DiskParams params = {})
-      : simulator_(simulator), params_(params), queue_(simulator) {}
+  explicit Disk(sim::Simulator& simulator) : simulator_(simulator), queue_(simulator) {}
 
   Disk(const Disk&) = delete;
   Disk& operator=(const Disk&) = delete;
@@ -85,9 +81,8 @@ class Disk {
     last_stream_ = stream;
     last_block_ = stream == kNoStream ? 0 : block;
     sim::Duration service =
-        (sequential ? params_.sequential_latency : params_.access_latency) +
-        static_cast<sim::Duration>(static_cast<double>(bytes) / params_.transfer_bytes_per_sec *
-                                   1e6);
+        (sequential ? kSequentialLatency : kAccessLatency) +
+        static_cast<sim::Duration>(static_cast<double>(bytes) / kTransferBytesPerSec * 1e6);
     co_await sim::Sleep(simulator_, service);
     busy_us_ += service;
     if (is_write) {
@@ -102,7 +97,6 @@ class Disk {
   }
 
   sim::Simulator& simulator_;
-  DiskParams params_;
   sim::Mutex queue_;
   uint64_t last_stream_ = kNoStream;
   uint64_t last_block_ = 0;

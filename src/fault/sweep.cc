@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/base/log.h"
 #include "src/cache/buffer_cache.h"
 #include "src/sim/simulator.h"
 #include "src/snfs/server.h"
@@ -19,6 +18,24 @@
 namespace fault {
 namespace {
 
+// The workload: each client writes and reads back its own files, one
+// operation every kMeanOpGap on average, until kHorizon; kDrain leaves time
+// for the final read-back. The invariants are checked every kCheckInterval.
+constexpr int kNumClients = 2;
+constexpr int kFilesPerClient = 3;
+constexpr sim::Duration kHorizon = sim::Sec(90);
+constexpr sim::Duration kDrain = sim::Sec(120);
+constexpr sim::Duration kMeanOpGap = sim::Msec(200);
+constexpr sim::Duration kCheckInterval = sim::Sec(1);
+
+// The machines: SNFS crash recovery on, since the sweep exists to exercise
+// the crash paths, and clients without a local disk.
+constexpr testbed::ServerMachineParams kServer{
+    .snfs = {.recovery_grace = sim::Sec(8), .enable_recovery = true}};
+constexpr testbed::ClientMachineParams kClient{.cache = {}, .with_local_disk = false};
+constexpr snfs::SnfsClientParams kSnfsClient{.enable_recovery = true,
+                                             .keepalive_interval = sim::Sec(5)};
+
 // Per-file ground truth. Files are single-writer (client i writes only its
 // own files), so two counters pin down every legal read: any readable block
 // must be a uniform fill with committed <= version <= written_max.
@@ -28,7 +45,6 @@ struct FileOracle {
 };
 
 struct SeedRun {
-  const SweepOptions* options = nullptr;
   SeedStats stats;
   sim::Time last_reboot = -1;  // schedule's last kRebootServer, for latency
   std::vector<std::vector<FileOracle>> oracles;  // [client][file]
@@ -38,8 +54,6 @@ void Fail(SeedRun& run, std::string why) {
   if (run.stats.ok) {
     run.stats.ok = false;
     run.stats.failure = std::move(why);
-    LOG_INFO("fault", "seed %llu invariant violated: %s",
-             static_cast<unsigned long long>(run.stats.seed), run.stats.failure.c_str());
   }
 }
 
@@ -76,19 +90,18 @@ void VerifyBlock(SeedRun& run, const std::vector<uint8_t>& data, uint64_t commit
 
 sim::Task<void> ClientWorkload(sim::Simulator& simulator, SeedRun& run,
                                testbed::ClientMachine& machine, int index, uint64_t seed) {
-  const SweepOptions& opt = *run.options;
   sim::Rng rng(seed * 1000 + static_cast<uint64_t>(index) + 1);
   // Oracles are sized once in RunFaultSeed and never resized, so references
   // into them stay valid across suspensions.
   std::vector<FileOracle>& files = run.oracles[index];  // lint: await-stale-ref-ok
 
-  while (simulator.Now() < opt.horizon) {
-    sim::Duration gap = opt.mean_op_gap;
-    co_await sim::Sleep(simulator, rng.UniformInt(gap / 2, gap + gap / 2));
+  while (simulator.Now() < kHorizon) {
+    co_await sim::Sleep(simulator,
+                        rng.UniformInt(kMeanOpGap / 2, kMeanOpGap + kMeanOpGap / 2));
     if (!machine.started()) {
       continue;  // crashed: idle until the schedule restarts us
     }
-    int f = static_cast<int>(rng.UniformInt(0, opt.files_per_client - 1));
+    int f = static_cast<int>(rng.UniformInt(0, kFilesPerClient - 1));
     FileOracle& oracle = files[f];  // lint: await-stale-ref-ok (never resized)
     std::string path = FilePath(index, f);
     vfs::Vfs& vfs = machine.vfs();
@@ -150,25 +163,25 @@ sim::Task<void> ClientWorkload(sim::Simulator& simulator, SeedRun& run,
   }
 }
 
-void CheckDupBound(SeedRun& run, rpc::Peer& peer, size_t cap, const std::string& who) {
+void CheckDupBound(SeedRun& run, rpc::Peer& peer, const std::string& who) {
   size_t size = peer.dup_cache_size();
   size_t in_progress = peer.dup_cache_in_progress();
-  if (size > cap + in_progress) {
+  if (size > rpc::kDupCacheEntries + in_progress) {
     Fail(run, who + " dup cache over bound: " + std::to_string(size) + " entries, cap " +
-                  std::to_string(cap) + " + " + std::to_string(in_progress) + " in progress");
+                  std::to_string(rpc::kDupCacheEntries) + " + " + std::to_string(in_progress) +
+                  " in progress");
   }
 }
 
 sim::Task<void> InvariantChecker(
     sim::Simulator& simulator, SeedRun& run, testbed::ServerMachine& server,
     std::vector<std::unique_ptr<testbed::ClientMachine>>& clients) {
-  const SweepOptions& opt = *run.options;
-  while (simulator.Now() < opt.horizon) {
-    co_await sim::Sleep(simulator, opt.check_interval);
+  while (simulator.Now() < kHorizon) {
+    co_await sim::Sleep(simulator, kCheckInterval);
     ++run.stats.invariant_checks;
-    CheckDupBound(run, server.peer(), opt.server.peer.dup_cache_entries, "server");
+    CheckDupBound(run, server.peer(), "server");
     for (const auto& client : clients) {
-      CheckDupBound(run, client->peer(), opt.client.peer.dup_cache_entries, client->name());
+      CheckDupBound(run, client->peer(), client->name());
     }
     if (server.peer().running() && server.snfs_server() != nullptr) {
       // CHECK-aborts on violation; runs after every callback round because
@@ -187,8 +200,7 @@ sim::Task<void> FinalReadback(sim::Simulator& simulator, SeedRun& run,
   if (!server.peer().running() || !machine.started()) {
     co_return;  // the schedule left this pair down; nothing to assert
   }
-  const SweepOptions& opt = *run.options;
-  for (int f = 0; f < opt.files_per_client; ++f) {
+  for (int f = 0; f < kFilesPerClient; ++f) {
     FileOracle& oracle = run.oracles[index][f];  // lint: await-stale-ref-ok (never resized)
     if (oracle.committed == 0) {
       continue;
@@ -209,10 +221,8 @@ sim::Task<void> FinalReadback(sim::Simulator& simulator, SeedRun& run,
 
 SeedStats RunFaultSeed(const SweepOptions& options, uint64_t seed) {
   SeedRun run;
-  run.options = &options;
   run.stats.seed = seed;
-  run.oracles.assign(static_cast<size_t>(options.num_clients),
-                     std::vector<FileOracle>(static_cast<size_t>(options.files_per_client)));
+  run.oracles.assign(kNumClients, std::vector<FileOracle>(kFilesPerClient));
   for (const FaultEvent& ev : options.schedule.events) {
     if (ev.kind == FaultEventKind::kRebootServer) {
       run.last_reboot = std::max(run.last_reboot, ev.at);
@@ -220,7 +230,7 @@ SeedStats RunFaultSeed(const SweepOptions& options, uint64_t seed) {
   }
 
   sim::Simulator simulator;
-  net::NetworkParams net_params = options.network;
+  net::NetworkParams net_params;
   if (options.plan.enabled()) {
     auto plan = std::make_shared<FaultPlan>(options.plan);
     plan->seed = seed;  // each sweep seed replays its own fault sequence
@@ -236,12 +246,12 @@ SeedStats RunFaultSeed(const SweepOptions& options, uint64_t seed) {
     trace::SetActive(recorder.get());
   }
 
-  testbed::ServerMachine server(simulator, network, "server", options.protocol, options.server);
+  testbed::ServerMachine server(simulator, network, "server", options.protocol, kServer);
   std::vector<std::unique_ptr<testbed::ClientMachine>> clients;
   std::vector<testbed::ClientMachine*> client_ptrs;
-  for (int i = 0; i < options.num_clients; ++i) {
+  for (int i = 0; i < kNumClients; ++i) {
     clients.push_back(std::make_unique<testbed::ClientMachine>(
-        simulator, network, "client" + std::to_string(i), options.client));
+        simulator, network, "client" + std::to_string(i), kClient));
     client_ptrs.push_back(clients.back().get());
   }
   server.Start();
@@ -251,28 +261,28 @@ SeedStats RunFaultSeed(const SweepOptions& options, uint64_t seed) {
   for (auto& client : clients) {
     switch (options.protocol) {
       case testbed::ServerProtocol::kNfs:
-        client->MountNfs("/data", server.address(), server.root(), options.nfs);
+        client->MountNfs("/data", server.address(), server.root());
         break;
       case testbed::ServerProtocol::kSnfs:
-        client->MountSnfs("/data", server.address(), server.root(), options.snfs);
+        client->MountSnfs("/data", server.address(), server.root(), kSnfsClient);
         break;
       case testbed::ServerProtocol::kNqnfs:
-        client->MountNqnfs("/data", server.address(), server.root(), options.nqnfs);
+        client->MountNqnfs("/data", server.address(), server.root());
         break;
     }
   }
 
   testbed::ApplyFaultSchedule(simulator, network, &server, client_ptrs, options.schedule);
-  for (int i = 0; i < options.num_clients; ++i) {
+  for (int i = 0; i < kNumClients; ++i) {
     simulator.Spawn(ClientWorkload(simulator, run, *clients[i], i, seed));
   }
   simulator.Spawn(InvariantChecker(simulator, run, server, clients));
-  simulator.RunUntil(options.horizon);
+  simulator.RunUntil(kHorizon);
 
-  for (int i = 0; i < options.num_clients; ++i) {
+  for (int i = 0; i < kNumClients; ++i) {
     simulator.Spawn(FinalReadback(simulator, run, server, *clients[i], i));
   }
-  simulator.RunUntil(options.horizon + options.drain);
+  simulator.RunUntil(kHorizon + kDrain);
 
   if (recorder != nullptr) {
     trace::SetActive(nullptr);

@@ -5,8 +5,8 @@
 //  * data integrity — every readable block is a uniform fill whose version
 //    lies between the last fsync-committed version and the newest written
 //    version of that file (single-writer files make the oracle exact);
-//  * duplicate-cache bound — the server's cache never exceeds its
-//    configured capacity by more than the number of in-progress entries;
+//  * duplicate-cache bound — no peer's cache exceeds rpc::kDupCacheEntries
+//    by more than the number of in-progress entries;
 //  * state-table invariants — snfs::StateTable::CheckInvariants() on a
 //    periodic tick (SNFS only; it CHECK-aborts on violation);
 //  * no ghost replies — replies computed by a crashed server generation
@@ -23,48 +23,25 @@
 
 #include "src/fault/plan.h"
 #include "src/fault/schedule.h"
-#include "src/net/network.h"
-#include "src/nfs/client.h"
-#include "src/nqnfs/client.h"
 #include "src/sim/time.h"
-#include "src/snfs/client.h"
 #include "src/testbed/machine.h"
 
 namespace fault {
 
+// One cell of the sweep: the protocol and the faults. The workload and the
+// machines are fixed (sweep.cc): two clients with no local disk, three
+// files each, SNFS crash recovery on.
 struct SweepOptions {
   testbed::ServerProtocol protocol = testbed::ServerProtocol::kSnfs;
-  int num_clients = 2;
-  int files_per_client = 3;
-  sim::Duration horizon = sim::Sec(90);      // workload runs until this time
-  sim::Duration drain = sim::Sec(120);       // extra time for final read-back
-  sim::Duration mean_op_gap = sim::Msec(200);
-  sim::Duration check_interval = sim::Sec(1);
 
   // Link faults; `plan.seed` is overridden with the sweep seed per run.
   FaultPlan plan;
   // Scripted crash/restart points, identical across seeds.
   FaultSchedule schedule;
 
-  net::NetworkParams network;
-  testbed::ServerMachineParams server;
-  testbed::ClientMachineParams client;
-  nfs::NfsClientParams nfs;
-  snfs::SnfsClientParams snfs;
-  nqnfs::NqnfsClientParams nqnfs;
-
   // Record a causal trace of the whole run and validate it with
   // trace::CheckTrace; violations fail the seed like any other invariant.
   bool trace_check = false;
-
-  SweepOptions() {
-    // Recovery on by default: the sweep exists to exercise the crash paths.
-    server.snfs.enable_recovery = true;
-    server.snfs.recovery_grace = sim::Sec(8);
-    snfs.enable_recovery = true;
-    snfs.keepalive_interval = sim::Sec(5);
-    client.with_local_disk = false;
-  }
 };
 
 struct SeedStats {

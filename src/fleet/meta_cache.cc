@@ -35,15 +35,10 @@ std::string LookupFillKey(proto::FileHandle dir, const std::string& name) {
 }  // namespace
 
 MetaCache::MetaCache(sim::Simulator& simulator, net::Network& network, std::string name,
-                     ShardMap shards, MetaCacheParams params)
-    : simulator_(simulator),
-      name_(std::move(name)),
-      shards_(std::move(shards)),
-      params_(params),
-      cpu_(simulator) {
+                     ShardMap shards)
+    : simulator_(simulator), name_(std::move(name)), shards_(std::move(shards)), cpu_(simulator) {
   CHECK_GT(shards_.num_shards(), 0);
-  CHECK_GT(params_.max_entries, 0u);
-  peer_ = std::make_unique<rpc::Peer>(simulator_, network, cpu_, name_, params_.peer);
+  peer_ = std::make_unique<rpc::Peer>(simulator_, network, cpu_, name_, kTierPeer);
   peer_->set_handler([this](proto::Request request, net::Address from) {
     return Handle(std::move(request), from);
   });
@@ -295,7 +290,7 @@ void MetaCache::InsertGuarded(proto::FileHandle fh, const proto::Attr& attr) {
     TouchAttr(it);
     return;
   }
-  if (attrs_.size() >= params_.max_entries) {
+  if (attrs_.size() >= kTierMaxEntries) {
     proto::FileHandle coldest = attr_lru_.front();
     attr_lru_.pop_front();
     attrs_.erase(coldest);
@@ -330,7 +325,7 @@ void MetaCache::BindName(proto::FileHandle dir, std::string name, proto::FileHan
     lookup_lru_.splice(lookup_lru_.end(), lookup_lru_, it->second.lru);
     return;
   }
-  if (lookups_.size() >= params_.max_entries) {
+  if (lookups_.size() >= kTierMaxEntries) {
     NameKey coldest = lookup_lru_.front();
     lookup_lru_.pop_front();
     lookups_.erase(coldest);
@@ -360,7 +355,7 @@ void MetaCache::RaiseFloor(proto::FileHandle fh, uint64_t version) {
     }
     return;
   }
-  if (floors_.size() >= 4 * params_.max_entries) {
+  if (floors_.size() >= 4 * kTierMaxEntries) {
     floors_.erase(floor_order_.front());
     floor_order_.pop_front();
   }

@@ -64,23 +64,19 @@
 
 namespace fleet {
 
-struct MetaCacheParams {
-  // Switch-resident: per-call costs far below a full server's RPC stack.
-  rpc::PeerOptions peer{
-      .num_workers = 16,
-      .costs = {.client_per_call = sim::Usec(30),
-                .server_per_call = sim::Usec(30),
-                .per_kb = sim::Usec(20)},
-      .default_call = {},
-      .dup_cache_entries = 1024};
-  // Bound for each of the attribute and name-binding tables (LRU eviction).
-  size_t max_entries = 4096;
-};
+// Switch-resident: per-call costs far below a full server's RPC stack.
+inline constexpr rpc::PeerOptions kTierPeer{
+    .num_workers = 16,
+    .costs = {.client_per_call = sim::Usec(30),
+              .server_per_call = sim::Usec(30),
+              .per_kb = sim::Usec(20)}};
+// Bound for each of the attribute and name-binding tables (LRU eviction).
+inline constexpr size_t kTierMaxEntries = 4096;
 
 class MetaCache {
  public:
   MetaCache(sim::Simulator& simulator, net::Network& network, std::string name,
-            ShardMap shards, MetaCacheParams params = {});
+            ShardMap shards);
 
   MetaCache(const MetaCache&) = delete;
   MetaCache& operator=(const MetaCache&) = delete;
@@ -168,11 +164,10 @@ class MetaCache {
   sim::Simulator& simulator_;
   std::string name_;
   ShardMap shards_;
-  MetaCacheParams params_;
   sim::Cpu cpu_;
   std::unique_ptr<rpc::Peer> peer_;
 
-  // Attribute cache: fh -> attrs, LRU-bounded at params_.max_entries.
+  // Attribute cache: fh -> attrs, LRU-bounded at kTierMaxEntries.
   std::unordered_map<proto::FileHandle, AttrEntry, proto::FileHandleHash> attrs_;
   std::list<proto::FileHandle> attr_lru_;  // front = coldest
 
@@ -182,7 +177,7 @@ class MetaCache {
 
   // Committed floors: the highest mutation version seen per file. Floors
   // outlive cache entries (they guard re-insertion) and are bounded FIFO at
-  // 4x max_entries; evicting a floor only widens a race the checker watches.
+  // 4x kTierMaxEntries; evicting a floor only widens a race the checker watches.
   std::unordered_map<proto::FileHandle, uint64_t, proto::FileHandleHash> floors_;
   std::deque<proto::FileHandle> floor_order_;
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/base/log.h"
-
 namespace fs {
 
 LocalFs::LocalFs(sim::Simulator& simulator, disk::Disk& disk, LocalFsParams params)

@@ -2,13 +2,19 @@
 
 #include <algorithm>
 
-#include "src/base/log.h"
-
 namespace fs {
+namespace {
+
+// CPU charged per operation: syscall plus namei component work, and a
+// copyin/copyout per data block.
+constexpr sim::Duration kPerOp = sim::Usec(150);
+constexpr sim::Duration kPerBlock = sim::Usec(80);
+
+}  // namespace
 
 LocalMount::LocalMount(sim::Simulator& simulator, LocalFs& fs, cache::BufferCache& cache,
-                       sim::Cpu* cpu, LocalMountCosts costs)
-    : simulator_(simulator), fs_(fs), cache_(cache), cpu_(cpu), costs_(costs) {
+                       sim::Cpu* cpu)
+    : simulator_(simulator), fs_(fs), cache_(cache), cpu_(cpu) {
   cache::Backing backing;
   backing.fetch = [this](uint64_t fileid, uint64_t block)
       -> sim::Task<base::Result<proto::Bytes>> {
@@ -57,7 +63,7 @@ vfs::GnodeRef LocalMount::NodeFor(const proto::FileHandle& fh, const proto::Attr
 }
 
 sim::Task<base::Result<vfs::GnodeRef>> LocalMount::Root() {
-  co_await Charge(costs_.per_op);
+  co_await Charge(kPerOp);
   proto::FileHandle root = fs_.root();
   CO_ASSIGN_OR_RETURN(proto::Attr attr, fs_.GetAttr(root));
   co_return NodeFor(root, attr);
@@ -65,7 +71,7 @@ sim::Task<base::Result<vfs::GnodeRef>> LocalMount::Root() {
 
 sim::Task<base::Result<vfs::GnodeRef>> LocalMount::Lookup(vfs::GnodeRef dir,
                                                           std::string name) {
-  co_await Charge(costs_.per_op);
+  co_await Charge(kPerOp);
   CO_ASSIGN_OR_RETURN(proto::LookupRep rep, co_await fs_.Lookup(dir->fh, name));
   vfs::GnodeRef node = NodeFor(rep.fh, rep.attr);
   // Delayed writes make the gnode's size authoritative over the on-disk one.
@@ -78,20 +84,20 @@ sim::Task<base::Result<vfs::GnodeRef>> LocalMount::Lookup(vfs::GnodeRef dir,
 sim::Task<base::Result<vfs::GnodeRef>> LocalMount::Create(vfs::GnodeRef dir,
                                                           std::string name,
                                                           bool exclusive) {
-  co_await Charge(costs_.per_op);
+  co_await Charge(kPerOp);
   CO_ASSIGN_OR_RETURN(proto::CreateRep rep, co_await fs_.Create(dir->fh, name, exclusive));
   co_return NodeFor(rep.fh, rep.attr);
 }
 
 sim::Task<base::Result<vfs::GnodeRef>> LocalMount::Mkdir(vfs::GnodeRef dir,
                                                          std::string name) {
-  co_await Charge(costs_.per_op);
+  co_await Charge(kPerOp);
   CO_ASSIGN_OR_RETURN(proto::CreateRep rep, co_await fs_.Mkdir(dir->fh, name));
   co_return NodeFor(rep.fh, rep.attr);
 }
 
 sim::Task<base::Result<void>> LocalMount::Open(vfs::GnodeRef node, bool write) {
-  co_await Charge(costs_.per_op);
+  co_await Charge(kPerOp);
   if (write) {
     ++node->open_writes;
   } else {
@@ -101,7 +107,7 @@ sim::Task<base::Result<void>> LocalMount::Open(vfs::GnodeRef node, bool write) {
 }
 
 sim::Task<base::Result<void>> LocalMount::Close(vfs::GnodeRef node, bool write) {
-  co_await Charge(costs_.per_op);
+  co_await Charge(kPerOp);
   if (write) {
     CHECK_GT(node->open_writes, 0u);
     --node->open_writes;
@@ -117,15 +123,13 @@ sim::Task<base::Result<std::vector<uint8_t>>> LocalMount::Read(vfs::GnodeRef nod
   CO_ASSIGN_OR_RETURN(std::vector<uint8_t> data,
                       co_await cache_.Read(mount_id_, node->fh.fileid, offset, count,
                                            node->attr.size, /*read_ahead=*/true));
-  co_await Charge(costs_.per_op +
-                  costs_.per_block * static_cast<int64_t>(1 + data.size() / kBlockSize));
+  co_await Charge(kPerOp + kPerBlock * static_cast<int64_t>(1 + data.size() / kBlockSize));
   co_return data;
 }
 
 sim::Task<base::Result<void>> LocalMount::Write(vfs::GnodeRef node, uint64_t offset,
                                                 std::vector<uint8_t> data) {
-  co_await Charge(costs_.per_op +
-                  costs_.per_block * static_cast<int64_t>(1 + data.size() / kBlockSize));
+  co_await Charge(kPerOp + kPerBlock * static_cast<int64_t>(1 + data.size() / kBlockSize));
   uint64_t end = offset + data.size();
   CO_RETURN_IF_ERROR(co_await cache_.WriteDelayed(mount_id_, node->fh.fileid, offset,
                                                   std::move(data), node->attr.size));
@@ -135,7 +139,7 @@ sim::Task<base::Result<void>> LocalMount::Write(vfs::GnodeRef node, uint64_t off
 }
 
 sim::Task<base::Result<proto::Attr>> LocalMount::GetAttr(vfs::GnodeRef node) {
-  co_await Charge(costs_.per_op);
+  co_await Charge(kPerOp);
   if (cache_.HasDirty(mount_id_, node->fh.fileid)) {
     co_return node->attr;  // in-memory inode reflects delayed writes
   }
@@ -151,7 +155,7 @@ sim::Task<base::Result<proto::Attr>> LocalMount::GetAttr(vfs::GnodeRef node) {
 }
 
 sim::Task<base::Result<void>> LocalMount::Truncate(vfs::GnodeRef node, uint64_t size) {
-  co_await Charge(costs_.per_op);
+  co_await Charge(kPerOp);
   cache_.CancelDirty(mount_id_, node->fh.fileid);
   cache_.InvalidateFile(mount_id_, node->fh.fileid);
   proto::SetAttrReq req;
@@ -163,7 +167,7 @@ sim::Task<base::Result<void>> LocalMount::Truncate(vfs::GnodeRef node, uint64_t 
 
 sim::Task<base::Result<void>> LocalMount::Remove(vfs::GnodeRef dir, std::string name,
                                                  vfs::GnodeRef target) {
-  co_await Charge(costs_.per_op);
+  co_await Charge(kPerOp);
   // The delete-before-writeback optimization: pending delayed writes for
   // the victim never reach the disk.
   cache_.CancelDirty(mount_id_, target->fh.fileid);
@@ -174,7 +178,7 @@ sim::Task<base::Result<void>> LocalMount::Remove(vfs::GnodeRef dir, std::string 
 }
 
 sim::Task<base::Result<void>> LocalMount::Rmdir(vfs::GnodeRef dir, std::string name) {
-  co_await Charge(costs_.per_op);
+  co_await Charge(kPerOp);
   co_return co_await fs_.Rmdir(dir->fh, name);
 }
 
@@ -182,12 +186,12 @@ sim::Task<base::Result<void>> LocalMount::Rename(vfs::GnodeRef from_dir,
                                                  std::string from_name,
                                                  vfs::GnodeRef to_dir,
                                                  std::string to_name) {
-  co_await Charge(costs_.per_op);
+  co_await Charge(kPerOp);
   co_return co_await fs_.Rename(from_dir->fh, from_name, to_dir->fh, to_name);
 }
 
 sim::Task<base::Result<std::vector<proto::DirEntry>>> LocalMount::ReadDir(vfs::GnodeRef dir) {
-  co_await Charge(costs_.per_op);
+  co_await Charge(kPerOp);
   std::vector<proto::DirEntry> all;
   uint64_t cookie = 0;
   while (true) {
@@ -204,7 +208,7 @@ sim::Task<base::Result<std::vector<proto::DirEntry>>> LocalMount::ReadDir(vfs::G
 }
 
 sim::Task<base::Result<void>> LocalMount::Fsync(vfs::GnodeRef node) {
-  co_await Charge(costs_.per_op);
+  co_await Charge(kPerOp);
   co_return co_await cache_.FlushFile(mount_id_, node->fh.fileid);
 }
 

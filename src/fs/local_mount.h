@@ -20,16 +20,10 @@
 
 namespace fs {
 
-struct LocalMountCosts {
-  sim::Duration per_op = sim::Usec(150);     // syscall + namei component work
-  sim::Duration per_block = sim::Usec(80);   // copyin/copyout per data block
-};
-
 class LocalMount : public vfs::FileSystem {
  public:
   // `cpu` may be null (no compute charged, e.g. in unit tests).
-  LocalMount(sim::Simulator& simulator, LocalFs& fs, cache::BufferCache& cache, sim::Cpu* cpu,
-             LocalMountCosts costs = {});
+  LocalMount(sim::Simulator& simulator, LocalFs& fs, cache::BufferCache& cache, sim::Cpu* cpu);
 
   sim::Task<base::Result<vfs::GnodeRef>> Root() override;
   sim::Task<base::Result<vfs::GnodeRef>> Lookup(vfs::GnodeRef dir, std::string name) override;
@@ -63,7 +57,6 @@ class LocalMount : public vfs::FileSystem {
   LocalFs& fs_;
   cache::BufferCache& cache_;
   sim::Cpu* cpu_;
-  LocalMountCosts costs_;
   int mount_id_;
   std::unordered_map<uint64_t, vfs::GnodeRef> nodes_;
 };

@@ -4,10 +4,17 @@
 #include <utility>
 
 #include "src/base/check.h"
-#include "src/base/log.h"
 #include "src/trace/trace.h"
 
 namespace net {
+namespace {
+
+// Every packet pays the propagation and interface latency, plus its
+// serialization onto a 10 Mbit/s Ethernet.
+constexpr sim::Duration kLatency = sim::Usec(200);
+constexpr double kBandwidthBps = 10e6;
+
+}  // namespace
 
 Address Network::AttachHost() {
   Host host;
@@ -42,13 +49,12 @@ void Network::Send(Packet packet) {
     ++packets_dropped_;
     TRACE_INSTANT("net.drop", packet.src.host,
                   "dst=" + std::to_string(packet.dst.host) + " reason=loss");
-    LOG_DEBUG("net", "dropped packet %d->%d (%u bytes)", packet.src.host, packet.dst.host, bytes);
     return;
   }
 
   sim::Duration serialization =
-      static_cast<sim::Duration>(static_cast<double>(bytes) * 8.0 / params_.bandwidth_bps * 1e6);
-  sim::Duration delay = params_.latency + serialization;
+      static_cast<sim::Duration>(static_cast<double>(bytes) * 8.0 / kBandwidthBps * 1e6);
+  sim::Duration delay = kLatency + serialization;
 
   if (injector_ != nullptr) {
     fault::FaultDecision d =
@@ -57,8 +63,6 @@ void Network::Send(Packet packet) {
       ++packets_dropped_;
       TRACE_INSTANT("net.drop", packet.src.host,
                     "dst=" + std::to_string(packet.dst.host) + " reason=fault");
-      LOG_DEBUG("net", "fault-dropped packet %d->%d (%u bytes)", packet.src.host,
-                packet.dst.host, bytes);
       return;
     }
     delay += d.extra_delay;

@@ -3,9 +3,9 @@
 // size, and may be dropped (probabilistically, or because a host is down —
 // used by the crash-recovery experiments).
 //
-// The model is an unswitched 10 Mbit/s Ethernet by default (the paper's
-// testbed); shared-medium contention is not modeled because the benchmark
-// load never approaches saturation.
+// The model is the paper's testbed, one unswitched 10 Mbit/s Ethernet;
+// shared-medium contention is not modeled because the benchmark load never
+// approaches saturation.
 //
 // Fault injection: NetworkParams::faults optionally names a fault::FaultPlan
 // (seeded per-link loss, duplication, bounded reordering, partitions with
@@ -41,9 +41,7 @@ struct Packet {
 };
 
 struct NetworkParams {
-  sim::Duration latency = sim::Usec(200);      // propagation + interface
-  double bandwidth_bps = 10e6;                 // 10 Mbit/s Ethernet
-  double loss_rate = 0.0;                      // per-packet drop probability
+  double loss_rate = 0.0;  // per-packet drop probability
   // Optional deterministic fault plan (loss, duplication, reordering,
   // partitions); null or a disabled plan leaves the fast path untouched.
   std::shared_ptr<const fault::FaultPlan> faults;

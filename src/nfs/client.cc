@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "src/base/log.h"
 #include "src/trace/trace.h"
 
 namespace nfs {
@@ -17,7 +16,7 @@ NfsClient::NfsClient(sim::Simulator& simulator, rpc::Peer& peer, net::Address se
       biods_(simulator, kNumBiods) {}
 
 vfs::GnodeRef NfsClient::NewNode() {
-  auto node = std::make_shared<NfsNode>();
+  auto node = std::make_shared<NfsNode>(simulator_);
   node->attr_fetched = simulator_.Now();
   return node;
 }
@@ -40,7 +39,7 @@ void NfsClient::OnCreated(vfs::Gnode& node, const proto::Attr& attr) {
 
 void NfsClient::UpdateAttrs(NfsNode& node, const proto::Attr& attr) {
   // Our own in-flight writes keep the local size ahead of the server's.
-  uint64_t local_size = node.pending_writes > 0 || !node.partial.empty()
+  uint64_t local_size = node.pending_writes.count() > 0 || !node.partial.empty()
                             ? std::max(node.attr.size, attr.size)
                             : attr.size;
   node.attr = attr;
@@ -96,7 +95,7 @@ sim::Task<base::Result<void>> NfsClient::ProbeIfStale(NodeRef node) {
 // --- Write-behind ------------------------------------------------------------
 
 void NfsClient::SpawnAsyncWrite(NodeRef node, uint64_t offset, proto::Bytes data) {
-  ++node->pending_writes;
+  node->pending_writes.Add();
   simulator_.Spawn(AsyncWriteBody(std::move(node), offset, std::move(data)));
 }
 
@@ -116,12 +115,7 @@ sim::Task<void> NfsClient::AsyncWriteBody(NodeRef node, uint64_t offset, proto::
   } else if (node->write_error.ok()) {
     node->write_error = rep.status();
   }
-  if (--node->pending_writes == 0) {
-    for (std::coroutine_handle<> h : node->write_waiters) {
-      simulator_.Ready(h);
-    }
-    node->write_waiters.clear();
-  }
+  node->pending_writes.Done();
 }
 
 sim::Task<base::Result<void>> NfsClient::FlushPartials(NodeRef node) {
@@ -136,7 +130,7 @@ sim::Task<base::Result<void>> NfsClient::FlushPartials(NodeRef node) {
 }
 
 sim::Task<void> NfsClient::DrainWrites(NodeRef node) {
-  co_await WriteDrainAwaiter{*node};
+  co_await node->pending_writes.Wait();
 }
 
 // --- FileSystem interface ------------------------------------------------------

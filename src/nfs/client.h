@@ -69,12 +69,13 @@ class NfsClient : public RemoteClient {
 
  private:
   struct NfsNode : vfs::Gnode {
+    explicit NfsNode(sim::Simulator& simulator) : pending_writes(simulator) {}
+
     sim::Time attr_fetched = -1;                   // virtual time of last server attrs
     sim::Duration attr_timeout = kAttrTimeoutMin;  // current adaptive timeout
     sim::Time cached_data_mtime = -1;              // mtime the cached blocks match (-1: none)
-    int pending_writes = 0;                        // async write RPCs in flight
+    sim::WaitGroup pending_writes;                 // async write RPCs in flight
     base::Status write_error;  // first async write failure (reported at close)
-    std::vector<std::coroutine_handle<>> write_waiters;
     // Delayed partial-block buffers: block -> bytes [block start, len).
     std::map<uint64_t, std::vector<uint8_t>> partial;
   };
@@ -101,13 +102,6 @@ class NfsClient : public RemoteClient {
   sim::Task<void> AsyncWriteBody(NodeRef node, uint64_t offset, proto::Bytes data);
   sim::Task<base::Result<void>> FlushPartials(NodeRef node);
   sim::Task<void> DrainWrites(NodeRef node);
-
-  struct WriteDrainAwaiter {
-    NfsNode& node;
-    bool await_ready() const noexcept { return node.pending_writes == 0; }
-    void await_suspend(std::coroutine_handle<> h) { node.write_waiters.push_back(h); }
-    void await_resume() const noexcept {}
-  };
 
   NfsClientParams params_;
   sim::Semaphore biods_;

@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <string>
 
-#include "src/base/log.h"
 #include "src/trace/trace.h"
 
 namespace nqnfs {
 
 NqnfsClient::NqnfsClient(sim::Simulator& simulator, rpc::Peer& peer, net::Address server,
-                         proto::FileHandle root_fh, cache::BufferCache& cache,
-                         NqnfsClientParams params)
-    : CachingClient(simulator, peer, server, root_fh, cache, "nqnfs"), params_(params) {}
+                         proto::FileHandle root_fh, cache::BufferCache& cache)
+    : CachingClient(simulator, peer, server, root_fh, cache, "nqnfs") {}
 
 void NqnfsClient::SpawnDaemons(uint64_t generation) {
   simulator_.Spawn(ExpiryDaemon(generation));
@@ -106,7 +104,7 @@ sim::Task<void> NqnfsClient::EnsureLease(NodeRef node, bool write) {
   auto rep = rpc::Expect<proto::GetLeaseRep>(co_await Call(proto::Request(std::move(req))));
   now = simulator_.Now();
   if (!rep.ok()) {
-    node->retry_grant_after = now + params_.denied_retry;
+    node->retry_grant_after = now + kDeniedRetry;
     co_return;
   }
   if (!rep->granted) {
@@ -116,7 +114,7 @@ sim::Task<void> NqnfsClient::EnsureLease(NodeRef node, bool write) {
     // this file is unenforceable and must not license cached service.
     ++grants_denied_seen_;
     DropLease(*node, "denied");
-    node->retry_grant_after = std::max(rep->retry_after, now + params_.denied_retry);
+    node->retry_grant_after = std::max(rep->retry_after, now + kDeniedRetry);
     if (node->have_cached_data) {
       DropCachedData(*node);
       TraceInvalidated(*node, "denied");
@@ -150,7 +148,7 @@ sim::Task<void> NqnfsClient::EnsureLease(NodeRef node, bool write) {
 
 sim::Task<void> NqnfsClient::ExpiryDaemon(uint64_t generation) {
   while (DaemonRunning(generation)) {
-    co_await sim::Sleep(simulator_, params_.lease_scan, /*background=*/true);
+    co_await sim::Sleep(simulator_, kExpiryScanInterval, /*background=*/true);
     if (!DaemonRunning(generation)) {
       break;
     }
@@ -175,7 +173,7 @@ sim::Task<void> NqnfsClient::ExpiryDaemon(uint64_t generation) {
         if (was_write && cache_.HasDirty(mount_id_, fileid)) {
           (void)co_await cache_.FlushFile(mount_id_, fileid);
         }
-      } else if (node->lease_write && node->lease_expires - now <= params_.flush_margin &&
+      } else if (node->lease_write && node->lease_expires - now <= kFlushMargin &&
                  cache_.HasDirty(mount_id_, fileid)) {
         // Nearing expiry with dirty data: push blocks out one at a time
         // until a write reply's piggybacked extension renews the lease
@@ -185,7 +183,7 @@ sim::Task<void> NqnfsClient::ExpiryDaemon(uint64_t generation) {
         // temp-file workloads.
         while (running() && cache_.HasDirty(mount_id_, fileid)) {
           now = simulator_.Now();
-          if (node->lease_expires <= now || node->lease_expires - now > params_.flush_margin) {
+          if (node->lease_expires <= now || node->lease_expires - now > kFlushMargin) {
             break;  // lapsed (next scan write-through-flushes) or extended
           }
           (void)co_await cache_.FlushFile(mount_id_, fileid, /*max_blocks=*/1);

@@ -43,21 +43,19 @@
 
 namespace nqnfs {
 
-struct NqnfsClientParams {
-  // Flush dirty blocks when a write lease has less than this left to run,
-  // instead of racing the expiry scan.
-  sim::Duration flush_margin = sim::Sec(5);
-  sim::Duration lease_scan = sim::Sec(1);
-  // After a grant is denied (server quiet window) or the GetLease RPC
-  // fails, run uncached and do not re-ask before this much time passes.
-  sim::Duration denied_retry = sim::Sec(1);
-};
+// Flush dirty blocks when a write lease has less than kFlushMargin left to
+// run, instead of racing the expiry scan, which runs every
+// kExpiryScanInterval.
+inline constexpr sim::Duration kFlushMargin = sim::Sec(5);
+inline constexpr sim::Duration kExpiryScanInterval = sim::Sec(1);
+// After a grant is denied (server quiet window) or the GetLease RPC fails,
+// run uncached and do not re-ask before this much time passes.
+inline constexpr sim::Duration kDeniedRetry = sim::Sec(1);
 
 class NqnfsClient : public snfs::CachingClient {
  public:
   NqnfsClient(sim::Simulator& simulator, rpc::Peer& peer, net::Address server,
-              proto::FileHandle root_fh, cache::BufferCache& cache,
-              NqnfsClientParams params = {});
+              proto::FileHandle root_fh, cache::BufferCache& cache);
 
   // --- vfs::FileSystem ------------------------------------------------------
   sim::Task<base::Result<void>> Open(vfs::GnodeRef node, bool write) override;
@@ -108,7 +106,6 @@ class NqnfsClient : public snfs::CachingClient {
   void DropLease(NqnfsNode& node, const char* reason);
   sim::Task<void> ExpiryDaemon(uint64_t generation);
 
-  NqnfsClientParams params_;
   uint64_t leases_acquired_ = 0;
   uint64_t grants_denied_seen_ = 0;
   uint64_t lease_expiries_ = 0;

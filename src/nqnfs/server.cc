@@ -7,9 +7,8 @@
 
 namespace nqnfs {
 
-NqnfsServer::NqnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& peer,
-                         NqnfsServerParams params)
-    : snfs::CallbackServer(simulator, fs, peer, "nqnfs.vacate"), params_(params) {
+NqnfsServer::NqnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& peer)
+    : snfs::CallbackServer(simulator, fs, peer, "nqnfs.vacate") {
   simulator_.Spawn(LeaseDaemon());
 }
 
@@ -24,12 +23,12 @@ void NqnfsServer::Crash() {
 void NqnfsServer::Restart() {
   // Every lease a previous incarnation could have granted lapses within one
   // lease term of now; until then, grant nothing and serve data uncached.
-  no_grant_until_ = simulator_.Now() + params_.lease_term;
+  no_grant_until_ = simulator_.Now() + kLeaseTerm;
 }
 
 sim::Task<void> NqnfsServer::LeaseDaemon() {
   while (true) {
-    co_await sim::Sleep(simulator_, params_.lease_scan, /*background=*/true);
+    co_await sim::Sleep(simulator_, kLeaseReapInterval, /*background=*/true);
     for (const auto& [key, lease] : leases_.Expired(simulator_.Now())) {
       leases_.Erase(key.fileid, key.host);
       ++lease_expiries_;
@@ -194,7 +193,7 @@ sim::Task<proto::Reply> NqnfsServer::HandleGetLease(proto::GetLeaseReq req, net:
       leaseless_bursts_.erase(burst);
     }
   }
-  sim::Time expires = simulator_.Now() + params_.lease_term;
+  sim::Time expires = simulator_.Now() + kLeaseTerm;
   bool write_mode = req.write_mode || already_writing;
   leases_.Put(req.fh.fileid, from.host, Lease{req.fh, write_mode, expires});
   ++leases_granted_;
@@ -260,7 +259,7 @@ sim::Task<proto::Reply> NqnfsServer::Handle(proto::Request request, net::Address
   if (reply.status.ok() && data_target != 0 && !VacateInProgress(data_target, from.host)) {
     Lease* lease = leases_.Find(data_target, from.host);
     if (lease != nullptr && lease->expires > simulator_.Now()) {
-      lease->expires = simulator_.Now() + params_.lease_term;
+      lease->expires = simulator_.Now() + kLeaseTerm;
       reply.lease_file = data_target;
       reply.lease_expires = lease->expires;
       if (lease->write) {

@@ -29,17 +29,15 @@
 
 namespace nqnfs {
 
-struct NqnfsServerParams {
-  // Maximum lease term; also the length of the post-reboot quiet window.
-  sim::Duration lease_term = sim::Sec(30);
-  sim::Duration lease_scan = sim::Sec(1);
-};
+// Maximum lease term; also the length of the post-reboot quiet window.
+inline constexpr sim::Duration kLeaseTerm = sim::Sec(30);
+// How often the server erases the leases that have lapsed.
+inline constexpr sim::Duration kLeaseReapInterval = sim::Sec(1);
 
 class NqnfsServer : public snfs::CallbackServer {
  public:
   // Installs itself as `peer`'s request handler.
-  NqnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& peer,
-              NqnfsServerParams params = {});
+  NqnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& peer);
 
   sim::Task<proto::Reply> Handle(proto::Request request, net::Address from) override;
 
@@ -103,7 +101,6 @@ class NqnfsServer : public snfs::CallbackServer {
     vacates_in_progress_.insert(LeaseKey{req.fh.fileid, host});
   }
 
-  NqnfsServerParams params_;
   LeaseTable leases_;
   std::set<LeaseKey> vacates_in_progress_;
   // Files whose last write-lease holder could not be reached for its final

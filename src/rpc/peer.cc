@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "src/base/log.h"
 #include "src/trace/trace.h"
 
 namespace rpc {
@@ -71,10 +70,6 @@ void Peer::SendEnvelope(net::Address dst, proto::Envelope envelope) {
   network_.Send(net::Packet{address_, dst, std::move(envelope)});
 }
 
-sim::Task<base::Result<proto::Reply>> Peer::Call(net::Address dst, proto::Request request) {
-  return Call(dst, std::move(request), options_.default_call);
-}
-
 sim::Task<base::Result<proto::Reply>> Peer::Call(net::Address dst, proto::Request request,
                                                  CallOptions options) {
   if (!running_) {
@@ -102,8 +97,6 @@ sim::Task<base::Result<proto::Reply>> Peer::Call(net::Address dst, proto::Reques
       ++retransmissions_;
       TRACE_INSTANT("rpc.retransmit", address_.host,
                     "xid=" + std::to_string(xid) + " attempt=" + std::to_string(attempt + 1));
-      LOG_DEBUG("rpc", "%s retransmit xid=%llu attempt=%d", name_.c_str(),
-                static_cast<unsigned long long>(xid), attempt + 1);
     }
     sim::Promise<proto::Reply> promise(simulator_);
     pending_.insert_or_assign(xid, promise);
@@ -215,9 +208,9 @@ void Peer::HandleIncomingRequest(net::Packet packet) {
     dup_cache_.emplace(key, DupEntry{});
     // Evict completed replies oldest-first. In-progress entries join the
     // eviction FIFO only when their reply is recorded, so they are never
-    // evicted and never rescanned; the cache exceeds dup_cache_entries
+    // evicted and never rescanned; the cache exceeds kDupCacheEntries
     // only by in-progress entries (bounded by the worker pool + queue).
-    while (dup_cache_.size() > options_.dup_cache_entries && !dup_order_.empty()) {
+    while (dup_cache_.size() > kDupCacheEntries && !dup_order_.empty()) {
       dup_cache_.erase(dup_order_.front());
       dup_order_.pop_front();
     }
@@ -233,8 +226,7 @@ sim::Task<void> Peer::Worker(uint64_t generation) {
       co_return;
     }
     if (worker_hook_) {
-      worker_hook_(WorkerEvent{WorkerEvent::Phase::kBeforeHandler, incoming->xid,
-                               incoming->from.host, &incoming->request});
+      worker_hook_();
     }
     proto::OpKind kind = proto::KindOf(incoming->request);
     trace::Span handle_span;
@@ -258,15 +250,10 @@ sim::Task<void> Peer::Worker(uint64_t generation) {
     if (handler_) {
       server_ops_.Add(kind);
       // The request is moved into the handler — it arrived by value over the
-      // (simulated) wire and nothing else needs it; see the WorkerEvent note
-      // about what the kAfterHandler hook may observe.
+      // (simulated) wire and nothing else needs it.
       reply = co_await handler_(std::move(incoming->request), incoming->from);
     } else {
       reply = proto::ErrorReply(base::ErrNotSupported());
-    }
-    if (worker_hook_) {
-      worker_hook_(WorkerEvent{WorkerEvent::Phase::kAfterHandler, incoming->xid,
-                               incoming->from.host, &incoming->request});
     }
     if (generation != pool_generation_) {
       // The server crashed (and possibly restarted) while the handler was
@@ -275,9 +262,6 @@ sim::Task<void> Peer::Worker(uint64_t generation) {
       // the *new* generation's duplicate cache under the same key as the
       // client's retransmission. Drop both.
       ++stale_replies_dropped_;
-      LOG_DEBUG("rpc", "%s dropped stale reply xid=%llu gen=%llu", name_.c_str(),
-                static_cast<unsigned long long>(incoming->xid),
-                static_cast<unsigned long long>(generation));
       co_return;
     }
 

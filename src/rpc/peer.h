@@ -59,32 +59,17 @@ struct CallOptions {
 struct PeerOptions {
   int num_workers = 4;
   CostModel costs;
-  CallOptions default_call;
-  size_t dup_cache_entries = 1024;
 };
 
-// Observation points inside the server worker loop, used by the fault
-// harness to script "crash mid-RPC-handler": a kBeforeHandler hook can
-// schedule (or synchronously trigger) a crash that lands while the handler
-// coroutine is still running.
-//
-// `request` is valid to inspect at kBeforeHandler. At kAfterHandler the
-// worker has already moved the request into the handler, so the pointee is
-// in a moved-from (valid but unspecified) state; hooks that need request
-// contents must capture them at kBeforeHandler.
-struct WorkerEvent {
-  enum class Phase { kBeforeHandler, kAfterHandler };
-  Phase phase;
-  uint64_t xid = 0;
-  int from_host = -1;
-  const proto::Request* request = nullptr;
-};
+// Completed replies the duplicate-request cache keeps; in-progress entries
+// come on top (they are never evicted).
+inline constexpr size_t kDupCacheEntries = 1024;
 
 class Peer {
  public:
   using Handler =
       std::function<sim::Task<proto::Reply>(proto::Request, net::Address from)>;
-  using WorkerHook = std::function<void(const WorkerEvent&)>;
+  using WorkerHook = std::function<void()>;
   // Returns where to forward a request, or nullopt to serve it here.
   using Router = std::function<std::optional<net::Address>(const proto::Request&)>;
 
@@ -108,8 +93,10 @@ class Peer {
   // trace span intact and the original client as reply-to.
   void set_router(Router router) { router_ = std::move(router); }
 
-  // Fault-injection hook: observe worker dispatches (before the handler
-  // starts and after it returns). Unset in production configurations.
+  // Fault-injection hook, called as a worker takes a request off the queue,
+  // before its CPU charge and handler: the fault harness scripts "crash
+  // mid-RPC-handler" with it, scheduling a crash that lands while the
+  // handler coroutine is still running. Unset in production configurations.
   void set_worker_hook(WorkerHook hook) { worker_hook_ = std::move(hook); }
 
   // Spawn the receive loop and worker pool.
@@ -121,9 +108,8 @@ class Peer {
   void Shutdown();
 
   // Issue an RPC and await the reply (or kTimedOut after retries).
-  sim::Task<base::Result<proto::Reply>> Call(net::Address dst, proto::Request request);
   sim::Task<base::Result<proto::Reply>> Call(net::Address dst, proto::Request request,
-                                             CallOptions options);
+                                             CallOptions options = {});
 
   // Counters: calls this peer issued (client role) and calls it executed
   // (server role, duplicates excluded).

@@ -6,31 +6,16 @@
 #include <cstdlib>
 #include <utility>
 
-#include "src/base/log.h"
 #include "src/sim/coro_ctx.h"
 #include "src/sim/trace_ctx.h"
 
 namespace sim {
 namespace {
 
-// The most recently running simulator, exposed to the logger so log lines
-// carry virtual timestamps. Single-threaded by construction.
-//
-// Lifecycle: simulators can nest and interleave within one test binary (a
-// fixture's rig plus a scratch simulator, a sweep running cells back to
-// back), so a plain set-on-construct/clear-on-destruct pair would leave the
-// logger reading virtual time from a destroyed instance. A stack of live
-// simulators keeps the hook valid under any construction/destruction order:
-// destroying the current simulator falls back to the most recently
-// constructed one still alive; destroying the last one uninstalls the hook.
+// The simulator whose event is running (Step sets it), for the task-start
+// overflow report, which fires inside a Task with no simulator at hand.
+// Single-threaded by construction; a simulator clears it when it dies.
 Simulator* g_current = nullptr;
-
-std::vector<Simulator*>& LiveSimulators() {
-  static std::vector<Simulator*> live;
-  return live;
-}
-
-int64_t LogNow() { return g_current != nullptr ? g_current->Now() : -1; }
 
 // Far-heap order: min (at, seq) at the front.
 struct FarLater {
@@ -46,20 +31,12 @@ struct FarLater {
 
 Simulator::Simulator() : wheel_(std::make_unique<Bucket[]>(kWheelSpan)) {
   roots_.prev = roots_.next = &roots_;
-  LiveSimulators().push_back(this);
-  g_current = this;
-  base::SetLogNowHook(&LogNow);
 }
 
 Simulator::~Simulator() {
   ReapParked();
-  std::vector<Simulator*>& live = LiveSimulators();
-  live.erase(std::remove(live.begin(), live.end(), this), live.end());
   if (g_current == this) {
-    g_current = live.empty() ? nullptr : live.back();
-  }
-  if (live.empty()) {
-    base::SetLogNowHook(nullptr);
+    g_current = nullptr;
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "src/base/log.h"
 #include "src/trace/trace.h"
 
 namespace snfs {
@@ -210,9 +209,6 @@ sim::Task<void> SnfsClient::KeepaliveDaemon(uint64_t generation) {
     }
     bool epoch_changed = last_seen_epoch_ != 0 && rep->responder_epoch != last_seen_epoch_;
     if (epoch_changed || (suspected_down && last_seen_epoch_ != 0)) {
-      LOG_INFO("snfs", "detected server reboot (epoch %llu -> %llu); running recovery",
-               static_cast<unsigned long long>(last_seen_epoch_),
-               static_cast<unsigned long long>(rep->responder_epoch));
       co_await RunRecovery();
     }
     suspected_down = false;
@@ -241,9 +237,6 @@ sim::Task<void> SnfsClient::RunRecovery() {
     req.cached_version = node->cached_version;
     auto rep = rpc::Expect<proto::ReopenRep>(co_await Call(proto::Request(std::move(req))));
     if (!rep.ok()) {
-      LOG_INFO("snfs", "reopen for file %llu failed: %s",
-               static_cast<unsigned long long>(fileid),
-               std::string(rep.status().name()).c_str());
       continue;
     }
     node->cached_version = rep->version;

@@ -4,8 +4,6 @@
 #include <deque>
 #include <memory>
 
-#include "src/base/log.h"
-
 namespace testbed {
 
 void ApplyFaultSchedule(sim::Simulator& simulator, net::Network& network,
@@ -19,36 +17,28 @@ void ApplyFaultSchedule(sim::Simulator& simulator, net::Network& network,
     switch (ev.kind) {
       case fault::FaultEventKind::kCrashServer:
         if (server != nullptr) {
-          simulator.ScheduleAt(ev.at, [server, &network] {
-            LOG_INFO("fault", "scheduled server crash");
-            server->Crash(network);
-          }, /*background=*/true);
+          simulator.ScheduleAt(ev.at, [server, &network] { server->Crash(network); },
+                               /*background=*/true);
         }
         break;
       case fault::FaultEventKind::kRebootServer:
         if (server != nullptr) {
-          simulator.ScheduleAt(ev.at, [server, &network] {
-            LOG_INFO("fault", "scheduled server reboot");
-            server->Reboot(network);
-          }, /*background=*/true);
+          simulator.ScheduleAt(ev.at, [server, &network] { server->Reboot(network); },
+                               /*background=*/true);
         }
         break;
       case fault::FaultEventKind::kCrashClient:
         if (ev.client >= 0 && ev.client < static_cast<int>(clients.size())) {
           ClientMachine* client = clients[ev.client];
-          simulator.ScheduleAt(ev.at, [client, &network] {
-            LOG_INFO("fault", "scheduled crash of %s", client->name().c_str());
-            client->Crash(network);
-          }, /*background=*/true);
+          simulator.ScheduleAt(ev.at, [client, &network] { client->Crash(network); },
+                               /*background=*/true);
         }
         break;
       case fault::FaultEventKind::kRestartClient:
         if (ev.client >= 0 && ev.client < static_cast<int>(clients.size())) {
           ClientMachine* client = clients[ev.client];
-          simulator.ScheduleAt(ev.at, [client, &network] {
-            LOG_INFO("fault", "scheduled restart of %s", client->name().c_str());
-            client->Restart(network);
-          }, /*background=*/true);
+          simulator.ScheduleAt(ev.at, [client, &network] { client->Restart(network); },
+                               /*background=*/true);
         }
         break;
       case fault::FaultEventKind::kCrashServerInHandler:
@@ -63,23 +53,16 @@ void ApplyFaultSchedule(sim::Simulator& simulator, net::Network& network,
     std::sort(handler_crashes->begin(), handler_crashes->end());
     ServerMachine* srv = server;
     net::Network* net = &network;
-    srv->peer().set_worker_hook(
-        [handler_crashes, srv, net, &simulator](const rpc::WorkerEvent& event) {
-          if (event.phase != rpc::WorkerEvent::Phase::kBeforeHandler) {
-            return;
-          }
-          if (handler_crashes->empty() || simulator.Now() < handler_crashes->front()) {
-            return;
-          }
-          handler_crashes->pop_front();
-          // Crash via a zero-delay event rather than synchronously: the
-          // dispatching worker proceeds into its CPU charge / handler first,
-          // so the crash lands while the handler coroutine is in flight.
-          simulator.Schedule(0, [srv, net] {
-            LOG_INFO("fault", "crashing server mid-handler");
-            srv->Crash(*net);
-          }, /*background=*/true);
-        });
+    srv->peer().set_worker_hook([handler_crashes, srv, net, &simulator] {
+      if (handler_crashes->empty() || simulator.Now() < handler_crashes->front()) {
+        return;
+      }
+      handler_crashes->pop_front();
+      // Crash via a zero-delay event rather than synchronously: the
+      // dispatching worker proceeds into its CPU charge / handler first, so
+      // the crash lands while the handler coroutine is in flight.
+      simulator.Schedule(0, [srv, net] { srv->Crash(*net); }, /*background=*/true);
+    });
   }
 }
 

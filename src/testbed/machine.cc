@@ -2,20 +2,26 @@
 
 #include <utility>
 
-#include "src/base/log.h"
 #include "src/trace/trace.h"
 
 namespace testbed {
+namespace {
+
+// The client's own disk: an fsid no server uses, and no server-side cache
+// (the client's buffer cache fronts it).
+constexpr fs::LocalFsParams kClientLocalFs{.fsid = 9000, .cache_blocks = 0};
+
+}  // namespace
 
 ClientMachine::ClientMachine(sim::Simulator& simulator, net::Network& network, std::string name,
                              ClientMachineParams params)
     : simulator_(simulator), name_(std::move(name)), cpu_(simulator) {
-  peer_ = std::make_unique<rpc::Peer>(simulator, network, cpu_, name_, params.peer);
+  peer_ = std::make_unique<rpc::Peer>(simulator, network, cpu_, name_);
   cache_ = std::make_unique<cache::BufferCache>(simulator, params.cache);
   vfs_ = std::make_unique<vfs::Vfs>(simulator);
   if (params.with_local_disk) {
-    disk_ = std::make_unique<disk::Disk>(simulator, params.disk);
-    local_fs_ = std::make_unique<fs::LocalFs>(simulator, *disk_, params.local_fs);
+    disk_ = std::make_unique<disk::Disk>(simulator);
+    local_fs_ = std::make_unique<fs::LocalFs>(simulator, *disk_, kClientLocalFs);
   }
   peer_->set_handler([this](proto::Request request, net::Address from) {
     return HandleRequest(std::move(request), from);
@@ -56,10 +62,9 @@ snfs::SnfsClient& ClientMachine::MountSnfs(const std::string& path, net::Address
 }
 
 nqnfs::NqnfsClient& ClientMachine::MountNqnfs(const std::string& path, net::Address server,
-                                              proto::FileHandle root_fh,
-                                              nqnfs::NqnfsClientParams params) {
+                                              proto::FileHandle root_fh) {
   return AddCallbackMount(path, std::make_unique<nqnfs::NqnfsClient>(simulator_, *peer_, server,
-                                                                     root_fh, *cache_, params));
+                                                                     root_fh, *cache_));
 }
 
 fs::LocalMount& ClientMachine::MountLocal(const std::string& path) {
@@ -100,15 +105,15 @@ void ClientMachine::Restart(net::Network& network) {
 
 ServerMachine::ServerMachine(sim::Simulator& simulator, net::Network& network, std::string name,
                              ServerProtocol protocol, ServerMachineParams params)
-    : simulator_(simulator), name_(std::move(name)), cpu_(simulator), disk_(simulator, params.disk) {
+    : simulator_(simulator), name_(std::move(name)), cpu_(simulator), disk_(simulator) {
   fs_ = std::make_unique<fs::LocalFs>(simulator, disk_, params.fs);
-  peer_ = std::make_unique<rpc::Peer>(simulator, network, cpu_, name_, params.peer);
+  peer_ = std::make_unique<rpc::Peer>(simulator, network, cpu_, name_);
   if (protocol == ServerProtocol::kNfs) {
     server_ = std::make_unique<nfs::NfsServer>(*fs_, *peer_);
   } else if (protocol == ServerProtocol::kSnfs) {
     server_ = std::make_unique<snfs::SnfsServer>(simulator, *fs_, *peer_, params.snfs);
   } else {
-    server_ = std::make_unique<nqnfs::NqnfsServer>(simulator, *fs_, *peer_, params.nqnfs);
+    server_ = std::make_unique<nqnfs::NqnfsServer>(simulator, *fs_, *peer_);
   }
 }
 

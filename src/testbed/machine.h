@@ -36,11 +36,8 @@
 namespace testbed {
 
 struct ClientMachineParams {
-  rpc::PeerOptions peer;
-  cache::BufferCacheParams cache;        // 16 MB default
+  cache::BufferCacheParams cache;  // 16 MB default
   bool with_local_disk = true;
-  disk::DiskParams disk;
-  fs::LocalFsParams local_fs{.fsid = 9000, .cache_blocks = 0};
 };
 
 class ClientMachine {
@@ -57,7 +54,7 @@ class ClientMachine {
   snfs::SnfsClient& MountSnfs(const std::string& path, net::Address server,
                               proto::FileHandle root_fh, snfs::SnfsClientParams params = {});
   nqnfs::NqnfsClient& MountNqnfs(const std::string& path, net::Address server,
-                                 proto::FileHandle root_fh, nqnfs::NqnfsClientParams params = {});
+                                 proto::FileHandle root_fh);
   fs::LocalMount& MountLocal(const std::string& path);
 
   // Bring daemons up (RPC endpoint, sync daemon, SNFS/NQNFS client daemons).
@@ -123,11 +120,8 @@ class ClientMachine {
 enum class ServerProtocol { kNfs, kSnfs, kNqnfs };
 
 struct ServerMachineParams {
-  rpc::PeerOptions peer;
-  disk::DiskParams disk;
   fs::LocalFsParams fs{.fsid = 1, .cache_blocks = 896};  // 3.5 MB server cache
-  snfs::SnfsServerParams snfs;     // used when protocol == kSnfs
-  nqnfs::NqnfsServerParams nqnfs;  // used when protocol == kNqnfs
+  snfs::SnfsServerParams snfs;  // used when protocol == kSnfs
 };
 
 class ServerMachine {

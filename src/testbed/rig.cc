@@ -1,7 +1,5 @@
 #include "src/testbed/rig.h"
 
-#include "src/base/log.h"
-
 namespace testbed {
 
 std::string_view ProtocolName(Protocol protocol) {
@@ -101,9 +99,9 @@ void Rig::BuildClassic() {
       break;
     }
     case Protocol::kNqnfs: {
-      clients_[0]->MountNqnfs(data_root_, servers_[0]->address(), data_parent_, options_.nqnfs);
+      clients_[0]->MountNqnfs(data_root_, servers_[0]->address(), data_parent_);
       if (options_.remote_tmp) {
-        clients_[0]->MountNqnfs("/rtmp", servers_[0]->address(), tmp_parent, options_.nqnfs);
+        clients_[0]->MountNqnfs("/rtmp", servers_[0]->address(), tmp_parent);
         tmp_dir_ = "/rtmp";
       } else {
         tmp_dir_ = "/local/tmp";
@@ -167,8 +165,8 @@ void Rig::BuildFleet() {
   }
 
   if (options_.fleet.meta_cache) {
-    meta_cache_ = std::make_unique<fleet::MetaCache>(simulator_, network_, "metacache",
-                                                     shard_map_, options_.fleet.meta);
+    meta_cache_ =
+        std::make_unique<fleet::MetaCache>(simulator_, network_, "metacache", shard_map_);
   }
 
   for (int c = 0; c < num_clients; ++c) {
@@ -199,7 +197,7 @@ void Rig::BuildFleet() {
           client.MountSnfs(ShardRoot(s), shard_addr, root, options_.snfs);
           break;
         case Protocol::kNqnfs:
-          client.MountNqnfs(ShardRoot(s), shard_addr, root, options_.nqnfs);
+          client.MountNqnfs(ShardRoot(s), shard_addr, root);
           break;
         case Protocol::kLocal:
           break;  // unreachable, checked above

@@ -45,7 +45,6 @@ struct FleetOptions {
   // NFS only: SNFS/NQNFS callbacks address the peer the server saw the
   // open/lease from, which would be the cache.
   bool meta_cache = false;
-  fleet::MetaCacheParams meta;
 
   bool active() const { return servers > 1 || clients > 1 || meta_cache; }
 };
@@ -55,7 +54,6 @@ struct RigOptions {
   bool remote_tmp = false;  // meaningful for kNfs / kSnfs
   nfs::NfsClientParams nfs;
   snfs::SnfsClientParams snfs;
-  nqnfs::NqnfsClientParams nqnfs;
   ClientMachineParams client;
   ServerMachineParams server;
   net::NetworkParams network;  // network.faults enables link-fault injection

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/base/log.h"
-
 namespace vfs {
 
 void Vfs::Mount(const std::string& path, FileSystem* fs) {

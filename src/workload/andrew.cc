@@ -4,8 +4,6 @@
 #include <cstring>
 #include <utility>
 
-#include "src/base/log.h"
-
 namespace workload {
 namespace {
 

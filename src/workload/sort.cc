@@ -4,7 +4,6 @@
 #include <cstring>
 #include <vector>
 
-#include "src/base/log.h"
 #include "src/sim/random.h"
 
 namespace workload {

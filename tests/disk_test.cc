@@ -8,22 +8,13 @@
 namespace disk {
 namespace {
 
-struct Rig {
-  sim::Simulator simulator;
-  DiskParams params;
-  Disk MakeDisk() { return Disk(simulator, params); }
-};
-
 TEST(DiskTest, SingleReadCostsPositioningPlusTransfer) {
   sim::Simulator simulator;
-  DiskParams params;
-  params.access_latency = sim::Msec(30);
-  params.transfer_bytes_per_sec = 1e6;  // 1 MB/s -> 4096 B = ~4.1 ms
-  Disk disk(simulator, params);
+  Disk disk(simulator);
   simulator.Spawn([](Disk& disk) -> sim::Task<void> { co_await disk.Read(4096); }(disk));
   simulator.Run();
-  EXPECT_GE(simulator.Now(), sim::Msec(34));
-  EXPECT_LE(simulator.Now(), sim::Msec(35));
+  // 36 ms of positioning, then 4096 B at 2.2 MB/s: 1861.8 us, truncated.
+  EXPECT_EQ(simulator.Now(), kAccessLatency + sim::Usec(1861));
   EXPECT_EQ(disk.reads(), 1u);
   EXPECT_EQ(disk.bytes_read(), 4096u);
 }
@@ -45,10 +36,7 @@ TEST(DiskTest, RequestsAreServedFifo) {
 
 TEST(DiskTest, SequentialBlocksArePromoted) {
   sim::Simulator simulator;
-  DiskParams params;
-  params.access_latency = sim::Msec(36);
-  params.sequential_latency = sim::Msec(4);
-  Disk disk(simulator, params);
+  Disk disk(simulator);
   simulator.Spawn([](Disk& disk) -> sim::Task<void> {
     for (uint64_t b = 0; b < 10; ++b) {
       co_await disk.WriteBlock(/*stream=*/1, b, 4096);
@@ -57,7 +45,8 @@ TEST(DiskTest, SequentialBlocksArePromoted) {
   simulator.Run();
   // First access positions fully; the next nine ride the sequential stream.
   EXPECT_EQ(disk.sequential_hits(), 9u);
-  EXPECT_LT(simulator.Now(), sim::Msec(36 + 9 * 4 + 25 /* transfer */));
+  EXPECT_LT(simulator.Now(),
+            kAccessLatency + 9 * kSequentialLatency + sim::Msec(25) /* transfer */);
 }
 
 TEST(DiskTest, InterleavedStreamsBreakSequentiality) {

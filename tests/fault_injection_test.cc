@@ -286,7 +286,6 @@ TEST(FaultScheduleTest, CrashMidHandlerKillsTheDispatchedRequest) {
 SweepOptions ChaosOptions(ServerProtocol protocol) {
   SweepOptions options;
   options.protocol = protocol;
-  options.num_clients = 2;
   options.plan.loss = 0.03;
   options.plan.duplicate = 0.03;
   options.plan.reorder_jitter = sim::Msec(2);

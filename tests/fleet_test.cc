@@ -405,12 +405,11 @@ TEST(MetaCacheTest, MetaInvalDropsTargetedEntriesAndDropAllClears) {
 }
 
 TEST(MetaCacheTest, EvictionKeepsTablesBounded) {
-  RigOptions options = FleetOptions(Protocol::kNfs, 2, 1, /*cache=*/true);
-  options.fleet.meta.max_entries = 2;
-  Rig rig(options);
+  Rig rig(FleetOptions(Protocol::kNfs, 2, 1, /*cache=*/true));
   bool done = false;
   rig.simulator().Spawn([](Rig& rig, bool& done) -> sim::Task<void> {
-    for (int i = 0; i < 6; ++i) {
+    // One more file than each table holds, so both must evict.
+    for (size_t i = 0; i <= fleet::kTierMaxEntries; ++i) {
       std::string path = "/data/s0/f" + std::to_string(i);
       EXPECT_TRUE((co_await rig.client(0).vfs().WriteFile(path, Bytes("x"))).ok());
       EXPECT_TRUE((co_await rig.client(0).vfs().Stat(path)).ok());
@@ -420,8 +419,8 @@ TEST(MetaCacheTest, EvictionKeepsTablesBounded) {
   rig.simulator().Run();
   EXPECT_TRUE(done);
   EXPECT_GT(rig.meta_cache()->evictions(), 0u);
-  EXPECT_LE(rig.meta_cache()->attr_entries(), 2u);
-  EXPECT_LE(rig.meta_cache()->lookup_entries(), 2u);
+  EXPECT_LE(rig.meta_cache()->attr_entries(), fleet::kTierMaxEntries);
+  EXPECT_LE(rig.meta_cache()->lookup_entries(), fleet::kTierMaxEntries);
 }
 
 // --- teardown ----------------------------------------------------------------

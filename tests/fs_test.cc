@@ -680,16 +680,15 @@ TEST(BufferCacheTest, CancelDirtyDropsWithoutStore) {
 
 TEST(BufferCacheTest, PartialWriteDuringWritebackLeavesInFlightBytesUnchanged) {
   // The cache hands its block buffer to the backing store without copying
-  // it, so a partial write while that store is suspended must replace the
-  // cached buffer, not edit it: the old version lands first, unchanged, and
-  // the new one on the next flush.
+  // it, so a later partial write must replace the cached buffer, not edit
+  // it: the bytes the store was handed stay as they were, and the new
+  // version lands on the next flush.
   sim::Simulator simulator;
   cache::BufferCacheParams params;
   params.enable_sync_daemon = false;
-  params.flush_blocks_writers = false;  // let the writer run during the flush
   cache::BufferCache cache(simulator, params);
   cache::Backing backing;
-  std::vector<std::vector<uint8_t>> landed;
+  std::vector<proto::Bytes> landed;  // the buffers the store kept, as handed over
   backing.fetch = [](uint64_t, uint64_t) -> sim::Task<base::Result<proto::Bytes>> {
     co_return proto::Bytes();
   };
@@ -697,34 +696,35 @@ TEST(BufferCacheTest, PartialWriteDuringWritebackLeavesInFlightBytesUnchanged) {
   backing.store = [&simulator, &landed](uint64_t, uint64_t,
                                         proto::Bytes data) -> sim::Task<base::Result<void>> {
     co_await sim::Sleep(simulator, sim::Msec(10));
-    landed.push_back(data.ToVector());  // what the store holds when it lands
+    landed.push_back(std::move(data));
     co_return base::OkStatus();
   };
   int mount = cache.RegisterMount(std::move(backing));
   bool completed = false;
-  simulator.Spawn([](sim::Simulator& simulator, cache::BufferCache& cache, int mount,
+  simulator.Spawn([](cache::BufferCache& cache, int mount, std::vector<proto::Bytes>& landed,
                      bool& completed) -> sim::Task<void> {
-    EXPECT_TRUE((co_await cache.WriteDelayed(
-                     mount, 1, 0, proto::Bytes(std::vector<uint8_t>(cache::kBlockSize, 0x01)), 0))
-                    .ok());
-    simulator.Spawn([](cache::BufferCache& cache, int mount) -> sim::Task<void> {
-      EXPECT_TRUE((co_await cache.FlushFile(mount, 1)).ok());
-    }(cache, mount));
-    co_await sim::Sleep(simulator, sim::Msec(1));  // the store is now suspended
+    proto::Bytes v1(std::vector<uint8_t>(cache::kBlockSize, 0x01));
+    EXPECT_TRUE((co_await cache.WriteDelayed(mount, 1, 0, v1, 0)).ok());
+    EXPECT_TRUE((co_await cache.FlushFile(mount, 1)).ok());
+    EXPECT_EQ(landed.size(), 1u);
+    if (landed.size() != 1) {
+      co_return;
+    }
+    EXPECT_EQ(landed[0].data(), v1.data());  // the cached buffer itself, not a copy
     EXPECT_TRUE((co_await cache.WriteDelayed(
                      mount, 1, 100, proto::Bytes(std::vector<uint8_t>(8, 0x02)), cache::kBlockSize))
                     .ok());
-    co_await sim::Sleep(simulator, sim::Msec(20));
+    EXPECT_EQ(landed[0].ToVector(), std::vector<uint8_t>(cache::kBlockSize, 0x01));
     EXPECT_TRUE((co_await cache.FlushFile(mount, 1)).ok());
     completed = true;
-  }(simulator, cache, mount, completed));
+  }(cache, mount, landed, completed));
   simulator.Run();
   EXPECT_TRUE(completed);
   std::vector<uint8_t> v2(cache::kBlockSize, 0x01);
   std::fill_n(v2.begin() + 100, 8, 0x02);
   ASSERT_EQ(landed.size(), 2u);
-  EXPECT_EQ(landed[0], std::vector<uint8_t>(cache::kBlockSize, 0x01));
-  EXPECT_EQ(landed[1], v2);
+  EXPECT_EQ(landed[0].ToVector(), std::vector<uint8_t>(cache::kBlockSize, 0x01));
+  EXPECT_EQ(landed[1].ToVector(), v2);
 }
 
 TEST(BufferCacheTest, InvalidateFileLeavesOtherMountsBlocksOfTheSameFileid) {
@@ -846,6 +846,24 @@ TEST(BufferCacheTest, RejectedFlushBehindStoreFailsTheNextFlushFile) {
   }(rig, completed));
   rig.simulator.Run();
   EXPECT_TRUE(completed);
+}
+
+TEST(BufferCacheTest, RejectedSyncPassStoreFailsTheNextFlushFile) {
+  FlushBehindRig rig;
+  rig.reject = true;
+  bool completed = false;
+  rig.simulator.Spawn([](FlushBehindRig& rig, bool& completed) -> sim::Task<void> {
+    proto::Bytes data(std::vector<uint8_t>(cache::kBlockSize, 0x01));
+    EXPECT_TRUE((co_await rig.cache.WriteDelayed(rig.mount, 1, 0, data, 0)).ok());
+    co_await rig.cache.FlushAll();  // the sync daemon's pass; the store is rejected
+    EXPECT_FALSE(rig.cache.HasDirty(rig.mount, 1));
+    EXPECT_FALSE((co_await rig.cache.FlushFile(rig.mount, 1)).ok());
+    EXPECT_TRUE((co_await rig.cache.FlushFile(rig.mount, 1)).ok());  // reported once
+    completed = true;
+  }(rig, completed));
+  rig.simulator.Run();
+  EXPECT_TRUE(completed);
+  EXPECT_TRUE(rig.landed.empty());
 }
 
 }  // namespace

@@ -420,15 +420,15 @@ TEST(RpcTest, RetriedCallTracesOneLogicalSpanWithAttemptChildren) {
 }
 
 TEST(RpcTest, DupCacheEvictionIsBoundedWithInProgressEntries) {
-  // Six workers park forever on their first requests; a stream of quick
-  // calls then flows through a 4-entry duplicate cache. Eviction must never
-  // drop the in-progress entries: the cache may exceed its capacity only by
-  // the number of in-progress entries, no matter how the parked entries
-  // interleave with completed ones. Both streams are cached (create and
-  // remove), so both occupy entries.
+  // More workers than the duplicate cache holds entries park forever on
+  // their first requests; a stream of quick calls then flows through the
+  // cache. Eviction must never drop the in-progress entries: the cache may
+  // exceed its capacity only by the number of in-progress entries, no
+  // matter how the parked entries interleave with completed ones. Both
+  // streams are cached (create and remove), so both occupy entries.
+  constexpr int kParked = static_cast<int>(kDupCacheEntries) + 2;
   PeerOptions server_opts;
-  server_opts.num_workers = 8;  // 6 get parked; 2 stay free for quick calls
-  server_opts.dup_cache_entries = 4;
+  server_opts.num_workers = kParked + 2;  // two stay free for quick calls
   Rig rig({}, server_opts);
   rig.server.set_handler(
       // lint: coro-lambda-ok (handler and captures share the test scope)
@@ -444,13 +444,14 @@ TEST(RpcTest, DupCacheEvictionIsBoundedWithInProgressEntries) {
     CallOptions park_opts;
     park_opts.timeout = sim::Sec(30);
     park_opts.max_attempts = 1;
-    for (int i = 0; i < 6; ++i) {
-      // Fire-and-forget: these occupy all six workers.
+    for (int i = 0; i < kParked; ++i) {
+      // Fire-and-forget: these occupy all but two workers.
       rig.simulator.Spawn([](Rig& rig, CallOptions opts) -> sim::Task<void> {
         (void)co_await rig.client.Call(rig.server.address(), MakeCreate("park"), opts);
       }(rig, park_opts));
     }
-    co_await sim::Sleep(rig.simulator, sim::Msec(50));
+    co_await sim::Sleep(rig.simulator, sim::Sec(2));  // every create is parked
+    EXPECT_GT(rig.server.dup_cache_size(), kDupCacheEntries);
     for (int i = 0; i < 20; ++i) {
       proto::RemoveReq remove;
       remove.dir = proto::FileHandle{1, 1, 0};
@@ -459,7 +460,7 @@ TEST(RpcTest, DupCacheEvictionIsBoundedWithInProgressEntries) {
       EXPECT_TRUE(reply.ok());
       size_t size = rig.server.dup_cache_size();
       size_t in_progress = rig.server.dup_cache_in_progress();
-      EXPECT_LE(size, 4u + in_progress)
+      EXPECT_LE(size, kDupCacheEntries + in_progress)
           << "dup cache over bound after call " << i << ": " << size << " entries, "
           << in_progress << " in progress";
     }
@@ -467,7 +468,7 @@ TEST(RpcTest, DupCacheEvictionIsBoundedWithInProgressEntries) {
   }(rig, done));
   rig.simulator.RunUntil(sim::Sec(20));
   EXPECT_TRUE(done);
-  EXPECT_EQ(rig.server.dup_cache_in_progress(), 6u);
+  EXPECT_EQ(rig.server.dup_cache_in_progress(), static_cast<size_t>(kParked));
 }
 
 TEST(RpcTest, RetransmittedIdempotentCallRunsAgainUncached) {

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/base/log.h"
 #include "src/sim/cpu.h"
 #include "src/sim/frame_pool.h"
 #include "src/sim/future.h"
@@ -331,46 +330,6 @@ TEST(RngTest, DeterministicAndInRange) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
-}
-
-// --- log-now-hook lifecycle across simulator lifetimes ----------------------
-
-TEST(SimulatorTest, LogNowHookTracksNestedLifetimes) {
-  ASSERT_EQ(base::GetLogNowHook(), nullptr);
-  {
-    Simulator outer;
-    outer.Schedule(Sec(1), [] {});
-    outer.Run();
-    ASSERT_NE(base::GetLogNowHook(), nullptr);
-    EXPECT_EQ(base::GetLogNowHook()(), Sec(1));
-    {
-      Simulator inner;
-      inner.Schedule(Msec(5), [] {});
-      inner.Run();
-      EXPECT_EQ(base::GetLogNowHook()(), Msec(5));
-    }
-    // The inner simulator died; log timestamps fall back to the outer one
-    // instead of reading freed memory.
-    ASSERT_NE(base::GetLogNowHook(), nullptr);
-    EXPECT_EQ(base::GetLogNowHook()(), Sec(1));
-  }
-  EXPECT_EQ(base::GetLogNowHook(), nullptr);
-}
-
-TEST(SimulatorTest, LogNowHookSurvivesOutOfOrderDestruction) {
-  auto older = std::make_unique<Simulator>();
-  auto newer = std::make_unique<Simulator>();
-  older->Schedule(Sec(2), [] {});
-  older->Run();
-  newer->Schedule(Sec(7), [] {});
-  newer->Run();
-  // Destroying the older simulator first must not disturb the hook, which
-  // points at the newer (current) one.
-  older.reset();
-  ASSERT_NE(base::GetLogNowHook(), nullptr);
-  EXPECT_EQ(base::GetLogNowHook()(), Sec(7));
-  newer.reset();
-  EXPECT_EQ(base::GetLogNowHook(), nullptr);
 }
 
 // --- execution-order contract ------------------------------------------------
