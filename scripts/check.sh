@@ -26,6 +26,8 @@
 #     test under it with leak detection on — coroutines outliving peers,
 #     use-after-free on restart or on a remove racing a suspended operation,
 #     and a coroutine frame that outlives its simulation only show up there.
+#     Then the fault matrix over five seeds, whose crash schedules reach
+#     paths the tests do not.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -155,5 +157,8 @@ export ASAN_OPTIONS=detect_leaks=1
 cmake --preset asan
 cmake --build build-asan -j "$(nproc)"
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
+# The suite never crashes a server while a handler holds a file lock across
+# a suspension; the sweep's NQNFS "server crash" cell does, at seed 5.
+./build-asan/bench/bench_fault_sweep --seeds=5 >/dev/null
 
 echo "All checks passed."

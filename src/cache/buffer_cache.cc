@@ -32,14 +32,6 @@ BufferCache::BufferCache(sim::Simulator& simulator, BufferCacheParams params)
       params_(params),
       flush_behind_(simulator, kFlushBehindSlots) {}
 
-sim::Mutex& BufferCache::FileGate(const FileKey& fk) {
-  auto it = file_gates_.find(fk);
-  if (it == file_gates_.end()) {
-    it = file_gates_.emplace(fk, std::make_unique<sim::Mutex>(simulator_)).first;
-  }
-  return *it->second;
-}
-
 int BufferCache::RegisterMount(Backing backing) {
   mounts_.push_back(std::move(backing));
   return static_cast<int>(mounts_.size()) - 1;
@@ -82,26 +74,14 @@ void BufferCache::Touch(Entry& entry, const Key& key) {
   lru_.splice(lru_.begin(), lru_, entry.lru_it);
 }
 
-BufferCache::Entry& BufferCache::InsertEntry(const Key& key, proto::Bytes data, bool dirty) {
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    it->second.data = std::move(data);
-    Touch(it->second, key);
-    if (dirty) {
-      MarkDirty(key, it->second);
-    }
-    return it->second;
-  }
+BufferCache::Entry& BufferCache::InsertEntry(const Key& key, proto::Bytes data) {
   lru_.push_front(key);
   Entry entry;
   entry.data = std::move(data);
   entry.lru_it = lru_.begin();
   auto [ins, ok] = entries_.emplace(key, std::move(entry));
   CHECK(ok);
-  file_blocks_[FileKey{key.mount, key.fileid}].insert(key.block);
-  if (dirty) {
-    MarkDirty(key, ins->second);
-  }
+  files_[FileKey{key.mount, key.fileid}].blocks.insert(key.block);
   return ins->second;
 }
 
@@ -117,15 +97,42 @@ void BufferCache::EraseEntry(const Key& key) {
 }
 
 void BufferCache::RemoveEntry(std::unordered_map<Key, Entry, KeyHash>::iterator it) {
-  const Key& key = it->first;
-  auto fit = file_blocks_.find(FileKey{key.mount, key.fileid});
-  CHECK(fit != file_blocks_.end());
-  fit->second.erase(key.block);
-  if (fit->second.empty()) {
-    file_blocks_.erase(fit);
+  auto record = files_.find(FileKey{it->first.mount, it->first.fileid});
+  CHECK(record != files_.end());
+  record->second.blocks.erase(it->first.block);
+  if (record->second.idle()) {
+    files_.erase(record);
   }
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
+}
+
+BufferCache::FileRecord* BufferCache::FindRecord(const FileKey& fk) {
+  auto it = files_.find(fk);
+  return it == files_.end() ? nullptr : &it->second;
+}
+
+const sim::Promise<bool>* BufferCache::InFlightStore(const Key& key) {
+  FileRecord* record = FindRecord(FileKey{key.mount, key.fileid});
+  if (record == nullptr) {
+    return nullptr;
+  }
+  auto it = record->stores.find(key.block);
+  return it == record->stores.end() ? nullptr : &it->second;
+}
+
+void BufferCache::NoteRejection(const FileKey& fk) {
+  FileRecord* record = FindRecord(fk);
+  if (record != nullptr && !record->removed) {
+    record->rejected = true;
+  }
+}
+
+void BufferCache::DropIfIdle(const FileKey& fk) {
+  auto it = files_.find(fk);
+  if (it != files_.end() && it->second.idle()) {
+    files_.erase(it);
+  }
 }
 
 void BufferCache::NoteDirtyTransition(const FileKey& fk, bool was_dirty) {
@@ -174,33 +181,30 @@ void BufferCache::MarkClean(const Key& key, Entry& entry) {
 void BufferCache::RegisterStore(const Key& key) {
   FileKey fk{key.mount, key.fileid};
   bool was_dirty = trace::Active() != nullptr && HasDirty(fk.mount, fk.fileid);
-  ++flushing_files_[fk];
-  auto [it, inserted] = in_flight_stores_.emplace(key, sim::Promise<bool>(simulator_));
+  auto [it, inserted] = files_[fk].stores.emplace(key.block, sim::Promise<bool>(simulator_));
   CHECK(inserted);
   NoteDirtyTransition(fk, was_dirty);
 }
 
+// The record stays for the caller, which drops it once idle.
 void BufferCache::FinishStore(const Key& key) {
-  auto it = in_flight_stores_.find(key);
-  if (it != in_flight_stores_.end()) {
-    it->second.TrySet(true);
-    in_flight_stores_.erase(it);
-  }
   FileKey fk{key.mount, key.fileid};
   bool was_dirty = trace::Active() != nullptr && HasDirty(fk.mount, fk.fileid);
-  auto fit = flushing_files_.find(fk);
-  CHECK(fit != flushing_files_.end());
-  if (--fit->second == 0) {
-    flushing_files_.erase(fit);
-    if (auto landed = stores_landed_.find(fk); landed != stores_landed_.end()) {
-      landed->second.TrySet(true);
-      stores_landed_.erase(landed);
-    }
+  FileRecord* record = FindRecord(fk);
+  CHECK(record != nullptr);
+  auto it = record->stores.find(key.block);
+  CHECK(it != record->stores.end());
+  it->second.TrySet(true);
+  record->stores.erase(it);
+  if (record->stores.empty() && record->landed.has_value()) {
+    record->landed->TrySet(true);
+    record->landed.reset();
   }
   NoteDirtyTransition(fk, was_dirty);
 }
 
-// Registered store: the caller already called RegisterStore(key).
+// Registered store: the caller already called RegisterStore(key), and
+// drops the file's record once idle.
 sim::Task<bool> BufferCache::PerformStore(Key key, proto::Bytes data) {
   ++stats_.writebacks;
   trace::Span store_span;
@@ -219,12 +223,8 @@ sim::Task<bool> BufferCache::PerformStore(Key key, proto::Bytes data) {
 // Unregistered store: waits out any in-flight store of the same block
 // (the block was re-dirtied and re-cleaned), then registers and performs.
 sim::Task<bool> BufferCache::StoreBlock(Key key, proto::Bytes data) {
-  while (true) {
-    auto it = in_flight_stores_.find(key);
-    if (it == in_flight_stores_.end()) {
-      break;
-    }
-    sim::Future<bool> prior = it->second.GetFuture();
+  while (const sim::Promise<bool>* in_flight = InFlightStore(key)) {
+    sim::Future<bool> prior = in_flight->GetFuture();
     co_await prior;
   }
   RegisterStore(key);
@@ -235,9 +235,11 @@ sim::Task<void> BufferCache::AsyncStore(Key key, proto::Bytes data, uint64_t dro
   // Nobody waits for a flush-behind store, so a rejection waits for the
   // file's next durability barrier — unless the cache crashed meanwhile.
   bool stored = co_await PerformStore(key, std::move(data));
+  FileKey fk{key.mount, key.fileid};
   if (!stored && drops == drops_) {
-    rejected_stores_.insert(FileKey{key.mount, key.fileid});
+    NoteRejection(fk);
   }
+  DropIfIdle(fk);
   flush_behind_.Release();
 }
 
@@ -254,17 +256,18 @@ sim::Task<void> BufferCache::EvictIfNeeded() {
     CHECK(it != entries_.end());
     ++stats_.evictions;
     if (it->second.dirty) {
-      if (in_flight_stores_.contains(victim)) {
+      if (const sim::Promise<bool>* in_flight = InFlightStore(victim)) {
         // A previous store of this very block is still in flight; wait for
         // it before starting another, then re-evaluate.
-        sim::Future<bool> prior = in_flight_stores_.at(victim).GetFuture();
+        sim::Future<bool> prior = in_flight->GetFuture();
         co_await prior;
         continue;
       }
       proto::Bytes data = it->second.data;
       MarkClean(victim, it->second);
-      RemoveEntry(it);
+      // The store holds the file's record before its last block goes.
       RegisterStore(victim);
+      RemoveEntry(it);
       co_await flush_behind_.Acquire();
       simulator_.Spawn(AsyncStore(victim, std::move(data), drops_));
     } else {
@@ -277,9 +280,8 @@ sim::Task<base::Result<void>> BufferCache::FetchInto(Key key, uint64_t file_size
   ++stats_.misses;
   // An evicted dirty block may still be on its way to the backing store;
   // fetching before it lands would resurrect stale data.
-  auto flight = in_flight_stores_.find(key);
-  if (flight != in_flight_stores_.end()) {
-    sim::Future<bool> done = flight->second.GetFuture();
+  if (const sim::Promise<bool>* in_flight = InFlightStore(key)) {
+    sim::Future<bool> done = in_flight->GetFuture();
     co_await done;
   }
   trace::Span fetch_span;
@@ -297,7 +299,7 @@ sim::Task<base::Result<void>> BufferCache::FetchInto(Key key, uint64_t file_size
   // A concurrent write may have populated (and dirtied) the block while the
   // fetch was in flight; the local copy wins.
   if (Entry* existing = Find(key); existing == nullptr) {
-    InsertEntry(key, std::move(*fetched), /*dirty=*/false);
+    InsertEntry(key, std::move(*fetched));
     co_await EvictIfNeeded();
   }
   co_return base::OkStatus();
@@ -333,9 +335,8 @@ sim::Task<base::Result<std::vector<uint8_t>>> BufferCache::Read(int mount, uint6
         // Evicted between fetch and use under extreme pressure; treat the
         // fetched bytes as gone and retry once via the backing store
         // (waiting out any in-flight write-back of this block first).
-        auto flight = in_flight_stores_.find(key);
-        if (flight != in_flight_stores_.end()) {
-          sim::Future<bool> done = flight->second.GetFuture();
+        if (const sim::Promise<bool>* in_flight = InFlightStore(key)) {
+          sim::Future<bool> done = in_flight->GetFuture();
           co_await done;
         }
         auto direct = co_await mounts_[mount].fetch(fileid, b);
@@ -375,10 +376,14 @@ sim::Task<base::Result<void>> BufferCache::WriteDelayed(int mount, uint64_t file
   // mechanism that keeps the paper's SNFS sort slower than the local sort
   // despite identical CPU use: the stall lasts as long as the flush, and
   // remote flushes are an order of magnitude slower per block.
-  sim::Mutex& gate = FileGate(FileKey{mount, fileid});
-  if (gate.locked()) {
-    sim::ScopedLock stall(gate);
-    co_await stall;
+  FileKey fk{mount, fileid};
+  if (FileRecord* record = FindRecord(fk);
+      record != nullptr && record->gate != nullptr && record->gate->locked()) {
+    {
+      sim::ScopedLock stall(*record->gate);
+      co_await stall;
+    }
+    DropIfIdle(fk);
   }
   uint64_t end = offset + data.size();
   uint64_t first_block = offset / kBlockSize;
@@ -401,7 +406,7 @@ sim::Task<base::Result<void>> BufferCache::WriteDelayed(int mount, uint64_t file
         entry = Find(key);
       }
       if (entry == nullptr) {
-        entry = &InsertEntry(key, {}, /*dirty=*/false);
+        entry = &InsertEntry(key, {});
       }
     } else {
       Touch(*entry, key);
@@ -434,7 +439,7 @@ void BufferCache::InsertClean(int mount, uint64_t fileid, uint64_t offset,
       if (to_from != 0) {
         continue;  // can't represent a hole; skip caching this fragment
       }
-      entry = &InsertEntry(key, {}, /*dirty=*/false);
+      entry = &InsertEntry(key, {});
     } else {
       Touch(*entry, key);
     }
@@ -457,14 +462,22 @@ void BufferCache::InsertClean(int mount, uint64_t fileid, uint64_t offset,
 sim::Task<base::Result<void>> BufferCache::FlushFile(int mount, uint64_t fileid,
                                                      uint64_t max_blocks) {
   FileKey fk{mount, fileid};
-  bool all_stored = co_await StoreDirty(fk, max_blocks);
+  bool all_stored = co_await StoreDirty(fk, max_blocks, /*keep_rejection=*/false);
   // A durability barrier: blocks evicted earlier may still be on the wire.
-  while (flushing_files_.contains(fk)) {
-    auto [landing, inserted] = stores_landed_.try_emplace(fk, simulator_);
-    sim::Future<bool> landed = landing->second.GetFuture();
+  while (true) {
+    FileRecord* record = FindRecord(fk);
+    if (record == nullptr || record->stores.empty()) {
+      break;
+    }
+    if (!record->landed.has_value()) {
+      record->landed.emplace(simulator_);
+    }
+    sim::Future<bool> landed = record->landed->GetFuture();
     co_await landed;
   }
-  if (rejected_stores_.erase(fk) > 0) {
+  if (FileRecord* record = FindRecord(fk); record != nullptr && record->rejected) {
+    record->rejected = false;
+    DropIfIdle(fk);
     all_stored = false;
   }
   // A failed store leaves the block clean in the cache but absent from the
@@ -476,10 +489,17 @@ sim::Task<base::Result<void>> BufferCache::FlushFile(int mount, uint64_t fileid,
   co_return base::OkStatus();
 }
 
-sim::Task<bool> BufferCache::StoreDirty(FileKey fk, uint64_t max_blocks) {
+sim::Task<bool> BufferCache::StoreDirty(FileKey fk, uint64_t max_blocks, bool keep_rejection) {
+  uint64_t drops = drops_;
+  // A file with dirty blocks or a store in flight has a record, and holding
+  // its gate keeps the record (and the gate) in place.
   sim::Mutex* gate = nullptr;
   if (HasDirty(fk.mount, fk.fileid)) {
-    gate = &FileGate(fk);
+    std::unique_ptr<sim::Mutex>& slot = FindRecord(fk)->gate;
+    if (slot == nullptr) {
+      slot = std::make_unique<sim::Mutex>(simulator_);
+    }
+    gate = slot.get();
     co_await gate->Acquire();
   }
   uint64_t flushed = 0;
@@ -500,8 +520,14 @@ sim::Task<bool> BufferCache::StoreDirty(FileKey fk, uint64_t max_blocks) {
       all_stored = false;
     }
   }
+  // Nobody waits for the sync pass, so its rejection waits for the file's
+  // next FlushFile, unless the cache crashed meanwhile.
+  if (keep_rejection && !all_stored && drops == drops_) {
+    NoteRejection(fk);
+  }
   if (gate != nullptr) {
     gate->Release();
+    DropIfIdle(fk);
   }
   co_return all_stored;
 }
@@ -509,23 +535,17 @@ sim::Task<bool> BufferCache::StoreDirty(FileKey fk, uint64_t max_blocks) {
 sim::Task<void> BufferCache::FlushAll() {
   while (!dirty_blocks_.empty()) {
     FileKey fk = dirty_blocks_.begin()->first;
-    // Nobody waits for the sync pass either, so a rejection waits for the
-    // file's next FlushFile, unless the cache crashed meanwhile.
-    uint64_t drops = drops_;
-    bool stored = co_await StoreDirty(fk, 0);
-    if (!stored && drops == drops_) {
-      rejected_stores_.insert(fk);
-    }
+    (void)co_await StoreDirty(fk, 0, /*keep_rejection=*/true);
   }
 }
 
 void BufferCache::InvalidateFile(int mount, uint64_t fileid) {
-  auto it = file_blocks_.find(FileKey{mount, fileid});
-  if (it == file_blocks_.end()) {
+  FileRecord* record = FindRecord(FileKey{mount, fileid});
+  if (record == nullptr) {
     return;
   }
-  // EraseEntry edits the set, so walk a copy.
-  std::vector<uint64_t> blocks(it->second.begin(), it->second.end());
+  // EraseEntry edits the set and may erase the record, so walk a copy.
+  std::vector<uint64_t> blocks(record->blocks.begin(), record->blocks.end());
   for (uint64_t b : blocks) {
     EraseEntry(Key{mount, fileid, b});
   }
@@ -545,32 +565,43 @@ uint64_t BufferCache::CancelDirty(int mount, uint64_t fileid) {
   return blocks.size();
 }
 
+void BufferCache::Forget(int mount, uint64_t fileid) {
+  CancelDirty(mount, fileid);
+  InvalidateFile(mount, fileid);
+  FileKey fk{mount, fileid};
+  if (FileRecord* record = FindRecord(fk)) {
+    record->rejected = false;
+    record->removed = true;
+    DropIfIdle(fk);
+  }
+}
+
 void BufferCache::DropAll() {
-  rejected_stores_.clear();
   ++drops_;
+  // The dirty data just died with the kernel: close out the traced dirty
+  // state so the checker does not blame this machine for blocks it no
+  // longer holds. (std::set gives deterministic event order.)
+  std::set<FileKey> dirty_files;
   if (trace::Active() != nullptr) {
-    // The dirty data just died with the kernel: close out the traced dirty
-    // state so the checker does not blame this machine for blocks it no
-    // longer holds. (std::set gives deterministic event order.)
-    std::set<FileKey> dirty_files;
     for (const auto& [fk, blocks] : dirty_blocks_) {  // lint: ordered-ok (sorted below)
       dirty_files.insert(fk);
     }
-    entries_.clear();
-    lru_.clear();
-    file_blocks_.clear();
-    dirty_blocks_.clear();
-    // NoteDirtyTransition reads live state: a file with a write-back still
-    // in flight stays dirty (flushing_files_) and emits nothing here.
-    for (const FileKey& fk : dirty_files) {
-      NoteDirtyTransition(fk, /*was_dirty=*/true);
-    }
-    return;
   }
   entries_.clear();
   lru_.clear();
-  file_blocks_.clear();
   dirty_blocks_.clear();
+  // In-flight stores, their landed signals and the gates stay; erasing
+  // idle records schedules nothing, so the walk's order is free.
+  for (auto it = files_.begin(); it != files_.end();) {
+    it->second.blocks.clear();
+    it->second.rejected = false;
+    it = it->second.idle() ? files_.erase(it) : std::next(it);
+  }
+  // NoteDirtyTransition reads live state: a file with a write-back still
+  // in flight stays dirty and emits nothing here.
+  for (const FileKey& fk : dirty_files) {
+    NoteDirtyTransition(fk, /*was_dirty=*/true);
+  }
 }
 
 bool BufferCache::HasDirty(int mount, uint64_t fileid) const {
@@ -580,7 +611,8 @@ bool BufferCache::HasDirty(int mount, uint64_t fileid) const {
     return true;
   }
   // Blocks being written back have not reached the backing store yet.
-  return flushing_files_.contains(fk);
+  auto record = files_.find(fk);
+  return record != files_.end() && !record->second.stores.empty();
 }
 
 size_t BufferCache::DirtyBlockCount() const {

@@ -31,10 +31,10 @@
 #include <functional>
 #include <list>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/base/result.h"
@@ -130,12 +130,18 @@ class BufferCache {
   // Returns the number of writes averted.
   uint64_t CancelDirty(int mount, uint64_t fileid);
 
+  // Remove's cache half: cancel the file's dirty blocks, drop every cached
+  // one and its unreported store rejection, and keep no rejection of a
+  // store still in flight when it lands — the file is gone.
+  void Forget(int mount, uint64_t fileid);
+
   // Crash simulation: every cached block, clean or dirty, vanishes with the
   // kernel, and so do unreported store rejections. Write-backs already in
   // flight keep their bookkeeping; their coroutines run to completion
   // against the backing store and clean up.
   void DropAll();
 
+  // The file has dirty blocks, or a store in flight.
   bool HasDirty(int mount, uint64_t fileid) const;
   size_t DirtyBlockCount() const;
   size_t size_blocks() const { return entries_.size(); }
@@ -172,12 +178,37 @@ class BufferCache {
     bool dirty = false;
     std::list<Key>::iterator lru_it;
   };
+  // Everything the cache keeps about one file besides its entries and its
+  // dirty set. Created on first use; DropIfIdle erases it once the file has
+  // no cached block, no store in flight, no unreported rejection and a free
+  // gate (a sim::Mutex has waiters only while it is locked).
+  struct FileRecord {
+    // The cached blocks, so whole-file operations visit only these entries.
+    std::set<uint64_t> blocks;
+    // Blocks whose write-back is in flight: a fetch of the same block must
+    // wait, or it would read stale backing data (evicted-dirty-block race).
+    // While any is in flight the file still counts as dirty.
+    std::map<uint64_t, sim::Promise<bool>> stores;
+    // Set when the last in-flight store lands, for FlushFile.
+    std::optional<sim::Promise<bool>> landed;
+    // A flush-behind or sync-pass store the backing rejected, not yet
+    // reported by a FlushFile.
+    bool rejected = false;
+    // Forgotten (removed): a store that lands rejected is not kept.
+    bool removed = false;
+    // Held by StoreDirty while it writes the file; WriteDelayed stalls on it.
+    std::unique_ptr<sim::Mutex> gate;
+
+    bool idle() const {
+      return blocks.empty() && stores.empty() && !rejected && (gate == nullptr || !gate->locked());
+    }
+  };
 
   Entry* Find(const Key& key);
   void Touch(Entry& entry, const Key& key);
-  Entry& InsertEntry(const Key& key, proto::Bytes data, bool dirty);  // lint: unstable-source
+  Entry& InsertEntry(const Key& key, proto::Bytes data);  // lint: unstable-source
   void EraseEntry(const Key& key);
-  // Unlinks an entry from the LRU list and the per-file index, then erases
+  // Unlinks an entry from the LRU list and its file's record, then erases
   // it; no dirty bookkeeping.
   void RemoveEntry(std::unordered_map<Key, Entry, KeyHash>::iterator it);
   void MarkDirty(const Key& key, Entry& entry);
@@ -191,8 +222,10 @@ class BufferCache {
   // A flush-behind store, issued after `drops` DropAll calls.
   sim::Task<void> AsyncStore(Key key, proto::Bytes data, uint64_t drops);
   // FlushFile's writing half: stores the dirty blocks under the writer gate
-  // and returns whether the backing accepted every one.
-  sim::Task<bool> StoreDirty(FileKey fk, uint64_t max_blocks);
+  // and returns whether the backing accepted every one. With
+  // `keep_rejection` (the sync pass), a rejection stays for the file's next
+  // FlushFile.
+  sim::Task<bool> StoreDirty(FileKey fk, uint64_t max_blocks, bool keep_rejection);
   sim::Task<void> SyncDaemon();
   // In-flight store registration must be synchronous with the decision to
   // write a block back, or a concurrent fetch could read stale backing data.
@@ -202,33 +235,28 @@ class BufferCache {
   sim::Task<bool> PerformStore(Key key, proto::Bytes data);
   sim::Task<bool> StoreBlock(Key key, proto::Bytes data);
   sim::Task<base::Result<void>> FetchInto(Key key, uint64_t file_size);
-  sim::Mutex& FileGate(const FileKey& fk);
+  // nullptr when the file has no record; invalidated by any record erasure.
+  FileRecord* FindRecord(const FileKey& fk);
+  // The block's in-flight store, or nullptr.
+  const sim::Promise<bool>* InFlightStore(const Key& key);
+  // Keeps a rejected store for the file's next FlushFile, unless the file
+  // was forgotten.
+  void NoteRejection(const FileKey& fk);
+  void DropIfIdle(const FileKey& fk);
 
   sim::Simulator& simulator_;
   BufferCacheParams params_;
   std::vector<Backing> mounts_;
-  std::unordered_map<FileKey, std::unique_ptr<sim::Mutex>, FileKeyHash> file_gates_;
   sim::Semaphore flush_behind_;
   bool running_ = false;
   bool stop_requested_ = false;
 
   std::unordered_map<Key, Entry, KeyHash> entries_;
   std::list<Key> lru_;  // front = most recently used
-  // The cached blocks of each file, so whole-file operations visit only
-  // that file's entries.
-  std::unordered_map<FileKey, std::set<uint64_t>, FileKeyHash> file_blocks_;
+  std::unordered_map<FileKey, FileRecord, FileKeyHash> files_;
+  // Kept apart from the records: FlushAll takes its next file from this
+  // table's order.
   std::unordered_map<FileKey, std::set<uint64_t>, FileKeyHash> dirty_blocks_;
-  // Blocks whose write-back is in flight: a fetch of the same block must
-  // wait, or it would read stale backing data (evicted-dirty-block race).
-  std::unordered_map<Key, sim::Promise<bool>, KeyHash> in_flight_stores_;
-  // Files with write-backs in flight: they still count as dirty (their data
-  // has not reached the backing store yet).
-  std::unordered_map<FileKey, int, FileKeyHash> flushing_files_;
-  // Set when the last in-flight store of a file lands, for FlushFile.
-  std::unordered_map<FileKey, sim::Promise<bool>, FileKeyHash> stores_landed_;
-  // Files with a flush-behind or sync-pass store the backing rejected, not
-  // yet reported by a FlushFile.
-  std::unordered_set<FileKey, FileKeyHash> rejected_stores_;
   uint64_t drops_ = 0;  // DropAll calls
   CacheStats stats_;
 };

@@ -7,14 +7,53 @@
 namespace fleet {
 namespace {
 
-// Mount-table prefix match: `prefix` must be a whole-component prefix of
-// `path` ("/data/s1" matches "/data/s1/f" but not "/data/s10").
-bool PrefixMatches(std::string_view prefix, std::string_view path) {
-  if (path.substr(0, prefix.size()) != prefix) {
-    return false;
+// The routing handle of each NFS request; every other request is not
+// routable.
+struct RouteVisitor {
+  const ShardMap& map;
+  template <typename Req>
+  base::Result<int> operator()(const Req&) const {
+    return base::ErrInval();
   }
-  return path.size() == prefix.size() || prefix == "/" || path[prefix.size()] == '/';
-}
+  base::Result<int> operator()(const proto::GetAttrReq& r) const {
+    return map.ShardForHandle(r.fh);
+  }
+  base::Result<int> operator()(const proto::SetAttrReq& r) const {
+    return map.ShardForHandle(r.fh);
+  }
+  base::Result<int> operator()(const proto::LookupReq& r) const {
+    return map.ShardForHandle(r.dir);
+  }
+  base::Result<int> operator()(const proto::ReadReq& r) const {
+    return map.ShardForHandle(r.fh);
+  }
+  base::Result<int> operator()(const proto::WriteReq& r) const {
+    return map.ShardForHandle(r.fh);
+  }
+  base::Result<int> operator()(const proto::CreateReq& r) const {
+    return map.ShardForHandle(r.dir);
+  }
+  base::Result<int> operator()(const proto::RemoveReq& r) const {
+    return map.ShardForHandle(r.dir);
+  }
+  base::Result<int> operator()(const proto::RenameReq& r) const {
+    ASSIGN_OR_RETURN(int from, map.ShardForHandle(r.from_dir));
+    ASSIGN_OR_RETURN(int to, map.ShardForHandle(r.to_dir));
+    if (from != to) {
+      return base::ErrXDev();  // cross-shard rename is not one operation
+    }
+    return from;
+  }
+  base::Result<int> operator()(const proto::MkdirReq& r) const {
+    return map.ShardForHandle(r.dir);
+  }
+  base::Result<int> operator()(const proto::RmdirReq& r) const {
+    return map.ShardForHandle(r.dir);
+  }
+  base::Result<int> operator()(const proto::ReadDirReq& r) const {
+    return map.ShardForHandle(r.dir);
+  }
+};
 
 }  // namespace
 
@@ -33,21 +72,6 @@ const Shard& ShardMap::shard(int id) const {
   return shards_[static_cast<size_t>(id)];
 }
 
-base::Result<int> ShardMap::ShardForPath(std::string_view path) const {
-  int best = -1;
-  size_t best_len = 0;
-  for (const Shard& s : shards_) {
-    if (PrefixMatches(s.prefix, path) && (best == -1 || s.prefix.size() > best_len)) {
-      best = s.id;
-      best_len = s.prefix.size();
-    }
-  }
-  if (best == -1) {
-    return base::ErrNoEnt();
-  }
-  return best;
-}
-
 base::Result<int> ShardMap::ShardForHandle(proto::FileHandle fh) const {
   for (const Shard& s : shards_) {
     if (s.fsid == fh.fsid) {
@@ -58,66 +82,7 @@ base::Result<int> ShardMap::ShardForHandle(proto::FileHandle fh) const {
 }
 
 base::Result<int> ShardForRequest(const ShardMap& map, const proto::Request& request) {
-  struct Visitor {
-    const ShardMap& map;
-    base::Result<int> operator()(const proto::NullReq&) const { return base::ErrInval(); }
-    base::Result<int> operator()(const proto::PingReq&) const { return base::ErrInval(); }
-    base::Result<int> operator()(const proto::MetaInvalReq&) const { return base::ErrInval(); }
-    base::Result<int> operator()(const proto::GetAttrReq& r) const {
-      return map.ShardForHandle(r.fh);
-    }
-    base::Result<int> operator()(const proto::SetAttrReq& r) const {
-      return map.ShardForHandle(r.fh);
-    }
-    base::Result<int> operator()(const proto::LookupReq& r) const {
-      return map.ShardForHandle(r.dir);
-    }
-    base::Result<int> operator()(const proto::ReadReq& r) const {
-      return map.ShardForHandle(r.fh);
-    }
-    base::Result<int> operator()(const proto::WriteReq& r) const {
-      return map.ShardForHandle(r.fh);
-    }
-    base::Result<int> operator()(const proto::CreateReq& r) const {
-      return map.ShardForHandle(r.dir);
-    }
-    base::Result<int> operator()(const proto::RemoveReq& r) const {
-      return map.ShardForHandle(r.dir);
-    }
-    base::Result<int> operator()(const proto::RenameReq& r) const {
-      ASSIGN_OR_RETURN(int from, map.ShardForHandle(r.from_dir));
-      ASSIGN_OR_RETURN(int to, map.ShardForHandle(r.to_dir));
-      if (from != to) {
-        return base::ErrXDev();  // cross-shard rename is not one operation
-      }
-      return from;
-    }
-    base::Result<int> operator()(const proto::MkdirReq& r) const {
-      return map.ShardForHandle(r.dir);
-    }
-    base::Result<int> operator()(const proto::RmdirReq& r) const {
-      return map.ShardForHandle(r.dir);
-    }
-    base::Result<int> operator()(const proto::ReadDirReq& r) const {
-      return map.ShardForHandle(r.dir);
-    }
-    base::Result<int> operator()(const proto::OpenReq& r) const {
-      return map.ShardForHandle(r.fh);
-    }
-    base::Result<int> operator()(const proto::CloseReq& r) const {
-      return map.ShardForHandle(r.fh);
-    }
-    base::Result<int> operator()(const proto::CallbackReq& r) const {
-      return map.ShardForHandle(r.fh);
-    }
-    base::Result<int> operator()(const proto::ReopenReq& r) const {
-      return map.ShardForHandle(r.fh);
-    }
-    base::Result<int> operator()(const proto::GetLeaseReq& r) const {
-      return map.ShardForHandle(r.fh);
-    }
-  };
-  return std::visit(Visitor{map}, request);
+  return std::visit(RouteVisitor{map}, request);
 }
 
 }  // namespace fleet

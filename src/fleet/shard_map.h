@@ -2,13 +2,10 @@
 //
 // One logical namespace ("/data") is partitioned across N ServerMachines by
 // mount-table prefixes: shard k exports its tree under a path prefix (e.g.
-// "/data/s2") and owns one fsid, so a file is routed two ways:
-//
-//   * by path   — longest-prefix match, the same rule vfs::Vfs uses for its
-//                 mount table, so nested shard exports compose;
-//   * by handle — proto::FileHandle carries the owning shard's fsid, which
-//                 makes every post-lookup RPC (getattr/read/write/...)
-//                 routable without consulting the namespace again.
+// "/data/s2") and owns one fsid. Each client mounts every shard at its
+// prefix, so a path is routed by the client's vfs mount table; a request is
+// routed by handle — proto::FileHandle carries the owning shard's fsid,
+// which makes every RPC routable without consulting the namespace again.
 //
 // The map is a value type: the testbed builds one while wiring a fleet rig
 // and hands copies to whoever routes (clients, the meta-cache tier).
@@ -19,7 +16,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/base/result.h"
@@ -46,10 +42,6 @@ class ShardMap {
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const Shard& shard(int id) const;
 
-  // Longest-prefix route for an absolute path (mount-table semantics: the
-  // prefix must end at a component boundary). kNoEnt if nothing matches.
-  base::Result<int> ShardForPath(std::string_view path) const;
-
   // Route for a file handle by owning fsid. kStale if no shard owns it —
   // the handle refers to a file system this fleet does not serve.
   base::Result<int> ShardForHandle(proto::FileHandle fh) const;
@@ -58,10 +50,11 @@ class ShardMap {
   std::vector<Shard> shards_;  // index == id
 };
 
-// Extracts the routing handle from a request and routes it. Rename routes
-// both directories and reports kXDev when they live on different shards;
-// requests with no file handle (null, ping) and cache-administration ops
-// (metainval) are not routable and report kInval.
+// Extracts the routing handle from an NFS request and routes it. Rename
+// routes both directories and reports kXDev when they live on different
+// shards. Every other request — null, ping, the tier's own metainval, and
+// the SNFS and NQNFS extensions the NFS-only tier never carries — is not
+// routable and reports kInval.
 base::Result<int> ShardForRequest(const ShardMap& map, const proto::Request& request);
 
 }  // namespace fleet

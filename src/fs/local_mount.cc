@@ -170,8 +170,7 @@ sim::Task<base::Result<void>> LocalMount::Remove(vfs::GnodeRef dir, std::string 
   co_await Charge(kPerOp);
   // The delete-before-writeback optimization: pending delayed writes for
   // the victim never reach the disk.
-  cache_.CancelDirty(mount_id_, target->fh.fileid);
-  cache_.InvalidateFile(mount_id_, target->fh.fileid);
+  cache_.Forget(mount_id_, target->fh.fileid);
   CO_RETURN_IF_ERROR(co_await fs_.Remove(dir->fh, name));
   nodes_.erase(target->fh.fileid);
   co_return base::OkStatus();

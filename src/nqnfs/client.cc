@@ -223,7 +223,7 @@ sim::Task<base::Result<void>> NqnfsClient::Close(vfs::GnodeRef gnode, bool write
 sim::Task<base::Result<void>> NqnfsClient::Remove(vfs::GnodeRef dir, std::string name,
                                                   vfs::GnodeRef target) {
   NodeRef victim = AsNode<NqnfsNode>(target);
-  DiscardFile(*victim);
+  cache_.Forget(mount_id_, victim->fh.fileid);
   victim->have_cached_data = false;
   DropLease(*victim, "remove");
   co_return co_await RemoveName(dir, std::move(name), victim->fh.fileid);

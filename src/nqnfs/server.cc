@@ -13,11 +13,8 @@ NqnfsServer::NqnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& 
 }
 
 void NqnfsServer::Crash() {
-  leases_.Clear();
+  files_.clear();
   CallbackServer::Crash();
-  vacates_in_progress_.clear();
-  inconsistent_files_.clear();
-  leaseless_bursts_.clear();
 }
 
 void NqnfsServer::Restart() {
@@ -26,22 +23,72 @@ void NqnfsServer::Restart() {
   no_grant_until_ = simulator_.Now() + kLeaseTerm;
 }
 
+size_t NqnfsServer::active_leases() const {
+  size_t n = 0;
+  for (const auto& [fileid, file] : files_) {  // lint: ordered-ok (commutative sum)
+    n += file.holders.size();
+  }
+  return n;
+}
+
+NqnfsServer::FileState* NqnfsServer::Find(uint64_t fileid) {
+  auto it = files_.find(fileid);
+  return it == files_.end() ? nullptr : &it->second;
+}
+
+NqnfsServer::FileState& NqnfsServer::FindOrCreate(uint64_t fileid) { return files_[fileid]; }
+
+NqnfsServer::Lease* NqnfsServer::FindLease(uint64_t fileid, int host) {
+  FileState* file = Find(fileid);
+  if (file == nullptr) {
+    return nullptr;
+  }
+  auto it = file->holders.find(host);
+  return it == file->holders.end() ? nullptr : &it->second;
+}
+
+void NqnfsServer::EraseLease(uint64_t fileid, int host) {
+  if (FileState* file = Find(fileid)) {
+    file->holders.erase(host);
+    EraseIfEmpty(fileid);
+  }
+}
+
+void NqnfsServer::EraseIfEmpty(uint64_t fileid) {
+  auto it = files_.find(fileid);
+  if (it != files_.end() && it->second.empty()) {
+    files_.erase(it);
+  }
+}
+
+void NqnfsServer::Forget(const proto::FileHandle& fh) {
+  if (FileState* file = Find(fh.fileid)) {
+    file->holders.clear();
+    file->inconsistent = false;
+    file->burst.reset();
+    EraseIfEmpty(fh.fileid);
+  }
+}
+
 sim::Task<void> NqnfsServer::LeaseDaemon() {
   while (true) {
     co_await sim::Sleep(simulator_, kLeaseReapInterval, /*background=*/true);
-    for (const auto& [key, lease] : leases_.Expired(simulator_.Now())) {
-      leases_.Erase(key.fileid, key.host);
-      ++lease_expiries_;
-      // No callback and no trace event: expiry is by the clock alone, and
-      // the trace checker retires write-lease grants the same way.
+    // No callback and no trace event: expiry is by the clock alone, and the
+    // trace checker retires write-lease grants the same way. The walk
+    // schedules nothing, so its order is free.
+    sim::Time now = simulator_.Now();
+    for (auto file = files_.begin(); file != files_.end();) {
+      lease_expiries_ += std::erase_if(
+          file->second.holders, [now](const auto& holder) { return holder.second.expires <= now; });
+      file = file->second.empty() ? files_.erase(file) : std::next(file);
     }
   }
 }
 
-sim::Task<void> NqnfsServer::VacateOne(proto::FileHandle fh, LeaseKey key, Lease lease) {
+sim::Task<void> NqnfsServer::VacateOne(proto::FileHandle fh, int host, Lease lease) {
   ++vacates_issued_;
   bool delivered = co_await Callback(
-      key.host, proto::CallbackReq{.fh = fh, .writeback = lease.write, .invalidate = true});
+      host, proto::CallbackReq{.fh = fh, .writeback = lease.write, .invalidate = true});
   if (!delivered) {
     ++vacates_failed_;
     // The holder is unreachable but its lease is still a promise; the only
@@ -52,53 +99,57 @@ sim::Task<void> NqnfsServer::VacateOne(proto::FileHandle fh, LeaseKey key, Lease
     // the lease after every sleep so an extension that landed before the
     // marker went up is waited out too — a live lease is never erased.
     while (true) {
-      Lease* current = leases_.Find(key.fileid, key.host);
+      Lease* current = FindLease(fh.fileid, host);
       if (current == nullptr || current->expires <= simulator_.Now()) {
         break;
       }
       co_await sim::Sleep(simulator_, current->expires - simulator_.Now());
     }
     if (lease.write) {
-      inconsistent_files_.insert(key.fileid);
+      FindOrCreate(fh.fileid).inconsistent = true;
     }
   }
-  vacates_in_progress_.erase(key);
-  leases_.Erase(key.fileid, key.host);
+  if (FileState* file = Find(fh.fileid)) {
+    file->vacating.erase(host);
+    file->holders.erase(host);
+    EraseIfEmpty(fh.fileid);
+  }
   if (delivered && lease.write) {
     TRACE_INSTANT("nqnfs.write_lease_end", peer_.address().host,
-                  "file=" + std::to_string(key.fileid) + " host=" + std::to_string(key.host) +
+                  "file=" + std::to_string(fh.fileid) + " host=" + std::to_string(host) +
                       " reason=vacate");
   }
 }
 
 sim::Task<void> NqnfsServer::VacateConflicting(proto::FileHandle fh, int host, bool write) {
-  // Re-scan from scratch after every awaited vacate: the table can change
+  // Re-scan from scratch after every awaited vacate: the holders can change
   // arbitrarily while we wait (expiry scans, piggybacked extensions).
   while (true) {
-    bool found = false;
-    LeaseKey victim_key;
-    Lease victim;
-    sim::Time now = simulator_.Now();
-    for (const auto& [key, lease] : leases_.HoldersOf(fh.fileid)) {
-      if (key.host == host || (!write && !lease.write)) {
-        continue;  // read leases coexist; the requester's own lease never conflicts
+    std::optional<std::pair<int, Lease>> victim;
+    if (FileState* file = Find(fh.fileid)) {
+      sim::Time now = simulator_.Now();
+      for (auto it = file->holders.begin(); it != file->holders.end();) {
+        const auto& [holder, lease] = *it;
+        if (holder == host || (!write && !lease.write)) {
+          ++it;
+          continue;  // read leases coexist; the requester's own lease never conflicts
+        }
+        if (lease.expires <= now) {
+          // Already lapsed; no callback owed. Count the expiry exactly as the
+          // daemon's scan would have, so retiring it here does not undercount.
+          it = file->holders.erase(it);
+          ++lease_expiries_;
+          continue;
+        }
+        victim.emplace(holder, lease);
+        break;
       }
-      if (lease.expires <= now) {
-        // Already lapsed; no callback owed. Count the expiry exactly as the
-        // daemon's scan would have, so retiring it here does not undercount.
-        leases_.Erase(key.fileid, key.host);
-        ++lease_expiries_;
-        continue;
-      }
-      victim_key = key;
-      victim = lease;
-      found = true;
-      break;
+      EraseIfEmpty(fh.fileid);
     }
-    if (!found) {
+    if (!victim.has_value()) {
       co_return;
     }
-    co_await VacateOne(fh, victim_key, victim);
+    co_await VacateOne(fh, victim->first, victim->second);
   }
 }
 
@@ -108,7 +159,7 @@ sim::Task<sim::Mutex*> NqnfsServer::PrepareForeignWrite(proto::FileHandle fh, in
   if (VacateInProgress(fh.fileid, host)) {
     co_return nullptr;  // a write-back we requested; covered by the lease being vacated
   }
-  Lease* mine = leases_.Find(fh.fileid, host);
+  Lease* mine = FindLease(fh.fileid, host);
   if (mine != nullptr && mine->write && mine->expires > simulator_.Now()) {
     co_return nullptr;  // lease-covered flush: the grant already bumped the version
   }
@@ -122,15 +173,16 @@ sim::Task<sim::Mutex*> NqnfsServer::PrepareForeignWrite(proto::FileHandle fh, in
   sim::Mutex& lock = FileLock(fh);
   co_await lock.Acquire();
   co_await VacateConflicting(fh, host, /*write=*/true);
-  auto burst = leaseless_bursts_.find(fh.fileid);
-  if (burst == leaseless_bursts_.end() || burst->second.host != host) {
+  FileState& file = FindOrCreate(fh.fileid);
+  if (!file.burst.has_value() || file.burst->host != host) {
     auto stable = fs_.Version(fh);
     auto bumped = fs_.BumpVersion(fh);
     if (stable.ok() && bumped.ok()) {
-      leaseless_bursts_[fh.fileid] = LeaselessBurst{host, *stable};
+      file.burst = LeaselessBurst{host, *stable};
     }  // ErrStale (racing remove): the write itself fails the same way
   }
-  inconsistent_files_.erase(fh.fileid);
+  file.inconsistent = false;
+  EraseIfEmpty(fh.fileid);
   // The lock stays held until the delegated write has landed: releasing it
   // here would open a window where a foreign GetLease grants a read lease
   // whose holder caches the pre-write data at the post-bump version.
@@ -154,11 +206,11 @@ sim::Task<proto::Reply> NqnfsServer::HandleGetLease(proto::GetLeaseReq req, net:
   co_await lock.Acquire();
   co_await VacateConflicting(req.fh, from.host, req.write_mode);
 
-  Lease* mine = leases_.Find(req.fh.fileid, from.host);
+  Lease* mine = FindLease(req.fh.fileid, from.host);
   if (mine != nullptr && mine->expires <= simulator_.Now()) {
     // Our previous grant to this host lapsed while we vacated; start fresh
     // (counting the expiry, exactly as the daemon's scan would have).
-    leases_.Erase(req.fh.fileid, from.host);
+    EraseLease(req.fh.fileid, from.host);
     ++lease_expiries_;
     mine = nullptr;
   }
@@ -180,24 +232,25 @@ sim::Task<proto::Reply> NqnfsServer::HandleGetLease(proto::GetLeaseReq req, net:
     }
     version = *bumped;
   }
+  FileState& file = FindOrCreate(req.fh.fileid);
   // A leaseless burst bumped the version exactly once; the burst writer's
   // cache is coherent with the data it wrote through, so let it revalidate
   // against the pre-bump version. The grant retags its cache at `version`,
-  // after which the record is spent. A write grant to anyone else lets the
+  // after which the burst is spent. A write grant to anyone else lets the
   // data move on, making the burst writer's copy genuinely stale.
-  if (auto burst = leaseless_bursts_.find(req.fh.fileid); burst != leaseless_bursts_.end()) {
-    if (burst->second.host == from.host) {
-      prev_version = burst->second.prev_version;
-      leaseless_bursts_.erase(burst);
+  if (file.burst.has_value()) {
+    if (file.burst->host == from.host) {
+      prev_version = file.burst->prev_version;
+      file.burst.reset();
     } else if (req.write_mode) {
-      leaseless_bursts_.erase(burst);
+      file.burst.reset();
     }
   }
   sim::Time expires = simulator_.Now() + kLeaseTerm;
   bool write_mode = req.write_mode || already_writing;
-  leases_.Put(req.fh.fileid, from.host, Lease{req.fh, write_mode, expires});
+  file.holders[from.host] = Lease{write_mode, expires};
   ++leases_granted_;
-  bool inconsistent = inconsistent_files_.erase(req.fh.fileid) > 0;
+  bool inconsistent = std::exchange(file.inconsistent, false);
   // Vacated write-backs may have changed size and mtime.
   attr = fs_.GetAttr(req.fh);
   lock.Release();
@@ -257,7 +310,7 @@ sim::Task<proto::Reply> NqnfsServer::Handle(proto::Request request, net::Address
   // actively-used files never pay a lease-renewal round trip. Never extend
   // a lease we are in the middle of vacating.
   if (reply.status.ok() && data_target != 0 && !VacateInProgress(data_target, from.host)) {
-    Lease* lease = leases_.Find(data_target, from.host);
+    Lease* lease = FindLease(data_target, from.host);
     if (lease != nullptr && lease->expires > simulator_.Now()) {
       lease->expires = simulator_.Now() + kLeaseTerm;
       reply.lease_file = data_target;

@@ -33,9 +33,9 @@ namespace framepool {
 
 // 64-byte classes up to 4 KB cover every frame bench_andrew, bench_sort and
 // bench_fleet allocate. The largest is the server handler every protocol's
-// requests reach, NfsServer::Handle, at 3,056 bytes in a RelWithDebInfo
-// build with GCC 12 (then SnfsServer::Handle at 1,320, NqnfsServer::Handle
-// at 1,048 and snfs::CallbackServer::Remove at 856); a 2 KB ceiling sent it
+// requests reach, NfsServer::Handle, at 3,048 bytes in a RelWithDebInfo
+// build with GCC 12 (then SnfsServer::Handle at 1,312, NqnfsServer::Handle
+// at 1,040 and snfs::CallbackServer::Remove at 848); a 2 KB ceiling sent it
 // to malloc on every server RPC. FramePoolTest (consistency_test) pins that
 // NFS, SNFS and NQNFS read round trips make no fall-through allocation.
 inline constexpr size_t kClassBytes = 64;

@@ -24,12 +24,14 @@
 //    one local whose destructor reaches into a machine.
 //  - Destroying a Task that was started but is not finished is otherwise a
 //    bug (some awaitable still holds its handle); we CHECK against it.
+//
+// Nothing in the simulator throws: an exception that escapes a task body
+// terminates the process (the C++ runtime's handler prints it), so a frame
+// carries no exception slot and awaiting a task never rethrows.
 #ifndef SRC_SIM_TASK_H_
 #define SRC_SIM_TASK_H_
 
 #include <coroutine>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <optional>
 #include <utility>
@@ -118,7 +120,6 @@ struct PromiseBase : RootLink {
   std::coroutine_handle<> continuation;
   bool detached = false;
   bool started = false;
-  std::exception_ptr exception;
   // Ambient span at coroutine creation; restored when the body first runs.
   uint64_t trace_span = tracectx::current_span;
   // Activity chain this frame belongs to: a child created while an activity
@@ -154,10 +155,6 @@ struct PromiseBase : RootLink {
         return p.continuation;
       }
       if (p.detached) {
-        if (p.exception) {
-          std::fprintf(stderr, "sim::Task: unhandled exception in detached task\n");
-          std::abort();
-        }
         p.Unlink();
         h.destroy();
       }
@@ -166,6 +163,29 @@ struct PromiseBase : RootLink {
 
     void await_resume() const noexcept {}
   };
+
+  InitialAwaiter initial_suspend() noexcept { return InitialAwaiter{this}; }
+  FinalAwaiter final_suspend() noexcept { return {}; }
+  void unhandled_exception() noexcept { std::terminate(); }
+};
+
+// What a finished task hands its awaiter: the value of a Task<T>, nothing
+// for a Task<void>.
+template <typename T>
+struct ReturnChannel : PromiseBase {
+  std::optional<T> value;
+
+  void return_value(T v) { value.emplace(std::move(v)); }
+  T Take() {
+    CHECK(value.has_value());
+    return std::move(*value);
+  }
+};
+
+template <>
+struct ReturnChannel<void> : PromiseBase {
+  void return_void() {}
+  void Take() {}
 };
 
 }  // namespace detail
@@ -173,19 +193,12 @@ struct PromiseBase : RootLink {
 template <typename T = void>
 class [[nodiscard]] Task {
  public:
-  struct promise_type : detail::PromiseBase {
-    std::optional<T> value;
-
+  struct promise_type : detail::ReturnChannel<T> {
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }
-    InitialAwaiter initial_suspend() noexcept { return InitialAwaiter{this}; }
-    FinalAwaiter final_suspend() noexcept { return {}; }
-    void return_value(T v) { value.emplace(std::move(v)); }
-    void unhandled_exception() { this->exception = std::current_exception(); }
   };
   using Handle = std::coroutine_handle<promise_type>;
-  using FinalAwaiter = detail::PromiseBase::FinalAwaiter;
 
   Task() noexcept = default;
   explicit Task(Handle h) noexcept : handle_(h) {}
@@ -200,8 +213,6 @@ class [[nodiscard]] Task {
   Task(const Task&) = delete;
   Task& operator=(const Task&) = delete;
   ~Task() { Reset(); }
-
-  bool valid() const { return static_cast<bool>(handle_); }
 
   // Awaiting a task starts it (symmetric transfer) and resumes the awaiter
   // once the task completes, yielding its value.
@@ -213,14 +224,7 @@ class [[nodiscard]] Task {
     handle_.promise().continuation = awaiter;
     return handle_;
   }
-  T await_resume() {
-    promise_type& p = handle_.promise();
-    if (p.exception) {
-      std::rethrow_exception(p.exception);
-    }
-    CHECK(p.value.has_value());
-    return std::move(*p.value);
-  }
+  T await_resume() { return handle_.promise().Take(); }
 
   // Relinquish ownership (used by Simulator::Spawn).
   Handle Release() { return std::exchange(handle_, {}); }
@@ -230,66 +234,6 @@ class [[nodiscard]] Task {
     if (handle_) {
       // Either never started, or ran to completion under co_await, or its
       // parked awaiter is being reaped at teardown.
-      CHECK(!handle_.promise().started || handle_.done() || coroctx::reaping);
-      handle_.destroy();
-      handle_ = {};
-    }
-  }
-
-  Handle handle_;
-};
-
-template <>
-class [[nodiscard]] Task<void> {
- public:
-  struct promise_type : detail::PromiseBase {
-    Task get_return_object() {
-      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    InitialAwaiter initial_suspend() noexcept { return InitialAwaiter{this}; }
-    FinalAwaiter final_suspend() noexcept { return {}; }
-    void return_void() {}
-    void unhandled_exception() { this->exception = std::current_exception(); }
-  };
-  using Handle = std::coroutine_handle<promise_type>;
-  using FinalAwaiter = detail::PromiseBase::FinalAwaiter;
-
-  Task() noexcept = default;
-  explicit Task(Handle h) noexcept : handle_(h) {}
-  Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, {})) {}
-  Task& operator=(Task&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      handle_ = std::exchange(other.handle_, {});
-    }
-    return *this;
-  }
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() { Reset(); }
-
-  bool valid() const { return static_cast<bool>(handle_); }
-
-  bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiter) {
-    CHECK(handle_ && !handle_.promise().started);
-    detail::CountTaskStart();
-    handle_.promise().started = true;
-    handle_.promise().continuation = awaiter;
-    return handle_;
-  }
-  void await_resume() {
-    promise_type& p = handle_.promise();
-    if (p.exception) {
-      std::rethrow_exception(p.exception);
-    }
-  }
-
-  Handle Release() { return std::exchange(handle_, {}); }
-
- private:
-  void Reset() {
-    if (handle_) {
       CHECK(!handle_.promise().started || handle_.done() || coroctx::reaping);
       handle_.destroy();
       handle_ = {};

@@ -26,23 +26,6 @@ namespace tracectx {
 inline uint64_t current_span = 0;
 
 }  // namespace tracectx
-
-// Scoped override of the ambient span, for non-coroutine code that wants to
-// run a block under a specific span (e.g. a packet-delivery lambda
-// attributing the receive to the sender's span).
-class ScopedTraceSpan {
- public:
-  explicit ScopedTraceSpan(uint64_t span) : saved_(tracectx::current_span) {
-    tracectx::current_span = span;
-  }
-  ~ScopedTraceSpan() { tracectx::current_span = saved_; }
-  ScopedTraceSpan(const ScopedTraceSpan&) = delete;
-  ScopedTraceSpan& operator=(const ScopedTraceSpan&) = delete;
-
- private:
-  uint64_t saved_;
-};
-
 }  // namespace sim
 
 #endif  // SRC_SIM_TRACE_CTX_H_

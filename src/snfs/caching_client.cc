@@ -34,11 +34,6 @@ void CachingClient::DropCachedData(CachingNode& node) {
   node.have_cached_data = false;
 }
 
-void CachingClient::DiscardFile(const CachingNode& node) {
-  cache_.CancelDirty(mount_id_, node.fh.fileid);
-  cache_.InvalidateFile(mount_id_, node.fh.fileid);
-}
-
 void CachingClient::TraceInvalidated(const CachingNode& node, const char* reason) const {
   TRACE_INSTANT(trace_name_ + ".invalidated", peer_.address().host,
                 "file=" + std::to_string(node.fh.fileid) + " reason=" + reason);
@@ -155,8 +150,8 @@ sim::Task<base::Result<proto::Attr>> CachingClient::GetAttr(vfs::GnodeRef gnode)
 
 sim::Task<base::Result<void>> CachingClient::Truncate(vfs::GnodeRef gnode, uint64_t size) {
   CachingNodeRef node = AsNode<CachingNode>(gnode);
-  DiscardFile(*node);
-  node->have_cached_data = false;
+  cache_.CancelDirty(mount_id_, node->fh.fileid);
+  DropCachedData(*node);
   proto::SetAttrReq req;
   req.fh = node->fh;
   req.size = size;

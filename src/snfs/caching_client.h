@@ -8,8 +8,8 @@
 // it). Only the permission to cache differs — an open the SNFS server's
 // state table marks cachable, or a live NQNFS lease — so this class owns
 // the data path and each protocol supplies the permission through hooks.
-// The protocol's grant path calls Revalidate, and its Remove calls
-// DiscardFile before sending the RPC.
+// The protocol's grant path calls Revalidate, and its Remove has the buffer
+// cache forget the file before sending the RPC.
 #ifndef SRC_SNFS_CACHING_CLIENT_H_
 #define SRC_SNFS_CACHING_CLIENT_H_
 
@@ -84,9 +84,6 @@ class CachingClient : public nfs::RemoteClient {
   // Drops every cached block of the file; dirty ones must be flushed first
   // if their data matters.
   void DropCachedData(CachingNode& node);
-  // Remove's cache half: "Sprite and SNFS take advantage of this behavior
-  // by 'cancelling' delayed writes when a file is deleted" (§4.2.3).
-  void DiscardFile(const CachingNode& node);
   // Records "<trace_name>.invalidated" for the file.
   void TraceInvalidated(const CachingNode& node, const char* reason) const;
 

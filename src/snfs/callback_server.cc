@@ -26,7 +26,11 @@ CallbackServer::CallbackServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::
   CHECK_GE(peer.num_workers(), 2);
 }
 
-void CallbackServer::Crash() { file_locks_.clear(); }
+void CallbackServer::Crash() {
+  // Handlers run to completion after a crash, so a lock one holds across a
+  // suspension is released later: only the free ones can go.
+  std::erase_if(file_locks_, [](const auto& lock) { return !lock.second->locked(); });
+}
 
 sim::Mutex& CallbackServer::FileLock(const proto::FileHandle& fh) {
   auto it = file_locks_.find(fh.fileid);

@@ -22,7 +22,8 @@ class CallbackServer : public nfs::NfsServer {
  public:
   // Every NFS operation, a remove after its pre-step (Forget).
   sim::Task<proto::Reply> Handle(proto::Request request, net::Address from) override;
-  // The file locks live in kernel memory and die with it.
+  // The free file locks die with the kernel; a lock that a handler still
+  // holds stays until that handler, which runs on, releases it.
   void Crash() override;
 
  protected:

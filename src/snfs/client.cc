@@ -260,7 +260,9 @@ sim::Task<void> SnfsClient::RunRecovery() {
 sim::Task<base::Result<void>> SnfsClient::Remove(vfs::GnodeRef dir, std::string name,
                                                  vfs::GnodeRef target) {
   NodeRef victim = AsNode<SnfsNode>(target);
-  DiscardFile(*victim);
+  // "Sprite and SNFS take advantage of this behavior by 'cancelling'
+  // delayed writes when a file is deleted" (§4.2.3).
+  cache_.Forget(mount_id_, victim->fh.fileid);
   // Settle any delayed closes so the server can drop its entry cleanly.
   if (params_.delayed_close) {
     co_await FlushOwedCloses(victim);

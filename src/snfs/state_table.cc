@@ -430,19 +430,6 @@ const StateTable::Entry* StateTable::Lookup(const proto::FileHandle& fh) const {
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-bool StateTable::HostHasOpen(const proto::FileHandle& fh, int host) const {
-  const Entry* entry = Lookup(fh);
-  if (entry == nullptr) {
-    return false;
-  }
-  for (const ClientInfo& c : entry->clients) {
-    if (c.host == host && c.readers + c.writers > 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void StateTable::CheckInvariants() const {
   // Read-only per-entry CHECKs; a violation aborts regardless of walk order.
   for (const auto& [fh, entry] : entries_) {  // lint: ordered-ok

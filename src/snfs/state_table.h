@@ -116,9 +116,6 @@ class StateTable {
   std::vector<ReclaimPlan> PlanReclaim();
 
   const Entry* Lookup(const proto::FileHandle& fh) const;
-
-  // True when `host` has at least one open (reader or writer) recorded.
-  bool HostHasOpen(const proto::FileHandle& fh, int host) const;
   size_t size() const { return entries_.size(); }
   bool over_limit() const { return entries_.size() > params_.max_entries; }
 

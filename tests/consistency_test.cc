@@ -26,7 +26,9 @@
 //                       forces it out — a barrier never returns a silent OK.
 //
 // On SNFS and NQNFS, removing a file also drops the server's consistency
-// state for it: its state-table entry, or its leases.
+// state for it: its state-table entry, or its leases. And a server crash
+// frees no file lock a handler still holds across a callback: the file
+// opens again after the reboot (an ASan build sees the use-after-free).
 //
 // Plus the original property test: random multi-client workloads against an
 // in-memory oracle, serialized by a (simulated) global lock, mirroring the
@@ -491,6 +493,57 @@ TEST_P(RemoveDropsServerState, AfterWriteCloseUnlink) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, RemoveDropsServerState,
+                         ::testing::Values(ServerProtocol::kSnfs, ServerProtocol::kNqnfs),
+                         [](const ::testing::TestParamInfo<ServerProtocol>& info) {
+                           return ProtocolLabel(info.param);
+                         });
+
+// --- a server crash while a handler holds a file lock -----------------------------
+
+// B's open makes the server call A back for the file's dirty blocks (an
+// SNFS callback, an NQNFS vacate), and the server crashes 5 ms later. The
+// handler holding the file lock runs on after the crash and releases the
+// lock then, so the crash must not free it: an ASan build reports the
+// use-after-free. After a reboot the file opens again.
+sim::Task<void> CrashDuringCallbackScenario(World& w, bool* finished) {
+  vfs::Vfs& a = w.client(0).vfs();
+  vfs::Vfs& b = w.client(1).vfs();
+  EXPECT_TRUE((co_await a.WriteFile("/data/f", testbed::TestPattern(4 * cache::kBlockSize))).ok());
+  w.simulator.Spawn([](World& w) -> sim::Task<void> {
+    co_await sim::Sleep(w.simulator, sim::Msec(5));
+    w.server->Crash(w.network);
+    co_await sim::Sleep(w.simulator, sim::Sec(2));
+    w.server->Reboot(w.network);
+  }(w));
+  (void)co_await b.ReadFile("/data/f");  // cut off by the crash, or served after the reboot
+  co_await sim::Sleep(w.simulator, sim::Sec(5));
+  auto fd = co_await b.Open("/data/f", vfs::OpenFlags::ReadOnly());
+  EXPECT_TRUE(fd.ok()) << "the file does not open after the reboot";
+  if (fd.ok()) {
+    EXPECT_TRUE((co_await b.Close(*fd)).ok());
+  }
+  *finished = true;
+}
+
+class ServerCrashWithAFileLockHeld : public ::testing::TestWithParam<ServerProtocol> {};
+
+TEST_P(ServerCrashWithAFileLockHeld, FileOpensAfterReboot) {
+  World w(GetParam(), 2);
+  MountData(w, 0, GetParam());
+  MountData(w, 1, GetParam());
+  bool finished = false;
+  w.simulator.Spawn(CrashDuringCallbackScenario(w, &finished));
+  w.simulator.Run();
+  EXPECT_TRUE(finished);
+  // The lock holder called A back across the crash.
+  if (snfs::SnfsServer* snfs = w.server->snfs_server()) {
+    EXPECT_GE(snfs->callbacks_issued(), 1u);
+  } else {
+    EXPECT_GE(w.server->nqnfs_server()->vacates_issued(), 1u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, ServerCrashWithAFileLockHeld,
                          ::testing::Values(ServerProtocol::kSnfs, ServerProtocol::kNqnfs),
                          [](const ::testing::TestParamInfo<ServerProtocol>& info) {
                            return ProtocolLabel(info.param);

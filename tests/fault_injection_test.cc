@@ -13,15 +13,16 @@
 #include "src/net/network.h"
 #include "src/proto/messages.h"
 #include "src/rpc/peer.h"
-#include "src/sim/cpu.h"
 #include "src/sim/simulator.h"
 #include "src/testbed/fault_runner.h"
 #include "src/vfs/vfs.h"
+#include "tests/rpc_rig.h"
 #include "tests/testbed_util.h"
 
 namespace fault {
 namespace {
 
+using testbed::RpcRig;
 using testbed::ServerProtocol;
 using testbed::TestBytes;
 using testbed::World;
@@ -92,31 +93,18 @@ TEST(FaultPlanTest, PartitionsCutBothDirectionsUntilHeal) {
 
 // --- Faults wired into the network + RPC layer ------------------------------
 
-struct RpcRig {
-  sim::Simulator simulator;
-  net::Network network;
-  sim::Cpu client_cpu{simulator};
-  sim::Cpu server_cpu{simulator};
-  rpc::Peer client;
-  rpc::Peer server;
+// The shared RPC rig's network under `plan`.
+net::NetworkParams WithPlan(FaultPlan plan) {
+  net::NetworkParams params;
+  params.faults = std::make_shared<FaultPlan>(std::move(plan));
+  return params;
+}
 
-  explicit RpcRig(FaultPlan plan)
-      : network(simulator, WithPlan(std::move(plan)), /*seed=*/42),
-        client(simulator, network, client_cpu, "client"),
-        server(simulator, network, server_cpu, "server") {
-    client.Start();
-    server.Start();
-    server.set_handler([](proto::Request, net::Address) -> sim::Task<proto::Reply> {
-      co_return proto::OkReply(proto::NullRep{});
-    });
-  }
-
-  static net::NetworkParams WithPlan(FaultPlan plan) {
-    net::NetworkParams params;
-    params.faults = std::make_shared<FaultPlan>(std::move(plan));
-    return params;
-  }
-};
+void AnswerNull(RpcRig& rig) {
+  rig.server.set_handler([](proto::Request, net::Address) -> sim::Task<proto::Reply> {
+    co_return proto::OkReply(proto::NullRep{});
+  });
+}
 
 TEST(FaultNetworkTest, DisabledPlanInstallsNoInjector) {
   sim::Simulator simulator;
@@ -130,7 +118,8 @@ TEST(FaultNetworkTest, DuplicatedRequestsAreSuppressedByTheDupCache) {
   FaultPlan plan;
   plan.duplicate = 1.0;  // every packet delivered twice
   plan.seed = 5;
-  RpcRig rig(std::move(plan));
+  RpcRig rig({.network = WithPlan(std::move(plan))});
+  AnswerNull(rig);
   int ok = 0;
   for (int i = 0; i < 20; ++i) {
     rig.simulator.Spawn([](RpcRig& rig, int& ok) -> sim::Task<void> {
@@ -155,7 +144,8 @@ TEST(FaultNetworkTest, ReorderJitterDelaysButDelivers) {
   FaultPlan plan;
   plan.reorder_jitter = sim::Msec(20);
   plan.seed = 9;
-  RpcRig rig(std::move(plan));
+  RpcRig rig({.network = WithPlan(std::move(plan))});
+  AnswerNull(rig);
   int ok = 0;
   for (int i = 0; i < 10; ++i) {
     rig.simulator.Spawn([](RpcRig& rig, int& ok) -> sim::Task<void> {
@@ -177,7 +167,8 @@ TEST(FaultNetworkTest, PartitionStallsCallsUntilHeal) {
   FaultPlan plan;
   plan.partitions.push_back(Partition{.host_a = 0, .host_b = 1,
                                       .start = sim::Sec(1), .heal = sim::Sec(3)});
-  RpcRig rig(std::move(plan));
+  RpcRig rig({.network = WithPlan(std::move(plan))});
+  AnswerNull(rig);
   bool done = false;
   rig.simulator.Spawn([](RpcRig& rig, bool& done) -> sim::Task<void> {
     co_await sim::Sleep(rig.simulator, sim::Msec(1500));

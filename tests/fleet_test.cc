@@ -41,35 +41,6 @@ ShardMap TwoShardMap() {
   return map;
 }
 
-TEST(ShardMapTest, RoutesByLongestPrefix) {
-  // Nested exports: shard 0 serves the namespace root, shard 1 a subtree.
-  ShardMap map;
-  map.AddShard(Shard{0, "/data", 1, net::Address{10}, Fh(1, 1)});
-  map.AddShard(Shard{1, "/data/hot", 2, net::Address{11}, Fh(2, 1)});
-
-  auto cold = map.ShardForPath("/data/cold/f");
-  ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(*cold, 0);
-  auto hot = map.ShardForPath("/data/hot/f");
-  ASSERT_TRUE(hot.ok());
-  EXPECT_EQ(*hot, 1);
-  // The prefix itself is routable.
-  auto exact = map.ShardForPath("/data/hot");
-  ASSERT_TRUE(exact.ok());
-  EXPECT_EQ(*exact, 1);
-}
-
-TEST(ShardMapTest, PrefixMatchEndsAtComponentBoundary) {
-  ShardMap map = TwoShardMap();
-  // "/data/s10" shares the string prefix "/data/s1" but is a different
-  // component — it must not route to shard 1.
-  EXPECT_EQ(map.ShardForPath("/data/s10/f").status(), base::ErrNoEnt());
-  EXPECT_EQ(map.ShardForPath("/elsewhere").status(), base::ErrNoEnt());
-  auto ok = map.ShardForPath("/data/s1/f");
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(*ok, 1);
-}
-
 TEST(ShardMapTest, RoutesHandlesByFsid) {
   ShardMap map = TwoShardMap();
   auto s0 = map.ShardForHandle(Fh(1, 42));

@@ -594,7 +594,7 @@ TEST(BufferCacheTest, RedirtyDuringEvictionWritebackKeepsNewestData) {
   // Guard for the eviction interleaving: a dirty block's eviction write-back
   // suspends in the backing store, the block is re-dirtied meanwhile, and a
   // flush of the new data must wait out the in-flight store (StoreBlock's
-  // in_flight_stores_ check) so the older bytes can never land last.
+  // in-flight store check) so the older bytes can never land last.
   sim::Simulator simulator;
   cache::BufferCacheParams params;
   params.capacity_blocks = 1;
@@ -842,6 +842,29 @@ TEST(BufferCacheTest, RejectedFlushBehindStoreFailsTheNextFlushFile) {
     co_await rig.EvictFileOne(2);
     rig.cache.DropAll();
     EXPECT_TRUE((co_await rig.cache.FlushFile(rig.mount, 1)).ok());
+    completed = true;
+  }(rig, completed));
+  rig.simulator.Run();
+  EXPECT_TRUE(completed);
+}
+
+TEST(BufferCacheTest, RemovingAFileDropsTheRejectionOfItsStoreInFlight) {
+  FlushBehindRig rig;
+  rig.reject = true;
+  bool completed = false;
+  rig.simulator.Spawn([](FlushBehindRig& rig, bool& completed) -> sim::Task<void> {
+    // File 1 is removed while its evicted block's store is on the wire; the
+    // store lands rejected, and nothing is left to report.
+    co_await rig.EvictFileOne(0);
+    rig.cache.Forget(rig.mount, 1);
+    co_await sim::Sleep(rig.simulator, sim::Msec(20));
+    EXPECT_TRUE((co_await rig.cache.FlushFile(rig.mount, 1)).ok());
+    // A truncate (CancelDirty and InvalidateFile) keeps a landed rejection.
+    co_await rig.EvictFileOne(1);
+    co_await sim::Sleep(rig.simulator, sim::Msec(20));
+    rig.cache.CancelDirty(rig.mount, 1);
+    rig.cache.InvalidateFile(rig.mount, 1);
+    EXPECT_FALSE((co_await rig.cache.FlushFile(rig.mount, 1)).ok());
     completed = true;
   }(rig, completed));
   rig.simulator.Run();

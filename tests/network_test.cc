@@ -17,67 +17,53 @@
 #include "src/net/network.h"
 #include "src/proto/messages.h"
 #include "src/rpc/peer.h"
-#include "src/sim/cpu.h"
 #include "src/sim/simulator.h"
 #include "src/sim/task.h"
+#include "tests/rpc_rig.h"
 
 namespace net {
 namespace {
 
-struct EchoRig {
-  sim::Simulator simulator;
-  Network network;
-  sim::Cpu client_cpu{simulator};
-  sim::Cpu server_cpu{simulator};
-  sim::Cpu router_cpu{simulator};
-  rpc::Peer client{simulator, network, client_cpu, "client"};
-  rpc::Peer server{simulator, network, server_cpu, "server"};
-  // Forwards every request to the server, which replies to the client.
-  rpc::Peer router{simulator, network, router_cpu, "router"};
+using testbed::RpcRig;
 
-  explicit EchoRig(NetworkParams params = {}, uint64_t seed = 1)
-      : network(simulator, params, seed) {
-    server.set_handler([](proto::Request request, Address) -> sim::Task<proto::Reply> {
-      // Echo write payloads back so replies are as big as requests and a
-      // copy on either direction of the path would be caught.
-      if (auto* write = std::get_if<proto::WriteReq>(&request)) {
-        proto::ReadRep rep;
-        rep.data = std::move(write->data);
-        co_return proto::OkReply(std::move(rep));
-      }
-      co_return proto::OkReply(proto::NullRep{});
-    });
-    router.set_router([this](const proto::Request&) -> std::optional<Address> {
-      return server.address();
-    });
-    client.Start();
-    server.Start();
-    router.Start();
-  }
-
-  void RunCalls(int calls, bool routed = false) {
-    Address dst = routed ? router.address() : server.address();
-    int completed = 0;
-    for (int i = 0; i < calls; ++i) {
-      simulator.Spawn(
-          [](rpc::Peer& client, Address dst, int i, int& completed) -> sim::Task<void> {
-            proto::WriteReq req;
-            req.fh = proto::FileHandle{1, static_cast<uint64_t>(i)};
-            req.data = std::vector<uint8_t>(4096, static_cast<uint8_t>(i));
-            auto reply = co_await client.Call(dst, std::move(req));
-            CHECK(reply.ok());
-            ++completed;
-          }(client, dst, i, completed));
+// Echoes write payloads back so replies are as big as requests and a copy
+// on either direction of the path would be caught.
+void ServeEcho(RpcRig& rig) {
+  rig.server.set_handler([](proto::Request request, Address) -> sim::Task<proto::Reply> {
+    if (auto* write = std::get_if<proto::WriteReq>(&request)) {
+      proto::ReadRep rep;
+      rep.data = std::move(write->data);
+      co_return proto::OkReply(std::move(rep));
     }
-    simulator.Run();
-    EXPECT_EQ(completed, calls);
+    co_return proto::OkReply(proto::NullRep{});
+  });
+}
+
+// `calls` one-block writes from the client, straight to the server or
+// through the router.
+void RunCalls(RpcRig& rig, int calls, bool routed = false) {
+  Address dst = routed ? rig.router->address() : rig.server.address();
+  int completed = 0;
+  for (int i = 0; i < calls; ++i) {
+    rig.simulator.Spawn(
+        [](rpc::Peer& client, Address dst, int i, int& completed) -> sim::Task<void> {
+          proto::WriteReq req;
+          req.fh = proto::FileHandle{1, static_cast<uint64_t>(i)};
+          req.data = std::vector<uint8_t>(4096, static_cast<uint8_t>(i));
+          auto reply = co_await client.Call(dst, std::move(req));
+          CHECK(reply.ok());
+          ++completed;
+        }(rig.client, dst, i, completed));
   }
-};
+  rig.simulator.Run();
+  EXPECT_EQ(completed, calls);
+}
 
 TEST(NetworkTest, HappyPathMovesEnvelopesWithoutCopies) {
-  EchoRig rig;
+  RpcRig rig({.seed = 1});
+  ServeEcho(rig);
   proto::Envelope::reset_copy_count();
-  rig.RunCalls(50);
+  RunCalls(rig, 50);
   EXPECT_EQ(proto::Envelope::copy_count(), 0u);
   EXPECT_EQ(rig.network.packets_sent(), 100u);  // 50 requests + 50 replies
 }
@@ -85,9 +71,10 @@ TEST(NetworkTest, HappyPathMovesEnvelopesWithoutCopies) {
 TEST(NetworkTest, RoutedRequestsMoveEnvelopesWithoutCopies) {
   // The router re-sends the envelope it received, and the server's reply
   // goes straight to the client: forwarding adds a hop but no copy.
-  EchoRig rig;
+  RpcRig rig({.seed = 1, .routed = true});
+  ServeEcho(rig);
   proto::Envelope::reset_copy_count();
-  rig.RunCalls(50, /*routed=*/true);
+  RunCalls(rig, 50, /*routed=*/true);
   EXPECT_EQ(proto::Envelope::copy_count(), 0u);
   EXPECT_EQ(rig.network.packets_sent(), 150u);  // request, forward, direct reply
 }
@@ -97,9 +84,10 @@ TEST(NetworkTest, FaultDuplicationCopiesExactlyOncePerDuplicate) {
   auto plan = std::make_shared<fault::FaultPlan>();
   plan->duplicate = 0.5;
   params.faults = plan;
-  EchoRig rig(params, /*seed=*/7);
+  RpcRig rig({.network = params, .seed = 7});
+  ServeEcho(rig);
   proto::Envelope::reset_copy_count();
-  rig.RunCalls(50);
+  RunCalls(rig, 50);
   // The duplicate trailing an original is the one legitimate copy on the
   // delivery path; everything else still moves.
   EXPECT_GT(rig.network.packets_duplicated(), 0u);

@@ -417,7 +417,7 @@ void SpinWithoutSuspending() {
   Simulator s;
   bool dirty = true;
   s.Spawn([](bool& dirty) -> Task<void> {
-    ScopedTraceSpan span(42);
+    tracectx::current_span = 42;  // the loop runs under span 42
     while (dirty) {
       co_await FlushNothing();
     }

@@ -399,7 +399,9 @@ TEST(StateTableReclaim, ReopenDuringReclaimCallbackKeepsEntry) {
   const StateTable::Entry* entry = t.Lookup(kFile);
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->state, FileState::kOneReader);
-  EXPECT_TRUE(t.HostHasOpen(kFile, kHostA));
+  ASSERT_EQ(entry->clients.size(), 1u);
+  EXPECT_EQ(entry->clients[0].host, kHostA);
+  EXPECT_GT(entry->clients[0].readers + entry->clients[0].writers, 0u);  // A has it open
   t.CheckInvariants();
 }
 

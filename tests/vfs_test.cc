@@ -72,6 +72,20 @@ TEST(VfsTest, UnmountedPathFails) {
   });
 }
 
+TEST(VfsTest, MountPrefixEndsAtComponentBoundary) {
+  // "/data/s10" shares the string prefix "/data/s1" but is a different
+  // component, so it must not resolve through the "/data/s1" mount (the
+  // fleet's shards are mounted this way).
+  Rig rig;
+  rig.vfs.Mount("/data/s1", &rig.mount_a);
+  RUN(rig, {
+    EXPECT_EQ((co_await rig.vfs.WriteFile("/data/s10/f", Bytes("x"))).status(), base::ErrNoEnt());
+    EXPECT_TRUE((co_await rig.vfs.WriteFile("/data/s1/f", Bytes("x"))).ok());
+    EXPECT_EQ(rig.fs_a.inode_count(), 2u);  // root + f
+    completed = true;
+  });
+}
+
 TEST(VfsTest, BadFdOperationsFail) {
   Rig rig;
   rig.vfs.Mount("/", &rig.mount_a);
