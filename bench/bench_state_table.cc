@@ -107,7 +107,7 @@ int main() {
       StateTable t;
       Prepare(t, state);
       const StateTable::Entry* before = t.Lookup(kFile);
-      CHECK(before != nullptr && before->state == state);
+      CHECK(before != nullptr && before->state() == state);
       OpenResult result = event.apply(t);
       t.CheckInvariants();
       table.AddRow({std::string(FileStateName(state)), event.name,

@@ -21,7 +21,7 @@ void PrintState(ServerMachine& server, const char* when) {
   const snfs::StateTable::Entry* entry = server.snfs_server()->state_table().Lookup(fh);
   std::printf("  [%s] server state table: %s\n", when,
               entry == nullptr ? "(no entry)"
-                               : std::string(snfs::FileStateName(entry->state)).c_str());
+                               : std::string(snfs::FileStateName(entry->state())).c_str());
 }
 
 }  // namespace
@@ -31,13 +31,11 @@ int main() {
   net::Network network(simulator, {});
 
   testbed::ServerMachineParams server_params;
-  server_params.snfs.enable_recovery = true;
-  server_params.snfs.recovery_grace = sim::Sec(15);
+  server_params.snfs.enable_recovery = true;  // grace period snfs::kRecoveryGrace
   ServerMachine server(simulator, network, "server", ServerProtocol::kSnfs, server_params);
 
   snfs::SnfsClientParams client_params;
-  client_params.enable_recovery = true;
-  client_params.keepalive_interval = sim::Sec(10);
+  client_params.enable_recovery = true;  // pings every snfs::kKeepaliveInterval
   ClientMachine alice(simulator, network, "alice");
   ClientMachine bob(simulator, network, "bob");
   alice.MountSnfs("/data", server.address(), server.root(), client_params);

@@ -73,7 +73,7 @@ int main() {
         proto::FileHandle{server.fs().fsid(), 2, 0});
     if (entry != nullptr) {
       std::printf("           server state for notes.txt: %s (version %llu)\n",
-                  std::string(snfs::FileStateName(entry->state)).c_str(),
+                  std::string(snfs::FileStateName(entry->state())).c_str(),
                   static_cast<unsigned long long>(entry->version));
     }
   }(alice, bob, server, alice_fs));

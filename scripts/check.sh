@@ -10,11 +10,12 @@
 #  3. clang-tidy (if installed): generic bug-pattern checks per .clang-tidy,
 #     driven by the exported compile_commands.json; warnings are errors.
 #  4. Deterministic snapshots: bench_andrew/bench_sort against the pinned
-#     baselines, bench_fleet against BENCH_fleet.json, and bench_simperf's
-#     event counts, work units and simulated seconds against
-#     BENCH_simperf.json. The paper benches with no pinned output
-#     (bench_reopen, bench_server_load, bench_sort_nodelay, bench_scaling,
-#     bench_ablation, bench_state_table) run for their shape checks: a bench
+#     baselines, bench_state_table's Table 4-1 (every realized open and
+#     close transition) against its pinned stdout, bench_fleet against
+#     BENCH_fleet.json, and bench_simperf's event counts, work units and
+#     simulated seconds against BENCH_simperf.json. The paper benches with
+#     no pinned output (bench_reopen, bench_server_load, bench_sort_nodelay,
+#     bench_scaling, bench_ablation) run for their shape checks: a bench
 #     exits 1 when one fails.
 #  5. perfbench: build the repository benchmark from this tree into
 #     .bench_build/ (its own CMake package, which compiles src/ APIs such
@@ -76,9 +77,10 @@ fi
 
 echo "== calibrated benches: byte-identical to pinned baselines =="
 # Deterministic bench output — elapsed times, three-way (NFS/SNFS/NQNFS)
-# RPC matrices, trace checksums — must never move unnoticed: it is diffed
-# byte-for-byte against the pinned goldens. The final "wrote
-# <path>" stdout line echoes the --json argument and is excluded.
+# RPC matrices, trace checksums, the Table 4-1 transitions — must never move
+# unnoticed: it is diffed byte-for-byte against the pinned goldens. The
+# final "wrote <path>" stdout line echoes the --json argument and is
+# excluded.
 baseline_tmp=$(mktemp -d)
 trap 'rm -rf "$baseline_tmp"' EXIT
 ./build/bench/bench_andrew --json="$baseline_tmp/andrew.json" \
@@ -91,14 +93,15 @@ diff <(grep -v '^wrote ' bench/baselines/bench_andrew_stdout.txt) \
      <(grep -v '^wrote ' "$baseline_tmp/andrew_stdout.txt")
 diff <(grep -v '^wrote ' bench/baselines/bench_sort_stdout.txt) \
      <(grep -v '^wrote ' "$baseline_tmp/sort_stdout.txt")
+./build/bench/bench_state_table > "$baseline_tmp/state_table_stdout.txt"
+diff bench/baselines/bench_state_table_stdout.txt "$baseline_tmp/state_table_stdout.txt"
 
 echo "== paper shape checks: the benches no snapshot pins =="
 # Each prints its expected-shape checks against the paper and exits 1 if any
-# reads [!!] (bench_andrew and bench_sort run theirs above); bench_state_table
-# prints Table 4-1 and only has to run. They stay out of ctest: under ASan,
-# bench_sort_nodelay's sort merge overflows the stack.
+# reads [!!] (bench_andrew and bench_sort run theirs above). They stay out of
+# ctest: under ASan, bench_sort_nodelay's sort merge overflows the stack.
 for shape_bench in bench_reopen bench_server_load bench_sort_nodelay bench_scaling \
-    bench_ablation bench_state_table; do
+    bench_ablation; do
   if ! ./build/bench/"$shape_bench" > "$baseline_tmp/$shape_bench.txt"; then
     grep -F '[!!]' "$baseline_tmp/$shape_bench.txt" >&2
     echo "FAIL: $shape_bench: a shape check failed" >&2

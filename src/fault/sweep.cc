@@ -30,11 +30,9 @@ constexpr sim::Duration kCheckInterval = sim::Sec(1);
 
 // The machines: SNFS crash recovery on, since the sweep exists to exercise
 // the crash paths, and clients without a local disk.
-constexpr testbed::ServerMachineParams kServer{
-    .snfs = {.recovery_grace = sim::Sec(8), .enable_recovery = true}};
+constexpr testbed::ServerMachineParams kServer{.snfs = {.enable_recovery = true}};
 constexpr testbed::ClientMachineParams kClient{.cache = {}, .with_local_disk = false};
-constexpr snfs::SnfsClientParams kSnfsClient{.enable_recovery = true,
-                                             .keepalive_interval = sim::Sec(5)};
+constexpr snfs::SnfsClientParams kSnfsClient{.enable_recovery = true};
 
 // Per-file ground truth. Files are single-writer (client i writes only its
 // own files), so two counters pin down every legal read: any readable block

@@ -1,6 +1,7 @@
 #include "src/fleet/meta_cache.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -131,124 +132,63 @@ sim::Task<proto::Reply> MetaCache::Forward(proto::Request request) {
     co_return proto::ErrorReply(shard.status());
   }
 
-  AbsorbCtx ctx;
-  ctx.kind = proto::KindOf(request);
-  ctx.shard = *shard;
-  switch (ctx.kind) {
-    case proto::OpKind::kGetAttr:
-      ctx.fh = std::get<proto::GetAttrReq>(request).fh;
-      break;
-    case proto::OpKind::kSetAttr:
-      ctx.fh = std::get<proto::SetAttrReq>(request).fh;
-      break;
-    case proto::OpKind::kWrite:
-      ctx.fh = std::get<proto::WriteReq>(request).fh;
-      break;
-    case proto::OpKind::kLookup: {
-      const auto& r = std::get<proto::LookupReq>(request);
-      ctx.dir = r.dir;
-      ctx.name = r.name;
-      break;
-    }
-    case proto::OpKind::kCreate: {
-      const auto& r = std::get<proto::CreateReq>(request);
-      ctx.dir = r.dir;
-      ctx.name = r.name;
-      break;
-    }
-    case proto::OpKind::kMkdir: {
-      const auto& r = std::get<proto::MkdirReq>(request);
-      ctx.dir = r.dir;
-      ctx.name = r.name;
-      break;
-    }
-    case proto::OpKind::kRemove: {
-      const auto& r = std::get<proto::RemoveReq>(request);
-      ctx.dir = r.dir;
-      ctx.name = r.name;
-      break;
-    }
-    case proto::OpKind::kRmdir: {
-      const auto& r = std::get<proto::RmdirReq>(request);
-      ctx.dir = r.dir;
-      ctx.name = r.name;
-      break;
-    }
-    case proto::OpKind::kRename: {
-      const auto& r = std::get<proto::RenameReq>(request);
-      ctx.dir = r.from_dir;
-      ctx.name = r.from_name;
-      ctx.dir2 = r.to_dir;
-      ctx.name2 = r.to_name;
-      break;
-    }
-    default:
-      break;
-  }
-
   net::Address dst = shards_.shard(*shard).address;
   ++forwarded_;
-  base::Result<proto::Reply> reply = co_await peer_->Call(dst, std::move(request));
+  // The call sends a copy (it shares a write's payload); Absorb reads this one.
+  base::Result<proto::Reply> reply = co_await peer_->Call(dst, request);
   if (!reply.ok()) {
     co_return proto::ErrorReply(reply.status());
   }
   if (reply->status.ok()) {
-    Absorb(ctx, *reply);
+    Absorb(request, *shard, *reply);
   }
   co_return *std::move(reply);
 }
 
-void MetaCache::Absorb(const AbsorbCtx& ctx, const proto::Reply& reply) {
-  switch (ctx.kind) {
-    case proto::OpKind::kGetAttr: {
-      if (const auto* rep = std::get_if<proto::AttrRep>(&reply.body)) {
-        InsertGuarded(ctx.fh, rep->attr);
-      }
-      break;
-    }
-    case proto::OpKind::kLookup: {
-      if (const auto* rep = std::get_if<proto::LookupRep>(&reply.body)) {
-        InsertGuarded(rep->fh, rep->attr);
-        BindName(ctx.dir, ctx.name, rep->fh);
-      }
-      break;
-    }
-    case proto::OpKind::kWrite:
-    case proto::OpKind::kSetAttr: {
-      // The linearization point for fleet mutations: the shard has applied
-      // the mutation and its reply is passing through the cache.
-      if (const auto* rep = std::get_if<proto::AttrRep>(&reply.body)) {
-        Commit(ctx.fh, rep->attr, ctx.shard);
-      }
-      break;
-    }
-    case proto::OpKind::kCreate:
-    case proto::OpKind::kMkdir: {
-      if (const auto* rep = std::get_if<proto::CreateRep>(&reply.body)) {
-        Commit(rep->fh, rep->attr, ctx.shard);
-        BindName(ctx.dir, ctx.name, rep->fh);
-        // The parent's mtime changed and the reply does not carry the new
-        // value; drop the parent's attrs and let a later getattr refill.
-        DropAttr(ctx.dir);
-      }
-      break;
-    }
-    case proto::OpKind::kRemove:
-    case proto::OpKind::kRmdir: {
-      DropName(NameKey{ctx.dir, ctx.name}, /*drop_child_attr=*/true);
-      DropAttr(ctx.dir);
-      break;
-    }
-    case proto::OpKind::kRename: {
-      DropName(NameKey{ctx.dir, ctx.name}, /*drop_child_attr=*/false);
-      DropName(NameKey{ctx.dir2, ctx.name2}, /*drop_child_attr=*/true);
-      DropAttr(ctx.dir);
-      DropAttr(ctx.dir2);
-      break;
-    }
-    default:
-      break;
-  }
+void MetaCache::Absorb(const proto::Request& request, int shard, const proto::Reply& reply) {
+  const auto* attr = std::get_if<proto::AttrRep>(&reply.body);
+  const auto* created = std::get_if<proto::CreateRep>(&reply.body);
+  std::visit(
+      [&](const auto& req) {
+        using Req = std::decay_t<decltype(req)>;
+        if constexpr (std::is_same_v<Req, proto::GetAttrReq>) {
+          if (attr != nullptr) {
+            InsertGuarded(req.fh, attr->attr);
+          }
+        } else if constexpr (std::is_same_v<Req, proto::LookupReq>) {
+          if (const auto* rep = std::get_if<proto::LookupRep>(&reply.body)) {
+            InsertGuarded(rep->fh, rep->attr);
+            BindName(req.dir, req.name, rep->fh);
+          }
+        } else if constexpr (std::is_same_v<Req, proto::WriteReq> ||
+                             std::is_same_v<Req, proto::SetAttrReq>) {
+          // The linearization point for fleet mutations: the shard has
+          // applied the mutation and its reply is passing through the cache.
+          if (attr != nullptr) {
+            Commit(req.fh, attr->attr, shard);
+          }
+        } else if constexpr (std::is_same_v<Req, proto::CreateReq> ||
+                             std::is_same_v<Req, proto::MkdirReq>) {
+          if (created != nullptr) {
+            Commit(created->fh, created->attr, shard);
+            BindName(req.dir, req.name, created->fh);
+            // The parent's mtime changed and the reply does not carry the
+            // new value; drop the parent's attrs and let a later getattr
+            // refill.
+            DropAttr(req.dir);
+          }
+        } else if constexpr (std::is_same_v<Req, proto::RemoveReq> ||
+                             std::is_same_v<Req, proto::RmdirReq>) {
+          DropName(NameKey{req.dir, req.name}, /*drop_child_attr=*/true);
+          DropAttr(req.dir);
+        } else if constexpr (std::is_same_v<Req, proto::RenameReq>) {
+          DropName(NameKey{req.from_dir, req.from_name}, /*drop_child_attr=*/false);
+          DropName(NameKey{req.to_dir, req.to_name}, /*drop_child_attr=*/true);
+          DropAttr(req.from_dir);
+          DropAttr(req.to_dir);
+        }
+      },
+      request);
 }
 
 void MetaCache::ApplyInval(const proto::MetaInvalReq& req) {

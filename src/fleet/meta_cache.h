@@ -124,18 +124,6 @@ class MetaCache {
     std::list<NameKey>::iterator lru;
   };
 
-  // Everything Absorb() needs from a request, captured before the request
-  // is moved into the forwarded Call.
-  struct AbsorbCtx {
-    proto::OpKind kind = proto::OpKind::kNull;
-    int shard = -1;
-    proto::FileHandle fh;   // target of getattr/write/setattr
-    proto::FileHandle dir;  // parent of lookup/create/remove/mkdir/rmdir/rename-from
-    proto::FileHandle dir2; // rename-to parent
-    std::string name;
-    std::string name2;      // rename-to name
-  };
-
   // The peer's router: read and readdir go straight to the owning shard,
   // which replies to the client directly.
   std::optional<net::Address> Route(const proto::Request& request);
@@ -145,7 +133,8 @@ class MetaCache {
   // Route to the owning shard, forward, and absorb the reply into the cache.
   sim::Task<proto::Reply> Forward(proto::Request request);
 
-  void Absorb(const AbsorbCtx& ctx, const proto::Reply& reply);
+  // Fold the reply to `request`, forwarded to `shard`, into the cache.
+  void Absorb(const proto::Request& request, int shard, const proto::Reply& reply);
   void ApplyInval(const proto::MetaInvalReq& req);
 
   // Cache maintenance (all synchronous; never called across a suspension).

@@ -1,7 +1,34 @@
 #include "src/proto/messages.h"
 
+#include <type_traits>
+
 namespace proto {
 namespace {
+
+// KindOf reads the kind off the variant index, so Request's alternatives
+// must be declared in OpKind order.
+template <OpKind kind>
+using RequestOf = std::variant_alternative_t<static_cast<size_t>(kind), Request>;
+static_assert(std::variant_size_v<Request> == static_cast<size_t>(OpKind::kOpCount));
+static_assert(std::is_same_v<RequestOf<OpKind::kNull>, NullReq>);
+static_assert(std::is_same_v<RequestOf<OpKind::kGetAttr>, GetAttrReq>);
+static_assert(std::is_same_v<RequestOf<OpKind::kSetAttr>, SetAttrReq>);
+static_assert(std::is_same_v<RequestOf<OpKind::kLookup>, LookupReq>);
+static_assert(std::is_same_v<RequestOf<OpKind::kRead>, ReadReq>);
+static_assert(std::is_same_v<RequestOf<OpKind::kWrite>, WriteReq>);
+static_assert(std::is_same_v<RequestOf<OpKind::kCreate>, CreateReq>);
+static_assert(std::is_same_v<RequestOf<OpKind::kRemove>, RemoveReq>);
+static_assert(std::is_same_v<RequestOf<OpKind::kRename>, RenameReq>);
+static_assert(std::is_same_v<RequestOf<OpKind::kMkdir>, MkdirReq>);
+static_assert(std::is_same_v<RequestOf<OpKind::kRmdir>, RmdirReq>);
+static_assert(std::is_same_v<RequestOf<OpKind::kReadDir>, ReadDirReq>);
+static_assert(std::is_same_v<RequestOf<OpKind::kOpen>, OpenReq>);
+static_assert(std::is_same_v<RequestOf<OpKind::kClose>, CloseReq>);
+static_assert(std::is_same_v<RequestOf<OpKind::kCallback>, CallbackReq>);
+static_assert(std::is_same_v<RequestOf<OpKind::kPing>, PingReq>);
+static_assert(std::is_same_v<RequestOf<OpKind::kReopen>, ReopenReq>);
+static_assert(std::is_same_v<RequestOf<OpKind::kGetLease>, GetLeaseReq>);
+static_assert(std::is_same_v<RequestOf<OpKind::kMetaInval>, MetaInvalReq>);
 
 // RPC + UDP + IP + Ethernet framing overhead per message.
 constexpr uint32_t kHeaderBytes = 110;
@@ -160,31 +187,6 @@ bool IsIdempotent(OpKind kind) {
 
 bool CachesReply(OpKind kind) {
   return !IsIdempotent(kind) || kind == OpKind::kWrite || kind == OpKind::kSetAttr;
-}
-
-OpKind KindOf(const Request& request) {
-  struct Visitor {
-    OpKind operator()(const NullReq&) const { return OpKind::kNull; }
-    OpKind operator()(const GetAttrReq&) const { return OpKind::kGetAttr; }
-    OpKind operator()(const SetAttrReq&) const { return OpKind::kSetAttr; }
-    OpKind operator()(const LookupReq&) const { return OpKind::kLookup; }
-    OpKind operator()(const ReadReq&) const { return OpKind::kRead; }
-    OpKind operator()(const WriteReq&) const { return OpKind::kWrite; }
-    OpKind operator()(const CreateReq&) const { return OpKind::kCreate; }
-    OpKind operator()(const RemoveReq&) const { return OpKind::kRemove; }
-    OpKind operator()(const RenameReq&) const { return OpKind::kRename; }
-    OpKind operator()(const MkdirReq&) const { return OpKind::kMkdir; }
-    OpKind operator()(const RmdirReq&) const { return OpKind::kRmdir; }
-    OpKind operator()(const ReadDirReq&) const { return OpKind::kReadDir; }
-    OpKind operator()(const OpenReq&) const { return OpKind::kOpen; }
-    OpKind operator()(const CloseReq&) const { return OpKind::kClose; }
-    OpKind operator()(const CallbackReq&) const { return OpKind::kCallback; }
-    OpKind operator()(const PingReq&) const { return OpKind::kPing; }
-    OpKind operator()(const ReopenReq&) const { return OpKind::kReopen; }
-    OpKind operator()(const GetLeaseReq&) const { return OpKind::kGetLease; }
-    OpKind operator()(const MetaInvalReq&) const { return OpKind::kMetaInval; }
-  };
-  return std::visit(Visitor{}, request);
 }
 
 uint32_t WireSize(const Request& request) {

@@ -212,7 +212,9 @@ using Request =
                  RemoveReq, RenameReq, MkdirReq, RmdirReq, ReadDirReq, OpenReq, CloseReq,
                  CallbackReq, PingReq, ReopenReq, GetLeaseReq, MetaInvalReq>;
 
-OpKind KindOf(const Request& request);
+// A request's kind is its variant index: the alternatives above are declared
+// in OpKind order (pinned in messages.cc).
+inline OpKind KindOf(const Request& request) { return static_cast<OpKind>(request.index()); }
 
 // ---------------------------------------------------------------------------
 // Replies

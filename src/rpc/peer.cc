@@ -89,7 +89,15 @@ sim::Task<base::Result<proto::Reply>> Peer::Call(net::Address dst, proto::Reques
   }
 
   uint32_t wire = proto::WireSize(request);
+  uint64_t generation = pool_generation_;
   co_await cpu_.Run(options_.costs.client_per_call + PayloadCost(wire));
+  if (!running_ || generation != pool_generation_) {
+    // The host crashed during the charge, before the call was pending where
+    // Shutdown could fail it: the call dies with this incarnation rather
+    // than being sent by the next one.
+    call_span.End("status=unavailable");
+    co_return base::ErrUnavailable();
+  }
 
   sim::Duration timeout = options.timeout;
   for (int attempt = 0; attempt < options.max_attempts; ++attempt) {

@@ -189,7 +189,7 @@ sim::Task<void> SnfsClient::KeepaliveDaemon(uint64_t generation) {
   ping_opts.max_attempts = 2;
   while (DaemonRunning(generation)) {
     if (!first) {
-      co_await sim::Sleep(simulator_, params_.keepalive_interval, /*background=*/true);
+      co_await sim::Sleep(simulator_, kKeepaliveInterval, /*background=*/true);
     }
     first = false;
     if (!DaemonRunning(generation)) {

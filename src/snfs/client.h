@@ -42,12 +42,14 @@ inline constexpr sim::Duration kDelayedCloseScan = sim::Sec(30);
 // Open retries while the server is in its recovery grace period.
 inline constexpr int kOpenRetryLimit = 90;
 inline constexpr sim::Duration kOpenRetryDelay = sim::Sec(1);
+// Crash recovery (§2.4): how often the client pings the server to notice a
+// reboot.
+inline constexpr sim::Duration kKeepaliveInterval = sim::Sec(5);
 
 struct SnfsClientParams {
   bool delayed_close = false;  // §6.2
   // Crash-recovery extension (§2.4).
   bool enable_recovery = false;
-  sim::Duration keepalive_interval = sim::Sec(30);
 };
 
 class SnfsClient : public CachingClient {

@@ -11,7 +11,7 @@ SnfsServer::SnfsServer(sim::Simulator& simulator, fs::LocalFs& fs, rpc::Peer& pe
                        SnfsServerParams params)
     : CallbackServer(simulator, fs, peer, "snfs.callback"),
       params_(params),
-      table_(StateTableParams{params.max_state_entries}) {}
+      table_(params.max_state_entries) {}
 
 void SnfsServer::Crash() {
   table_.Clear();
@@ -21,7 +21,7 @@ void SnfsServer::Crash() {
 void SnfsServer::Restart() {
   ++epoch_;
   if (params_.enable_recovery) {
-    recovery_until_ = simulator_.Now() + params_.recovery_grace;
+    recovery_until_ = simulator_.Now() + kRecoveryGrace;
   }
 }
 
@@ -31,10 +31,7 @@ sim::Task<void> SnfsServer::IssueCallback(proto::FileHandle fh,
     co_return;
   }
   ++callbacks_issued_;
-  proto::CallbackReq req{.fh = fh,
-                         .writeback = action.writeback,
-                         .invalidate = action.invalidate,
-                         .relinquish = action.relinquish};
+  proto::CallbackReq req{.fh = fh, .writeback = action.writeback, .invalidate = action.invalidate};
   if (!co_await Callback(action.host, req)) {
     // "If the client 'serving' the callback is down, the SNFS server can
     // honor the new open operation, but it should inform the new client
@@ -137,20 +134,27 @@ sim::Task<proto::Reply> SnfsServer::HandleReopen(proto::ReopenReq req, net::Addr
 }
 
 sim::Task<void> SnfsServer::ReclaimEntries() {
-  reclaim_scheduled_ = false;
   std::vector<StateTable::ReclaimPlan> plans = table_.PlanReclaim();
   for (const StateTable::ReclaimPlan& plan : plans) {
+    sim::ScopedLock lock(FileLock(plan.fh));
+    co_await lock;
+    // The entry may have changed or gone while this plan waited for the
+    // lock; then its dirty blocks are no longer at the planned writer.
+    const StateTable::Entry* entry = table_.Lookup(plan.fh);
+    if (entry == nullptr || entry->state() != FileState::kClosedDirty ||
+        entry->last_writer != plan.callback.host) {
+      continue;
+    }
     ++reclaims_;
     TRACE_INSTANT("snfs.reclaim", peer_.address().host,
                   "file=" + std::to_string(plan.fh.fileid));
-    sim::ScopedLock lock(FileLock(plan.fh));
-    co_await lock;
     co_await IssueCallback(plan.fh, plan.callback);
-    const StateTable::Entry* entry = table_.Lookup(plan.fh);
-    if (entry != nullptr && entry->state == FileState::kClosed) {
+    entry = table_.Lookup(plan.fh);
+    if (entry != nullptr && entry->state() == FileState::kClosed) {
       table_.Forget(plan.fh);
     }
   }
+  reclaim_scheduled_ = false;
 }
 
 sim::Task<proto::Reply> SnfsServer::Handle(proto::Request request, net::Address from) {

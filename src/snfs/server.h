@@ -20,12 +20,15 @@ namespace snfs {
 // version with the file (as Sprite does) and never invalidates spuriously.
 enum class VersionMode { kStable, kGlobalCounter };
 
+// Recovery: how long after a reboot the server accepts only reopen traffic
+// while clients re-assert their state. It outlasts one client keepalive
+// interval (kKeepaliveInterval), so every live client notices the reboot
+// and reopens in time.
+inline constexpr sim::Duration kRecoveryGrace = sim::Sec(8);
+
 struct SnfsServerParams {
   size_t max_state_entries = 1000;
   VersionMode version_mode = VersionMode::kStable;
-  // Recovery: how long after a reboot the server accepts only reopen
-  // traffic while clients re-assert their state.
-  sim::Duration recovery_grace = sim::Sec(45);
   bool enable_recovery = false;
 };
 
@@ -50,7 +53,7 @@ class SnfsServer : public CallbackServer {
 
   uint64_t callbacks_issued() const { return callbacks_issued_; }
   uint64_t callbacks_failed() const { return callbacks_failed_; }
-  uint64_t reclaims() const { return reclaims_; }
+  uint64_t reclaims() const { return reclaims_; }  // reclaim callbacks sent
 
  private:
   sim::Task<proto::Reply> HandleOpen(proto::OpenReq req, net::Address from);
@@ -61,7 +64,9 @@ class SnfsServer : public CallbackServer {
   // and drops the client if the callback cannot be delivered.
   sim::Task<void> IssueCallback(proto::FileHandle fh, CallbackAction action);
 
-  // Reclaim CLOSED_DIRTY entries when the table is over its limit.
+  // Reclaim CLOSED_DIRTY entries when the table is over its limit. One
+  // reclaimer runs at a time, and it skips a plan whose entry changed while
+  // it waited for the file lock.
   sim::Task<void> ReclaimEntries();
 
   // --- CallbackServer hooks --------------------------------------------------

@@ -5,6 +5,28 @@
 #include "src/base/check.h"
 
 namespace snfs {
+namespace {
+
+StateTable::ClientInfo* FindClient(StateTable::Entry& entry, int host) {
+  for (StateTable::ClientInfo& c : entry.clients) {
+    if (c.host == host) {
+      return &c;
+    }
+  }
+  return nullptr;
+}
+
+StateTable::ClientInfo& FindOrAddClient(StateTable::Entry& entry, int host) {
+  StateTable::ClientInfo* c = FindClient(entry, host);
+  return c != nullptr ? *c : entry.clients.emplace_back(StateTable::ClientInfo{host, 0, 0});
+}
+
+// Caching stays on unless a writer shares the file with another client.
+bool WriterAndAnotherClient(const StateTable::Entry& entry) {
+  return entry.clients.size() >= 2 && entry.writers() > 0;
+}
+
+}  // namespace
 
 std::string_view FileStateName(FileState state) {
   switch (state) {
@@ -26,7 +48,31 @@ std::string_view FileStateName(FileState state) {
   return "UNKNOWN";
 }
 
-StateTable::StateTable(StateTableParams params) : params_(params) {}
+// Table 4-1 as one rule over the entry's facts.
+FileState StateTable::Entry::state() const {
+  bool dirty = last_writer >= 0;
+  if (clients.empty()) {
+    return dirty ? FileState::kClosedDirty : FileState::kClosed;
+  }
+  if (write_shared) {
+    return FileState::kWriteShared;
+  }
+  if (writers() > 0) {
+    return FileState::kOneWriter;
+  }
+  if (clients.size() >= 2) {
+    return FileState::kMultReaders;
+  }
+  return dirty ? FileState::kOneRdrDirty : FileState::kOneReader;
+}
+
+uint32_t StateTable::Entry::writers() const {
+  uint32_t n = 0;
+  for (const ClientInfo& c : clients) {
+    n += c.writers;
+  }
+  return n;
+}
 
 StateTable::Entry& StateTable::GetOrCreate(const proto::FileHandle& fh, uint64_t stable_version) {
   auto it = entries_.find(fh);
@@ -40,31 +86,6 @@ StateTable::Entry& StateTable::GetOrCreate(const proto::FileHandle& fh, uint64_t
   auto [ins, ok] = entries_.emplace(fh, std::move(entry));
   CHECK(ok);
   return ins->second;
-}
-
-StateTable::ClientInfo* StateTable::FindClient(Entry& entry, int host) {
-  for (ClientInfo& c : entry.clients) {
-    if (c.host == host) {
-      return &c;
-    }
-  }
-  return nullptr;
-}
-
-uint32_t StateTable::TotalOpens(const Entry& entry) {
-  uint32_t n = 0;
-  for (const ClientInfo& c : entry.clients) {
-    n += c.readers + c.writers;
-  }
-  return n;
-}
-
-uint32_t StateTable::TotalWriters(const Entry& entry) {
-  uint32_t n = 0;
-  for (const ClientInfo& c : entry.clients) {
-    n += c.writers;
-  }
-  return n;
 }
 
 OpenResult StateTable::OnOpen(const proto::FileHandle& fh, int host, bool write,
@@ -83,131 +104,48 @@ OpenResult StateTable::OnOpen(const proto::FileHandle& fh, int host, bool write,
   result.version = entry.version;
   result.prev_version = entry.prev_version;
 
-  ClientInfo* me = FindClient(entry, host);
-  bool new_client = me == nullptr;
-  if (new_client) {
-    entry.clients.push_back(ClientInfo{host, 0, 0});
-    me = &entry.clients.back();
+  // The client that may hold dirty blocks: the writer before this open
+  // (outside write-sharing there is at most one), else the last writer.
+  int dirty_holder = entry.last_writer;
+  for (const ClientInfo& c : entry.clients) {
+    if (c.writers > 0) {
+      dirty_holder = c.host;
+      break;
+    }
   }
 
-  // Pre-transition facts.
-  FileState old_state = entry.state;
-  int last_writer = entry.last_writer;
-
+  ClientInfo& me = FindOrAddClient(entry, host);
   if (write) {
-    ++me->writers;
+    ++me.writers;
   } else {
-    ++me->readers;
+    ++me.readers;
   }
 
-  auto to_write_shared = [&](bool old_holder_dirty, int old_holder) {
+  if (entry.write_shared) {
+    // New arrivals don't cache either; nobody else caches to call back.
+  } else if (WriterAndAnotherClient(entry)) {
     // Everyone stops caching. Each *other* client gets an invalidate
     // callback, with writeback first if it may hold dirty blocks.
+    entry.write_shared = true;
     for (const ClientInfo& c : entry.clients) {
-      if (c.host == host) {
-        continue;
+      if (c.host != host) {
+        result.callbacks.push_back(CallbackAction{c.host, /*writeback=*/c.host == dirty_holder,
+                                                  /*invalidate=*/true});
       }
-      CallbackAction cb;
-      cb.host = c.host;
-      cb.invalidate = true;
-      cb.writeback = old_holder_dirty && c.host == old_holder;
-      result.callbacks.push_back(cb);
     }
-    entry.state = FileState::kWriteShared;
     entry.last_writer = -1;
-    result.cache_enabled = false;
-  };
-
-  switch (old_state) {
-    case FileState::kClosed:
-      entry.state = write ? FileState::kOneWriter : FileState::kOneReader;
-      break;
-
-    case FileState::kClosedDirty:
-      if (host == last_writer) {
-        // The dirty data lives at the opener; its cache is valid by the
-        // version rules (prev_version for write opens).
-        entry.state = write ? FileState::kOneWriter : FileState::kOneRdrDirty;
-        if (!write) {
-          // stays recorded as last writer while reading its own dirty data
-        } else {
-          entry.last_writer = -1;
-        }
-      } else {
-        // Retrieve the dirty blocks from the previous writer first.
-        result.callbacks.push_back(CallbackAction{last_writer, /*writeback=*/true,
-                                                  /*invalidate=*/false, /*relinquish=*/false});
-        entry.state = write ? FileState::kOneWriter : FileState::kOneReader;
-        entry.last_writer = -1;
-      }
-      break;
-
-    case FileState::kOneReader:
-      if (write) {
-        if (entry.clients.size() == 1) {
-          entry.state = FileState::kOneWriter;  // same client upgrades
-        } else {
-          to_write_shared(false, -1);
-        }
-      } else {
-        entry.state = entry.clients.size() == 1 ? FileState::kOneReader : FileState::kMultReaders;
-      }
-      break;
-
-    case FileState::kOneRdrDirty:
-      if (entry.clients.size() == 1 && host == entry.clients.front().host) {
-        // Same (dirty-holding) client opens again.
-        if (write) {
-          entry.state = FileState::kOneWriter;
-          entry.last_writer = -1;
-        }
-        // read: stays ONE_RDR_DIRTY
-      } else {
-        if (write) {
-          to_write_shared(true, last_writer);
-        } else {
-          result.callbacks.push_back(CallbackAction{last_writer, /*writeback=*/true,
-                                                    /*invalidate=*/false, /*relinquish=*/false});
-          entry.state = FileState::kMultReaders;
-          entry.last_writer = -1;
-        }
-      }
-      break;
-
-    case FileState::kMultReaders:
-      if (write) {
-        to_write_shared(false, -1);
-      }
-      // read: stays MULT_READERS
-      break;
-
-    case FileState::kOneWriter: {
-      bool same_client = !new_client && entry.clients.size() == 1;
-      if (same_client) {
-        // "no transition ... if a client that has a file open read-write
-        // issues another open of any sort".
-      } else {
-        int old_writer = -1;
-        for (const ClientInfo& c : entry.clients) {
-          if (c.host != host) {
-            old_writer = c.host;
-            break;
-          }
-        }
-        to_write_shared(/*old_holder_dirty=*/true, old_writer);
-      }
-      break;
-    }
-
-    case FileState::kWriteShared:
-      // stays WRITE_SHARED; new arrivals don't cache either.
-      break;
+  } else if (dirty_holder >= 0 && dirty_holder != host) {
+    // Retrieve the dirty blocks from their holder first; its (clean) copy
+    // can stay.
+    result.callbacks.push_back(
+        CallbackAction{dirty_holder, /*writeback=*/true, /*invalidate=*/false});
+    entry.last_writer = -1;
+  } else if (write) {
+    entry.last_writer = -1;  // the opener is now the writer
   }
 
-  if (entry.state == FileState::kWriteShared) {
-    result.cache_enabled = false;
-  }
-  result.state = entry.state;
+  result.cache_enabled = !entry.write_shared;
+  result.state = entry.state();
   return result;
 }
 
@@ -220,84 +158,36 @@ CloseResult StateTable::OnClose(const proto::FileHandle& fh, int host, bool writ
   Entry& entry = it->second;
   ClientInfo* me = FindClient(entry, host);
   if (me == nullptr) {
-    return CloseResult{entry.state, /*entry_known=*/false};
+    return CloseResult{entry.state(), /*entry_known=*/false};
   }
-  if (write) {
-    if (me->writers > 0) {
-      --me->writers;
-    }
-  } else {
-    if (me->readers > 0) {
-      --me->readers;
-    }
+  uint32_t& count = write ? me->writers : me->readers;
+  bool closed_write = write && count > 0;
+  if (count > 0) {
+    --count;
   }
-  bool client_done = me->readers + me->writers == 0;
-  if (client_done) {
-    entry.clients.erase(
-        std::remove_if(entry.clients.begin(), entry.clients.end(),
-                       [host](const ClientInfo& c) { return c.host == host; }),
-        entry.clients.end());
+  if (me->readers + me->writers == 0) {
+    std::erase_if(entry.clients, [host](const ClientInfo& c) { return c.host == host; });
   }
 
-  uint32_t opens = TotalOpens(entry);
-  uint32_t writers = TotalWriters(entry);
-
-  if (opens == 0) {
-    // Final close anywhere; the closing client's has_dirty declaration is
-    // authoritative (in ONE_RDR_DIRTY the closer is the dirty holder).
-    if (has_dirty) {
-      entry.state = FileState::kClosedDirty;
-      entry.last_writer = host;
-    } else {
-      entry.state = FileState::kClosed;
-      entry.last_writer = -1;
-    }
-    return CloseResult{entry.state, true};
+  if (entry.clients.empty()) {
+    // Final close anywhere: caching can be re-enabled.
+    entry.write_shared = false;
   }
-
-  switch (entry.state) {
-    case FileState::kWriteShared:
-      // No downgrade until everyone is gone: caching cannot be re-enabled
-      // mid-open (there is no "enable" callback), so remaining clients keep
-      // going uncached.
-      break;
-    case FileState::kOneWriter:
-      if (write && writers == 0) {
-        // "Final close for write, client still reading" (Table 4-1).
-        entry.state = has_dirty ? FileState::kOneRdrDirty : FileState::kOneReader;
-        entry.last_writer = has_dirty ? host : -1;
-      }
-      break;
-    case FileState::kMultReaders:
-      if (entry.clients.size() == 1) {
-        entry.state = FileState::kOneReader;
-      }
-      break;
-    case FileState::kOneReader:
-    case FileState::kOneRdrDirty:
-      break;  // same client, multiple read opens
-    case FileState::kClosed:
-    case FileState::kClosedDirty:
-      // Unreachable with opens > 0.
-      break;
+  if (entry.clients.empty() || (closed_write && !entry.write_shared && entry.writers() == 0)) {
+    // The closer was the only client, so its has_dirty declaration says who
+    // holds dirty blocks ("final close for write, client still reading"
+    // keeps it as a reader).
+    entry.last_writer = has_dirty ? host : -1;
   }
-  return CloseResult{entry.state, true};
+  return CloseResult{entry.state(), true};
 }
 
 void StateTable::Forget(const proto::FileHandle& fh) { entries_.erase(fh); }
 
 void StateTable::MarkFlushed(const proto::FileHandle& fh) {
   auto it = entries_.find(fh);
-  if (it == entries_.end()) {
-    return;
-  }
-  Entry& entry = it->second;
-  if (entry.state == FileState::kClosedDirty) {
-    entry.state = FileState::kClosed;
-    entry.last_writer = -1;
-  } else if (entry.state == FileState::kOneRdrDirty) {
-    entry.state = FileState::kOneReader;
-    entry.last_writer = -1;
+  if (it != entries_.end()) {
+    it->second.last_writer = -1;
   }
 }
 
@@ -311,24 +201,11 @@ void StateTable::MarkInconsistent(const proto::FileHandle& fh, int dead_host) {
   // Drop the dead client's opens; it must reopen before touching the file
   // again ("it must be prevented from making further use of the file until
   // it ... reopens the file", §3.2).
-  entry.clients.erase(std::remove_if(entry.clients.begin(), entry.clients.end(),
-                                     [dead_host](const ClientInfo& c) {
-                                       return c.host == dead_host;
-                                     }),
-                      entry.clients.end());
+  std::erase_if(entry.clients, [dead_host](const ClientInfo& c) { return c.host == dead_host; });
   if (entry.last_writer == dead_host) {
     entry.last_writer = -1;
   }
-  // Recompute a consistent state for the survivors.
-  uint32_t opens = TotalOpens(entry);
-  uint32_t writers = TotalWriters(entry);
-  if (opens == 0) {
-    entry.state = FileState::kClosed;
-  } else if (writers > 0) {
-    entry.state = entry.clients.size() == 1 ? FileState::kOneWriter : FileState::kWriteShared;
-  } else {
-    entry.state = entry.clients.size() == 1 ? FileState::kOneReader : FileState::kMultReaders;
-  }
+  entry.write_shared = WriterAndAnotherClient(entry);
 }
 
 OpenResult StateTable::ApplyReopen(const proto::FileHandle& fh, int host, uint32_t read_count,
@@ -337,43 +214,23 @@ OpenResult StateTable::ApplyReopen(const proto::FileHandle& fh, int host, uint32
   Entry& entry = GetOrCreate(fh, std::max(cached_version, stable_version));
   entry.version = std::max(entry.version, std::max(cached_version, stable_version));
 
-  ClientInfo* me = FindClient(entry, host);
-  if (me == nullptr) {
-    entry.clients.push_back(ClientInfo{host, 0, 0});
-    me = &entry.clients.back();
-  }
-  me->readers = read_count;
-  me->writers = write_count;
+  ClientInfo& me = FindOrAddClient(entry, host);
+  me.readers = read_count;
+  me.writers = write_count;
   if (has_dirty) {
     entry.last_writer = host;
   }
   // Drop clients with no remaining opens (a reopen may assert zero counts
   // plus dirty data only).
-  entry.clients.erase(std::remove_if(entry.clients.begin(), entry.clients.end(),
-                                     [](const ClientInfo& c) {
-                                       return c.readers + c.writers == 0;
-                                     }),
-                      entry.clients.end());
-
-  uint32_t opens = TotalOpens(entry);
-  uint32_t writers = TotalWriters(entry);
-  bool dirty = entry.last_writer >= 0;
-  if (opens == 0) {
-    entry.state = dirty ? FileState::kClosedDirty : FileState::kClosed;
-  } else if (writers > 0) {
-    entry.state = entry.clients.size() == 1 ? FileState::kOneWriter : FileState::kWriteShared;
-  } else if (entry.clients.size() > 1) {
-    entry.state = FileState::kMultReaders;
-  } else {
-    entry.state = dirty ? FileState::kOneRdrDirty : FileState::kOneReader;
-  }
+  std::erase_if(entry.clients, [](const ClientInfo& c) { return c.readers + c.writers == 0; });
+  entry.write_shared = WriterAndAnotherClient(entry);
 
   OpenResult result;
   result.version = entry.version;
   result.prev_version = entry.prev_version;
-  result.cache_enabled = entry.state != FileState::kWriteShared;
+  result.cache_enabled = !entry.write_shared;
   result.possibly_inconsistent = entry.inconsistent;
-  result.state = entry.state;
+  result.state = entry.state();
   return result;
 }
 
@@ -383,12 +240,12 @@ std::vector<StateTable::ReclaimPlan> StateTable::PlanReclaim() {
   if (!over_limit()) {
     return plans;
   }
-  size_t need = entries_.size() - params_.max_entries;
+  size_t need = entries_.size() - max_entries_;
   // Pick victims in file-handle order, not hash order: the resulting
   // callbacks are awaited RPCs, so the choice feeds the event queue.
   std::vector<proto::FileHandle> dirty;
   for (const auto& [fh, entry] : entries_) {  // lint: ordered-ok (sorted below)
-    if (entry.state == FileState::kClosedDirty) {
+    if (entry.state() == FileState::kClosedDirty) {
       dirty.push_back(fh);
     }
   }
@@ -397,9 +254,8 @@ std::vector<StateTable::ReclaimPlan> StateTable::PlanReclaim() {
     if (plans.size() >= need) {
       break;
     }
-    plans.push_back(ReclaimPlan{
-        fh, CallbackAction{entries_.at(fh).last_writer, /*writeback=*/true,
-                           /*invalidate=*/false, /*relinquish=*/false}});
+    plans.push_back(ReclaimPlan{fh, CallbackAction{entries_.at(fh).last_writer,
+                                                   /*writeback=*/true, /*invalidate=*/false}});
   }
   return plans;
 }
@@ -412,7 +268,7 @@ void StateTable::DropClosedEntries() {
   // an over-limit table does not depend on hash-iteration order.
   std::vector<proto::FileHandle> closed;
   for (const auto& [fh, entry] : entries_) {  // lint: ordered-ok (sorted below)
-    if (entry.state == FileState::kClosed) {
+    if (entry.state() == FileState::kClosed) {
       closed.push_back(fh);
     }
   }
@@ -433,44 +289,15 @@ const StateTable::Entry* StateTable::Lookup(const proto::FileHandle& fh) const {
 void StateTable::CheckInvariants() const {
   // Read-only per-entry CHECKs; a violation aborts regardless of walk order.
   for (const auto& [fh, entry] : entries_) {  // lint: ordered-ok
-    uint32_t opens = TotalOpens(entry);
-    uint32_t writers = TotalWriters(entry);
-    size_t nclients = entry.clients.size();
     for (const ClientInfo& c : entry.clients) {
       CHECK_GT(c.readers + c.writers, 0u);  // idle client blocks are removed
     }
-    switch (entry.state) {
-      case FileState::kClosed:
-        CHECK_EQ(opens, 0u);
-        CHECK_EQ(entry.last_writer, -1);
-        break;
-      case FileState::kClosedDirty:
-        CHECK_EQ(opens, 0u);
-        CHECK_GE(entry.last_writer, 0);
-        break;
-      case FileState::kOneReader:
-        CHECK_EQ(nclients, 1u);
-        CHECK_EQ(writers, 0u);
-        CHECK_GT(opens, 0u);
-        break;
-      case FileState::kOneRdrDirty:
-        CHECK_EQ(nclients, 1u);
-        CHECK_EQ(writers, 0u);
-        CHECK_GE(entry.last_writer, 0);
-        break;
-      case FileState::kMultReaders:
-        CHECK_GE(nclients, 2u);
-        CHECK_EQ(writers, 0u);
-        break;
-      case FileState::kOneWriter:
-        CHECK_EQ(nclients, 1u);
-        CHECK_GT(writers, 0u);
-        break;
-      case FileState::kWriteShared:
-        CHECK_GT(opens, 0u);
-        break;
-    }
     CHECK_GE(entry.version, entry.prev_version);
+    if (entry.write_shared) {
+      CHECK(!entry.clients.empty());
+    } else if (entry.writers() > 0) {
+      CHECK_EQ(entry.clients.size(), 1u);  // a caching writer is the only client
+    }
   }
 }
 

@@ -1,12 +1,13 @@
 // The SNFS server state table manager (§4.3) — "most of the code added to
 // support SNFS is in the state table manager module".
 //
-// Each entry tracks one file: its consistency state (the seven states of
-// §4.3.4 / Table 4-1), its version numbers, and a client information block
-// per client host with reader/writer counts. OnOpen/OnClose compute the
-// Table 4-1 transition, mutate the entry, and report which callbacks the
-// server must issue. The class is pure bookkeeping — no I/O — so the
-// transition relation can be tested exhaustively.
+// Each entry tracks one file: its version numbers, a client information block
+// per client host with reader/writer counts, and two more facts — the client
+// that may hold dirty blocks without a write open, and whether caching is
+// off. The seven states of §4.3.4 / Table 4-1 are derived from those facts
+// in one place (Entry::state()); OnOpen/OnClose update the facts and report
+// which callbacks the server must issue. The class is pure bookkeeping — no
+// I/O — so the transition relation can be tested exhaustively.
 #ifndef SRC_SNFS_STATE_TABLE_H_
 #define SRC_SNFS_STATE_TABLE_H_
 
@@ -37,7 +38,6 @@ struct CallbackAction {
   int host = -1;
   bool writeback = false;
   bool invalidate = false;
-  bool relinquish = false;
 
   friend bool operator==(const CallbackAction&, const CallbackAction&) = default;
 };
@@ -57,10 +57,6 @@ struct CloseResult {
   bool entry_known = true;  // false: close for an entry we have no record of
 };
 
-struct StateTableParams {
-  size_t max_entries = 1000;  // §4.3.1: bounded kernel memory (~68 B/entry)
-};
-
 class StateTable {
  public:
   struct ClientInfo {
@@ -71,15 +67,25 @@ class StateTable {
 
   struct Entry {
     proto::FileHandle fh;
-    FileState state = FileState::kClosed;
+    // Caching is off: set when a writer and a second client meet, kept until
+    // the last close, since there is no "enable caching" callback.
+    bool write_shared = false;
     uint64_t version = 0;
     uint64_t prev_version = 0;
-    std::vector<ClientInfo> clients;
-    int last_writer = -1;  // valid in the *_DIRTY states
+    std::vector<ClientInfo> clients;  // only clients with an open
+    // A client that may hold dirty blocks without a write open (a client
+    // with a write open is presumed dirty), or -1.
+    int last_writer = -1;
     bool inconsistent = false;
+
+    // The Table 4-1 state these facts make.
+    FileState state() const;
+    uint32_t writers() const;  // write opens, over all clients
   };
 
-  explicit StateTable(StateTableParams params = {});
+  // `max_entries` bounds the table (§4.3.1: bounded kernel memory, ~68 B per
+  // entry); past it, closed entries are reclaimed.
+  explicit StateTable(size_t max_entries = 1000) : max_entries_(max_entries) {}
 
   // Apply an open. `stable_version` seeds the entry's version when the file
   // is first tracked (from the file system, where versions persist).
@@ -92,9 +98,9 @@ class StateTable {
   // The file was removed: drop any record of it.
   void Forget(const proto::FileHandle& fh);
 
-  // A callback to the last writer completed (its dirty blocks are now at
-  // the server): CLOSED_DIRTY becomes CLOSED, ONE_RDR_DIRTY becomes
-  // ONE_READER. No-op in other states.
+  // A write-back callback completed: the dirty blocks are at the server, so
+  // no client holds them any more. CLOSED_DIRTY becomes CLOSED,
+  // ONE_RDR_DIRTY becomes ONE_READER.
   void MarkFlushed(const proto::FileHandle& fh);
 
   // A callback could not be delivered (client presumed dead): remember that
@@ -117,7 +123,7 @@ class StateTable {
 
   const Entry* Lookup(const proto::FileHandle& fh) const;
   size_t size() const { return entries_.size(); }
-  bool over_limit() const { return entries_.size() > params_.max_entries; }
+  bool over_limit() const { return entries_.size() > max_entries_; }
 
   // Drop every entry (server crash: "the state ... is lost").
   void Clear() { entries_.clear(); }
@@ -127,12 +133,9 @@ class StateTable {
 
  private:
   Entry& GetOrCreate(const proto::FileHandle& fh, uint64_t stable_version);  // lint: unstable-source
-  static ClientInfo* FindClient(Entry& entry, int host);
-  static uint32_t TotalOpens(const Entry& entry);
-  static uint32_t TotalWriters(const Entry& entry);
   void DropClosedEntries();
 
-  StateTableParams params_;
+  size_t max_entries_;
   std::unordered_map<proto::FileHandle, Entry, proto::FileHandleHash> entries_;
 };
 

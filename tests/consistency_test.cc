@@ -504,7 +504,9 @@ INSTANTIATE_TEST_SUITE_P(Protocols, RemoveDropsServerState,
 // SNFS callback, an NQNFS vacate), and the server crashes 5 ms later. The
 // handler holding the file lock runs on after the crash and releases the
 // lock then, so the crash must not free it: an ASan build reports the
-// use-after-free. After a reboot the file opens again.
+// use-after-free. After a reboot the file opens again. The crash lands
+// while the server's peer charges the callback's CPU cost, before the call
+// is sent: the call dies with the crashed incarnation, so A never serves it.
 sim::Task<void> CrashDuringCallbackScenario(World& w, bool* finished) {
   vfs::Vfs& a = w.client(0).vfs();
   vfs::Vfs& b = w.client(1).vfs();
@@ -529,18 +531,19 @@ class ServerCrashWithAFileLockHeld : public ::testing::TestWithParam<ServerProto
 
 TEST_P(ServerCrashWithAFileLockHeld, FileOpensAfterReboot) {
   World w(GetParam(), 2);
-  MountData(w, 0, GetParam());
+  auto& a = static_cast<snfs::CachingClient&>(MountData(w, 0, GetParam()));
   MountData(w, 1, GetParam());
   bool finished = false;
   w.simulator.Spawn(CrashDuringCallbackScenario(w, &finished));
   w.simulator.Run();
   EXPECT_TRUE(finished);
-  // The lock holder called A back across the crash.
+  // The lock holder began a call to A before the crash.
   if (snfs::SnfsServer* snfs = w.server->snfs_server()) {
     EXPECT_GE(snfs->callbacks_issued(), 1u);
   } else {
     EXPECT_GE(w.server->nqnfs_server()->vacates_issued(), 1u);
   }
+  EXPECT_EQ(a.callbacks_served(), 0u) << "the rebooted server sent a call begun before the crash";
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, ServerCrashWithAFileLockHeld,

@@ -28,7 +28,6 @@ struct RecoveryWorld : World {
       : World(ServerProtocol::kSnfs, 2, ServerParams(), {}, net_params) {
     SnfsClientParams cp;
     cp.enable_recovery = true;
-    cp.keepalive_interval = sim::Sec(10);
     fsa = &client(0).MountSnfs("/data", server->address(), server->root(), cp);
     fsb = &client(1).MountSnfs("/data", server->address(), server->root(), cp);
   }
@@ -36,7 +35,6 @@ struct RecoveryWorld : World {
   static ServerMachineParams ServerParams() {
     ServerMachineParams sp;
     sp.snfs.enable_recovery = true;
-    sp.snfs.recovery_grace = sim::Sec(15);
     return sp;
   }
 
@@ -73,7 +71,7 @@ TEST(RecoveryTest, ServerRebootIsDetectedAndStateRebuilt) {
     const StateTable::Entry* entry = w.table().Lookup(fh);
     EXPECT_NE(entry, nullptr);
     if (entry != nullptr) {
-      EXPECT_EQ(entry->state, FileState::kOneWriter);
+      EXPECT_EQ(entry->state(), FileState::kOneWriter);
     }
 
     // Normal operation continues: the write-back still lands.
@@ -109,7 +107,7 @@ TEST(RecoveryTest, OpensDuringGracePeriodAreRetriedUntilAccepted) {
     if (got.ok()) {
       EXPECT_EQ(TestStr(*got), "pre-crash");
     }
-    EXPECT_GE(w.simulator.Now() - start, sim::Sec(10));  // had to wait out grace
+    EXPECT_GE(w.simulator.Now() - start, kRecoveryGrace);  // had to wait out grace
     done = true;
   }(w, done));
   w.simulator.RunUntil(sim::Sec(300));
@@ -135,7 +133,7 @@ TEST(RecoveryTest, DirtyDataSurvivesServerRebootViaRecovery) {
     const StateTable::Entry* entry = w.table().Lookup(fh);
     EXPECT_NE(entry, nullptr);
     if (entry != nullptr) {
-      EXPECT_EQ(entry->state, FileState::kClosedDirty);
+      EXPECT_EQ(entry->state(), FileState::kClosedDirty);
     }
 
     // B opens: callback retrieves the dirty blocks; B sees the data that
@@ -212,7 +210,7 @@ TEST(RecoveryTest, RebootRecoveryCompletesOnLossyReorderingNetwork) {
     const StateTable::Entry* entry = w.table().Lookup(fh);
     EXPECT_NE(entry, nullptr);
     if (entry != nullptr) {
-      EXPECT_EQ(entry->state, FileState::kOneWriter);
+      EXPECT_EQ(entry->state(), FileState::kOneWriter);
     }
 
     EXPECT_TRUE((co_await a.Fsync(*fd)).ok());
@@ -247,7 +245,7 @@ TEST(RecoveryTest, WriteSharedStateIsRebuiltFromMultipleClients) {
     proto::FileHandle fh{w.server->fs().fsid(), 2, 0};
     {
       const StateTable::Entry* entry = w.table().Lookup(fh);
-      EXPECT_TRUE(entry != nullptr && entry->state == FileState::kWriteShared);
+      EXPECT_TRUE(entry != nullptr && entry->state() == FileState::kWriteShared);
     }
     w.server->Crash(w.network);
     co_await sim::Sleep(w.simulator, sim::Sec(2));
@@ -257,7 +255,7 @@ TEST(RecoveryTest, WriteSharedStateIsRebuiltFromMultipleClients) {
       const StateTable::Entry* entry = w.table().Lookup(fh);
       EXPECT_NE(entry, nullptr);
       if (entry != nullptr) {
-        EXPECT_EQ(entry->state, FileState::kWriteShared);
+        EXPECT_EQ(entry->state(), FileState::kWriteShared);
         EXPECT_EQ(entry->clients.size(), 2u);
       }
     }

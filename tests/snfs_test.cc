@@ -170,7 +170,7 @@ TEST(SnfsTest, WriteSharingDisablesCachingAndStaysConsistent) {
         proto::FileHandle{w.server->fs().fsid(), 2, 0});
     EXPECT_NE(entry, nullptr);
     if (entry != nullptr) {
-      EXPECT_EQ(entry->state, FileState::kWriteShared);
+      EXPECT_EQ(entry->state(), FileState::kWriteShared);
     }
     EXPECT_TRUE((co_await a.Close(*afd)).ok());
     EXPECT_TRUE((co_await b.Close(*bfd)).ok());
@@ -384,7 +384,7 @@ TEST(SnfsTest, ServerTracksStatesThroughWorkloadLifecycle) {
     if (e == nullptr) {
       co_return;
     }
-    EXPECT_EQ(e->state, FileState::kOneWriter);
+    EXPECT_EQ(e->state(), FileState::kOneWriter);
 
     EXPECT_TRUE((co_await a.Write(*fd, TestPattern(cache::kBlockSize))).ok());
     EXPECT_TRUE((co_await a.Close(*fd)).ok());
@@ -393,7 +393,7 @@ TEST(SnfsTest, ServerTracksStatesThroughWorkloadLifecycle) {
     if (e == nullptr) {
       co_return;
     }
-    EXPECT_EQ(e->state, FileState::kClosedDirty);
+    EXPECT_EQ(e->state(), FileState::kClosedDirty);
 
     auto rfd = co_await a.Open("/data/f", vfs::OpenFlags::ReadOnly());
     EXPECT_TRUE(rfd.ok());
@@ -405,7 +405,7 @@ TEST(SnfsTest, ServerTracksStatesThroughWorkloadLifecycle) {
     if (e == nullptr) {
       co_return;
     }
-    EXPECT_EQ(e->state, FileState::kOneRdrDirty);
+    EXPECT_EQ(e->state(), FileState::kOneRdrDirty);
     EXPECT_TRUE((co_await a.Close(*rfd)).ok());
     done = true;
   }(w, done));

@@ -20,7 +20,7 @@ constexpr int kHostC = 3;
 FileState StateOf(const StateTable& table) {
   const StateTable::Entry* entry = table.Lookup(kFile);
   EXPECT_NE(entry, nullptr);
-  return entry == nullptr ? FileState::kClosed : entry->state;
+  return entry == nullptr ? FileState::kClosed : entry->state();
 }
 
 // --- Table 4-1: open transitions --------------------------------------------
@@ -335,6 +335,36 @@ TEST(StateTableMisc, MarkInconsistentDropsDeadClient) {
   t.CheckInvariants();
 }
 
+TEST(StateTableMisc, MarkInconsistentForAnotherHostKeepsClosedDirty) {
+  // A failed callback to B says nothing about A's dirty blocks: the file
+  // stays CLOSED_DIRTY at A, and the next opener still calls A back.
+  StateTable t;
+  t.OnOpen(kFile, kHostA, true, 1);
+  t.OnClose(kFile, kHostA, true, /*has_dirty=*/true);
+  t.MarkInconsistent(kFile, kHostB);
+  t.CheckInvariants();
+  EXPECT_EQ(StateOf(t), FileState::kClosedDirty);
+  OpenResult r = t.OnOpen(kFile, kHostC, false, 1);
+  ASSERT_EQ(r.callbacks.size(), 1u);
+  EXPECT_EQ(r.callbacks[0].host, kHostA);
+  EXPECT_TRUE(r.callbacks[0].writeback);
+}
+
+TEST(StateTableMisc, MarkInconsistentForAnotherHostKeepsOneRdrDirty) {
+  StateTable t;
+  t.OnOpen(kFile, kHostA, true, 1);
+  t.OnClose(kFile, kHostA, true, /*has_dirty=*/true);
+  t.OnOpen(kFile, kHostA, false, 1);  // ONE_RDR_DIRTY
+  t.MarkInconsistent(kFile, kHostB);
+  EXPECT_EQ(StateOf(t), FileState::kOneRdrDirty);
+  OpenResult r = t.OnOpen(kFile, kHostC, false, 1);
+  EXPECT_EQ(r.state, FileState::kMultReaders);
+  ASSERT_EQ(r.callbacks.size(), 1u);
+  EXPECT_EQ(r.callbacks[0].host, kHostA);
+  EXPECT_TRUE(r.callbacks[0].writeback);
+  t.CheckInvariants();
+}
+
 TEST(StateTableMisc, ForgetRemovesEntry) {
   StateTable t;
   t.OnOpen(kFile, kHostA, false, 1);
@@ -346,7 +376,7 @@ TEST(StateTableMisc, ForgetRemovesEntry) {
 // --- Reclaim -----------------------------------------------------------------
 
 TEST(StateTableReclaim, ClosedEntriesDropWhenOverLimit) {
-  StateTable t(StateTableParams{.max_entries = 4});
+  StateTable t(/*max_entries=*/4);
   for (uint64_t i = 0; i < 8; ++i) {
     proto::FileHandle fh{1, 100 + i, 0};
     t.OnOpen(fh, kHostA, false, 1);
@@ -359,7 +389,7 @@ TEST(StateTableReclaim, ClosedEntriesDropWhenOverLimit) {
 }
 
 TEST(StateTableReclaim, ClosedDirtyNeedsWritebackCallback) {
-  StateTable t(StateTableParams{.max_entries = 2});
+  StateTable t(/*max_entries=*/2);
   for (uint64_t i = 0; i < 4; ++i) {
     proto::FileHandle fh{1, 100 + i, 0};
     t.OnOpen(fh, kHostA, true, 1);
@@ -379,7 +409,7 @@ TEST(StateTableReclaim, ReopenDuringReclaimCallbackKeepsEntry) {
   // it completes. The entry the plan named must survive — MarkFlushed
   // downgrades the re-opened entry instead of dropping it, and the server's
   // post-callback re-lookup (state != CLOSED) must skip the Forget.
-  StateTable t(StateTableParams{.max_entries = 1});
+  StateTable t(/*max_entries=*/1);
   t.OnOpen(kFile, kHostA, /*write=*/true, /*stable_version=*/1);
   t.OnClose(kFile, kHostA, /*write=*/true, /*has_dirty=*/true);  // CLOSED_DIRTY
   proto::FileHandle other{1, 43, 0};
@@ -398,7 +428,7 @@ TEST(StateTableReclaim, ReopenDuringReclaimCallbackKeepsEntry) {
   t.MarkFlushed(kFile);
   const StateTable::Entry* entry = t.Lookup(kFile);
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->state, FileState::kOneReader);
+  EXPECT_EQ(entry->state(), FileState::kOneReader);
   ASSERT_EQ(entry->clients.size(), 1u);
   EXPECT_EQ(entry->clients[0].host, kHostA);
   EXPECT_GT(entry->clients[0].readers + entry->clients[0].writers, 0u);  // A has it open
@@ -432,6 +462,51 @@ TEST(StateTableRecovery, ReopenDirtyOnlyIsClosedDirty) {
   EXPECT_EQ(entry->last_writer, kHostA);
 }
 
+// A reopens with dirty blocks only, B with a read open: B reads, A may be
+// dirty (ONE_RDR_DIRTY with the dirty blocks at another client).
+void ReopenReaderBesideDirtyA(StateTable& t) {
+  t.ApplyReopen(kFile, kHostA, 0, 0, /*has_dirty=*/true, 9, 9);
+  t.ApplyReopen(kFile, kHostB, 1, 0, /*has_dirty=*/false, 9, 9);
+  EXPECT_EQ(StateOf(t), FileState::kOneRdrDirty);
+}
+
+TEST(StateTableRecovery, ReopenedReaderWriteOpenCallsBackTheDirtyHolder) {
+  StateTable t;
+  ReopenReaderBesideDirtyA(t);
+  OpenResult r = t.OnOpen(kFile, kHostB, true, 9);
+  EXPECT_EQ(r.state, FileState::kOneWriter);
+  ASSERT_EQ(r.callbacks.size(), 1u);
+  EXPECT_EQ(r.callbacks[0].host, kHostA);
+  EXPECT_TRUE(r.callbacks[0].writeback);
+  EXPECT_FALSE(r.callbacks[0].invalidate);
+}
+
+TEST(StateTableRecovery, ReopenedDirtyHolderIsNotCalledBackForItsOwnOpen) {
+  StateTable t;
+  ReopenReaderBesideDirtyA(t);
+  OpenResult r = t.OnOpen(kFile, kHostA, false, 9);
+  EXPECT_EQ(r.state, FileState::kMultReaders);
+  EXPECT_TRUE(r.callbacks.empty());
+  // A's dirty blocks are still owed to the next opener.
+  r = t.OnOpen(kFile, kHostC, false, 9);
+  ASSERT_EQ(r.callbacks.size(), 1u);
+  EXPECT_EQ(r.callbacks[0].host, kHostA);
+  EXPECT_TRUE(r.callbacks[0].writeback);
+}
+
+TEST(StateTableRecovery, ReopenedReadersKeepTheDirtyHolder) {
+  StateTable t;
+  t.ApplyReopen(kFile, kHostA, 1, 0, /*has_dirty=*/true, 9, 9);
+  t.ApplyReopen(kFile, kHostB, 1, 0, /*has_dirty=*/false, 9, 9);
+  ASSERT_EQ(StateOf(t), FileState::kMultReaders);
+  CloseResult closed = t.OnClose(kFile, kHostB, false, false);
+  EXPECT_EQ(closed.state, FileState::kOneRdrDirty);
+  OpenResult r = t.OnOpen(kFile, kHostC, false, 9);
+  ASSERT_EQ(r.callbacks.size(), 1u);
+  EXPECT_EQ(r.callbacks[0].host, kHostA);
+  EXPECT_TRUE(r.callbacks[0].writeback);
+}
+
 TEST(StateTableRecovery, ReopenMatchesStateBuiltByNormalOpens) {
   // Property: rebuilding from per-client reopen summaries yields the same
   // (state, clients) as the original sequence of opens.
@@ -460,7 +535,7 @@ TEST(StateTableRecovery, ReopenMatchesStateBuiltByNormalOpens) {
     }
     const StateTable::Entry* re = rebuilt.Lookup(kFile);
     ASSERT_NE(re, nullptr);
-    EXPECT_EQ(re->state, oe->state) << "trial " << trial;
+    EXPECT_EQ(re->state(), oe->state()) << "trial " << trial;
     EXPECT_EQ(re->clients.size(), oe->clients.size());
     rebuilt.CheckInvariants();
   }
@@ -491,7 +566,7 @@ TEST(StateTableProperty, InvariantsHoldUnderRandomLegalSequences) {
         const StateTable::Entry* entry = t.Lookup(kFile);
         ASSERT_NE(entry, nullptr);
         if (r.cache_enabled) {
-          EXPECT_NE(entry->state, FileState::kWriteShared);
+          EXPECT_NE(entry->state(), FileState::kWriteShared);
         }
         // Callbacks never target the opener.
         for (const CallbackAction& cb : r.callbacks) {
