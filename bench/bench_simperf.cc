@@ -13,9 +13,13 @@
 // This is the one bench family whose headline numbers depend on wall-clock
 // time; everything else the repo measures is virtual. The JSON therefore
 // separates deterministic fields (events, work units, simulated seconds)
-// from machine-dependent ones (wall seconds, events/sec). Snapshots are
-// checked in at the repo root as BENCH_simperf.json per the ROADMAP's
-// perf-trajectory item; see EXPERIMENTS.md for how to read them.
+// from machine-dependent ones (wall seconds, events/sec). One sample of a
+// wall-clock figure says little on a shared host, so each load runs once to
+// warm up and then kSamples times; the table and the JSON give the median,
+// min and max of wall seconds and of events/sec (--smoke runs one sample).
+// Snapshots are checked in at the repo root as BENCH_simperf.json per the
+// ROADMAP's perf-trajectory item; see EXPERIMENTS.md for how to read them.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -232,6 +236,61 @@ LoadResult RunAndrewReplay(int trials) {
   return r;
 }
 
+// --- sampling ---------------------------------------------------------------
+
+constexpr int kSamples = 5;
+
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+Spread SpreadOf(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  size_t n = values.size();
+  double median = n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2;
+  return Spread{median, values.front(), values.back()};
+}
+
+// One load's samples: the deterministic fields, which every run must
+// reproduce, and the spread of the wall-clock ones.
+struct LoadSamples {
+  LoadResult result;  // the first sample's fields
+  int samples = 0;
+  Spread wall_sec;
+  Spread events_per_sec;
+  Spread sim_per_wall;
+};
+
+template <typename RunLoad>
+LoadSamples Sample(int warmups, int samples, RunLoad run) {
+  for (int i = 0; i < warmups; ++i) {
+    (void)run();
+  }
+  LoadSamples out;
+  std::vector<double> wall;
+  std::vector<double> events_per_sec;
+  std::vector<double> sim_per_wall;
+  for (int i = 0; i < samples; ++i) {
+    LoadResult r = run();
+    if (i == 0) {
+      out.result = r;
+    }
+    CHECK_EQ(r.events, out.result.events);
+    CHECK_EQ(r.work_units, out.result.work_units);
+    CHECK(r.sim_sec == out.result.sim_sec);
+    wall.push_back(r.wall_sec);
+    events_per_sec.push_back(r.events_per_sec());
+    sim_per_wall.push_back(r.sim_per_wall());
+  }
+  out.samples = samples;
+  out.wall_sec = SpreadOf(wall);
+  out.events_per_sec = SpreadOf(events_per_sec);
+  out.sim_per_wall = SpreadOf(sim_per_wall);
+  return out;
+}
+
 // --- output -----------------------------------------------------------------
 
 std::string JsonNum(double v) {
@@ -240,14 +299,21 @@ std::string JsonNum(double v) {
   return buf;
 }
 
-std::string LoadJson(const LoadResult& r) {
+// `wall_s`, `events_per_sec` and `sim_s_per_wall_s` are medians.
+std::string LoadJson(const LoadSamples& s) {
+  const LoadResult& r = s.result;
   std::string out = "{";
   out += "\"events\":" + std::to_string(r.events);
   out += ",\"work_units\":" + std::to_string(r.work_units);
   out += ",\"sim_elapsed_s\":" + JsonNum(r.sim_sec);
-  out += ",\"wall_s\":" + JsonNum(r.wall_sec);
-  out += ",\"events_per_sec\":" + JsonNum(r.events_per_sec());
-  out += ",\"sim_s_per_wall_s\":" + JsonNum(r.sim_per_wall());
+  out += ",\"samples\":" + std::to_string(s.samples);
+  out += ",\"wall_s\":" + JsonNum(s.wall_sec.median);
+  out += ",\"wall_s_min\":" + JsonNum(s.wall_sec.min);
+  out += ",\"wall_s_max\":" + JsonNum(s.wall_sec.max);
+  out += ",\"events_per_sec\":" + JsonNum(s.events_per_sec.median);
+  out += ",\"events_per_sec_min\":" + JsonNum(s.events_per_sec.min);
+  out += ",\"events_per_sec_max\":" + JsonNum(s.events_per_sec.max);
+  out += ",\"sim_s_per_wall_s\":" + JsonNum(s.sim_per_wall.median);
   out += "}";
   return out;
 }
@@ -276,25 +342,34 @@ int main(int argc, char** argv) {
   uint64_t echo_calls = smoke ? 2'000 : 50'000;         // per caller
   int andrew_trials = smoke ? 1 : 2;
 
-  std::printf("=== bench_simperf: raw simulator throughput ===\n\n");
-  std::vector<LoadResult> results;
-  results.push_back(RunPureTimer(timer_hops));
-  results.push_back(RunPingPong(pingpong_rounds));
-  results.push_back(RunRpcEcho(echo_calls));
-  results.push_back(RunAndrewReplay(andrew_trials));
+  int warmups = smoke ? 0 : 1;
+  int samples = smoke ? 1 : kSamples;
 
-  Table t({"Load", "Events", "Work units", "Sim s", "Wall s", "Events/s", "Sim s/wall s"});
-  for (const LoadResult& r : results) {
+  std::printf("=== bench_simperf: raw simulator throughput ===\n\n");
+  std::printf("%d sample%s per load%s; med = median\n\n", samples, samples == 1 ? "" : "s",
+              warmups > 0 ? " after one warm-up run" : "");
+  std::vector<LoadSamples> results;
+  results.push_back(Sample(warmups, samples, [&] { return RunPureTimer(timer_hops); }));
+  results.push_back(Sample(warmups, samples, [&] { return RunPingPong(pingpong_rounds); }));
+  results.push_back(Sample(warmups, samples, [&] { return RunRpcEcho(echo_calls); }));
+  results.push_back(Sample(warmups, samples, [&] { return RunAndrewReplay(andrew_trials); }));
+
+  Table t({"Load", "Events", "Work units", "Sim s", "Wall s med", "min", "max", "Events/s med",
+           "min", "max", "Sim s/wall s med"});
+  for (const LoadSamples& s : results) {
+    const LoadResult& r = s.result;
     t.AddRow({r.name, Table::Int(r.events), Table::Int(r.work_units), Table::Num(r.sim_sec, 2),
-              Table::Num(r.wall_sec, 3), Table::Num(r.events_per_sec(), 0),
-              Table::Num(r.sim_per_wall(), 1)});
+              Table::Num(s.wall_sec.median, 3), Table::Num(s.wall_sec.min, 3),
+              Table::Num(s.wall_sec.max, 3), Table::Num(s.events_per_sec.median, 0),
+              Table::Num(s.events_per_sec.min, 0), Table::Num(s.events_per_sec.max, 0),
+              Table::Num(s.sim_per_wall.median, 1)});
   }
   t.Print();
 
   if (!json_path.empty()) {
     std::vector<std::pair<std::string, std::string>> configs;
-    for (const LoadResult& r : results) {
-      configs.emplace_back(r.name, LoadJson(r));
+    for (const LoadSamples& s : results) {
+      configs.emplace_back(s.result.name, LoadJson(s));
     }
     bench::WriteBenchJson(json_path, "simperf", configs);
     std::printf("\nwrote %s\n", json_path.c_str());

@@ -1,5 +1,6 @@
 #include "src/net/network.h"
 
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -34,7 +35,7 @@ void Network::Send(Packet packet) {
   CHECK_GE(packet.dst.host, 0);
   CHECK_LT(static_cast<size_t>(packet.dst.host), hosts_.size());
   ++packets_sent_;
-  uint32_t bytes = proto::WireSize(packet.envelope);
+  uint32_t bytes = proto::WireSize(*packet.envelope);
   bytes_sent_ += bytes;
   TRACE_INSTANT("net.send", packet.src.host,
                 "dst=" + std::to_string(packet.dst.host) + " bytes=" + std::to_string(bytes));
@@ -68,7 +69,9 @@ void Network::Send(Packet packet) {
     delay += d.extra_delay;
     if (d.duplicate) {
       ++packets_duplicated_;
-      Deliver(packet, delay + d.dup_extra_delay);  // the copy trails the original
+      // The copy trails the original.
+      Deliver(Packet{packet.src, packet.dst, std::make_unique<proto::Envelope>(*packet.envelope)},
+              delay + d.dup_extra_delay);
     }
   }
 
@@ -101,20 +104,19 @@ void Network::Deliver(Packet packet, sim::Duration delay) {
 }
 
 void Network::DeliverSlot(PacketSlot* slot) {
-  int dst = slot->packet.dst.host;
+  Packet packet = std::move(slot->packet);
   uint64_t send_span = slot->send_span;
+  ReleaseSlot(slot);
+  int dst = packet.dst.host;
   // Re-check liveness at delivery time: the receiver may have crashed while
   // the packet was in flight.
   if (!hosts_[dst].up) {
-    ReleaseSlot(slot);
     ++packets_dropped_;
     if (trace::Recorder* recorder = trace::Active()) {
       recorder->InstantInSpan(send_span, "net.drop", dst, "reason=down");
     }
     return;
   }
-  Packet packet = std::move(slot->packet);
-  ReleaseSlot(slot);
   if (trace::Recorder* recorder = trace::Active()) {
     recorder->InstantInSpan(send_span, "net.recv", dst, "src=" + std::to_string(packet.src.host));
   }

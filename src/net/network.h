@@ -7,6 +7,11 @@
 // shared-medium contention is not modeled because the benchmark load never
 // approaches saturation.
 //
+// A packet carries its envelope by pointer: the sender allocates the
+// envelope once, and the pointer passes through the delivery slot and the
+// receiver's rx channel without the envelope moving. The fault injector's
+// duplicate is the one copy (proto::Envelope counts it).
+//
 // Fault injection: NetworkParams::faults optionally names a fault::FaultPlan
 // (seeded per-link loss, duplication, bounded reordering, partitions with
 // heal times). Without a plan the Send path is byte-identical to a network
@@ -37,7 +42,7 @@ struct Address {
 struct Packet {
   Address src;
   Address dst;
-  proto::Envelope envelope;
+  std::unique_ptr<proto::Envelope> envelope;  // never null
 };
 
 struct NetworkParams {
@@ -87,7 +92,7 @@ class Network {
     bool up = true;
   };
 
-  // In-flight packet state lives in pooled slots so the delivery closure
+  // In-flight packets live in pooled slots so the delivery closure
   // captures only {this, slot} — small enough for std::function's inline
   // buffer, i.e. no heap allocation per packet in flight. Slots are owned by
   // the arena and recycled through an intrusive free list at delivery.

@@ -3,9 +3,10 @@
 // and the crash-recovery extension procedures (§2.4 / Welch's mechanism).
 //
 // Requests and replies are plain structs gathered into std::variants; the
-// simulated transport carries them by value, and WireSize() feeds the
-// network bandwidth model. Read and write payloads are proto::Bytes, so
-// carrying one by value shares its buffer rather than copying it.
+// simulated transport carries them in an Envelope it allocates once per
+// packet and passes by pointer, and WireSize() feeds the network bandwidth
+// model. Read and write payloads are proto::Bytes, so carrying one by value
+// shares its buffer rather than copying it.
 #ifndef SRC_PROTO_MESSAGES_H_
 #define SRC_PROTO_MESSAGES_H_
 
@@ -342,7 +343,9 @@ struct Envelope {
   Request request;  // valid when !is_reply
   Reply reply;      // valid when is_reply
 
-  // The transport moves envelopes end to end; the only legitimate copy is
+  // The transport passes envelopes by pointer (net::Packet): a sender
+  // allocates one per packet, a router forwards it, and a server worker
+  // reuses a request's envelope for its reply. The only legitimate copy is
   // the fault injector duplicating an in-flight packet. The copy operations
   // count themselves so a guard test (network_test.cc) can pin that
   // invariant. A copy shares the payload's buffer (proto::Bytes) but still

@@ -46,18 +46,18 @@ void Peer::Shutdown() {
   running_ = false;
   work_queue_->Close();
   // Fail out any calls still waiting for replies, and forget them: a late
-  // reply that straggles in after a restart must not resolve a promise from
+  // reply that straggles in after a restart must not complete a call from
   // the previous incarnation, and the map must not leak across crash cycles.
-  // Resolving a promise resumes its awaiter, so resume the callers in xid
+  // Completing a call resumes its caller, so resume the callers in xid
   // (issue) order rather than hash order.
   std::vector<uint64_t> xids;
   xids.reserve(pending_.size());
-  for (const auto& [xid, promise] : pending_) {  // lint: ordered-ok (sorted below)
+  for (const auto& [xid, record] : pending_) {  // lint: ordered-ok (sorted below)
     xids.push_back(xid);
   }
   std::sort(xids.begin(), xids.end());
   for (uint64_t xid : xids) {
-    pending_.at(xid).TrySet(proto::ErrorReply(base::ErrUnavailable()));
+    Complete(*pending_.at(xid), proto::ErrorReply(base::ErrUnavailable()));
   }
   pending_.clear();
 }
@@ -66,8 +66,25 @@ sim::Duration Peer::PayloadCost(uint32_t wire_bytes) const {
   return options_.costs.per_kb * static_cast<sim::Duration>(wire_bytes) / 1024;
 }
 
-void Peer::SendEnvelope(net::Address dst, proto::Envelope envelope) {
+void Peer::SendEnvelope(net::Address dst, std::unique_ptr<proto::Envelope> envelope) {
   network_.Send(net::Packet{address_, dst, std::move(envelope)});
+}
+
+void Peer::Complete(CallRecord& record, proto::Reply reply) {
+  if (record.reply.has_value()) {
+    return;
+  }
+  record.reply.emplace(std::move(reply));
+  if (record.waiter) {
+    simulator_.Ready(record.waiter);
+  }
+}
+
+void Peer::ExpireAttempt(uint64_t key) {
+  auto it = pending_.find(key >> 8);
+  if (it != pending_.end() && static_cast<uint64_t>(it->second->attempt) == (key & 0xff)) {
+    Complete(*it->second, proto::ErrorReply(base::ErrTimedOut()));
+  }
 }
 
 sim::Task<base::Result<proto::Reply>> Peer::Call(net::Address dst, proto::Request request,
@@ -78,6 +95,7 @@ sim::Task<base::Result<proto::Reply>> Peer::Call(net::Address dst, proto::Reques
     // workload coroutine that is about to issue an RPC.
     co_return base::ErrUnavailable();
   }
+  CHECK_LE(options.max_attempts, 256);  // an attempt number fits a timer key's low byte
   uint64_t xid = next_xid_++;
   client_ops_.Add(proto::KindOf(request));
 
@@ -99,6 +117,7 @@ sim::Task<base::Result<proto::Reply>> Peer::Call(net::Address dst, proto::Reques
     co_return base::ErrUnavailable();
   }
 
+  CallRecord record;
   sim::Duration timeout = options.timeout;
   for (int attempt = 0; attempt < options.max_attempts; ++attempt) {
     if (attempt > 0) {
@@ -106,8 +125,10 @@ sim::Task<base::Result<proto::Reply>> Peer::Call(net::Address dst, proto::Reques
       TRACE_INSTANT("rpc.retransmit", address_.host,
                     "xid=" + std::to_string(xid) + " attempt=" + std::to_string(attempt + 1));
     }
-    sim::Promise<proto::Reply> promise(simulator_);
-    pending_.insert_or_assign(xid, promise);
+    record.reply.reset();
+    record.waiter = nullptr;
+    record.attempt = attempt;
+    pending_.insert_or_assign(xid, &record);
 
     trace::Span attempt_span;
     if (trace::Active() != nullptr) {
@@ -115,26 +136,28 @@ sim::Task<base::Result<proto::Reply>> Peer::Call(net::Address dst, proto::Reques
                          "attempt=" + std::to_string(attempt + 1));
     }
 
-    proto::Envelope env;
-    env.xid = xid;
-    env.is_reply = false;
-    env.trace_span = attempt_span.id();
-    env.request = request;  // copy retained for retransmission; shares any payload
+    auto env = std::make_unique<proto::Envelope>();
+    env->xid = xid;
+    env->trace_span = attempt_span.id();
+    env->request = request;  // copy retained for retransmission; shares any payload
     SendEnvelope(dst, std::move(env));
 
-    // The timeout races the reply for the promise.
-    simulator_.Schedule(timeout, [promise]() mutable {
-      promise.TrySet(proto::ErrorReply(base::ErrTimedOut()));
+    // The timeout races the reply for the record. Its key names the attempt,
+    // so a timer an earlier attempt left queued (that attempt was answered
+    // with a timedout status) cannot time out this one.
+    simulator_.Schedule(timeout, [this, key = xid << 8 | static_cast<uint64_t>(attempt)] {
+      ExpireAttempt(key);
     });
 
-    // This call is the promise's only consumer, so the reply (a whole read
-    // payload, for reads) is moved out rather than copied.
-    proto::Reply reply = co_await promise.GetFuture().Take();
+    // The reply (a whole read payload, for reads) is moved out of the record.
+    proto::Reply reply = co_await AwaitReply{record};
     if (reply.status != base::ErrTimedOut()) {
       pending_.erase(xid);
       co_await cpu_.Run(PayloadCost(proto::WireSize(reply)));
       attempt_span.End("status=reply");
-      call_span.End("status=done attempts=" + std::to_string(attempt + 1));
+      if (call_span.active()) {  // the args outgrow std::string's inline buffer
+        call_span.End("status=done attempts=" + std::to_string(attempt + 1));
+      }
       co_return reply;
     }
     attempt_span.End("status=timeout");
@@ -155,7 +178,7 @@ sim::Task<void> Peer::ReceiveLoop() {
     if (!running_) {
       continue;  // crashed host: discard anything queued
     }
-    if (packet->envelope.is_reply) {
+    if (packet->envelope->is_reply) {
       HandleIncomingReply(std::move(*packet));
     } else {
       HandleIncomingRequest(std::move(*packet));
@@ -164,51 +187,51 @@ sim::Task<void> Peer::ReceiveLoop() {
 }
 
 void Peer::HandleIncomingReply(net::Packet packet) {
-  auto it = pending_.find(packet.envelope.xid);
+  auto it = pending_.find(packet.envelope->xid);
   if (it == pending_.end()) {
     // Late duplicate reply after the call completed; drop it.
     return;
   }
-  it->second.TrySet(std::move(packet.envelope.reply));
+  Complete(*it->second, std::move(packet.envelope->reply));
 }
 
 void Peer::HandleIncomingRequest(net::Packet packet) {
+  proto::Envelope& env = *packet.envelope;
   // The original client: a router upstream names it as reply-to.
-  net::Address from =
-      packet.envelope.reply_to >= 0 ? net::Address{packet.envelope.reply_to} : packet.src;
+  net::Address from = env.reply_to >= 0 ? net::Address{env.reply_to} : packet.src;
   if (router_) {
-    if (std::optional<net::Address> next = router_(packet.envelope.request)) {
+    if (std::optional<net::Address> next = router_(env.request)) {
       if (trace::Recorder* recorder = trace::Active()) {
-        recorder->InstantInSpan(packet.envelope.trace_span, "rpc.route", address_.host,
+        recorder->InstantInSpan(env.trace_span, "rpc.route", address_.host,
                                 "from=" + std::to_string(from.host) +
-                                    " xid=" + std::to_string(packet.envelope.xid) +
+                                    " xid=" + std::to_string(env.xid) +
                                     " to=" + std::to_string(next->host));
       }
-      packet.envelope.reply_to = from.host;
+      env.reply_to = from.host;
       SendEnvelope(*next, std::move(packet.envelope));
       return;
     }
   }
   // Ops whose replies are not cached are safe to repeat: a retransmission
   // of one simply runs again.
-  if (proto::CachesReply(proto::KindOf(packet.envelope.request))) {
-    DupKey key{from.host, packet.envelope.xid};
+  if (proto::CachesReply(proto::KindOf(env.request))) {
+    DupKey key{from.host, env.xid};
     auto it = dup_cache_.find(key);
     if (it != dup_cache_.end()) {
       ++duplicates_suppressed_;
       if (trace::Recorder* recorder = trace::Active()) {
-        recorder->InstantInSpan(packet.envelope.trace_span, "rpc.dup_hit", address_.host,
+        recorder->InstantInSpan(env.trace_span, "rpc.dup_hit", address_.host,
                                 "from=" + std::to_string(from.host) +
-                                    " xid=" + std::to_string(packet.envelope.xid) +
+                                    " xid=" + std::to_string(env.xid) +
                                     " done=" + (it->second.done ? "1" : "0"));
       }
       if (it->second.done) {
         // Resend the cached reply without re-executing (exactly-once effect).
-        proto::Envelope env;
-        env.xid = packet.envelope.xid;
-        env.is_reply = true;
-        env.reply = it->second.reply;
-        SendEnvelope(from, std::move(env));
+        auto reply_env = std::make_unique<proto::Envelope>();
+        reply_env->xid = env.xid;
+        reply_env->is_reply = true;
+        reply_env->reply = it->second.reply;
+        SendEnvelope(from, std::move(reply_env));
       }
       // else: still executing; the client will retry again.
       return;
@@ -223,8 +246,7 @@ void Peer::HandleIncomingRequest(net::Packet packet) {
       dup_order_.pop_front();
     }
   }
-  work_queue_->Send(Incoming{from, packet.envelope.xid, std::move(packet.envelope.request),
-                             packet.envelope.trace_span});
+  work_queue_->Send(Incoming{from, std::move(packet.envelope)});
 }
 
 sim::Task<void> Peer::Worker(uint64_t generation) {
@@ -236,18 +258,19 @@ sim::Task<void> Peer::Worker(uint64_t generation) {
     if (worker_hook_) {
       worker_hook_();
     }
-    proto::OpKind kind = proto::KindOf(incoming->request);
+    net::Address from = incoming->from;
+    std::unique_ptr<proto::Envelope> env = std::move(incoming->envelope);
+    proto::OpKind kind = proto::KindOf(env->request);
     trace::Span handle_span;
     if (trace::Active() != nullptr) {
       // Parent under the client attempt's span (carried in the envelope), so
       // the server-side execution hangs off the call that caused it.
       handle_span.BeginUnder(
-          incoming->trace_span, "rpc.handle", address_.host,
-          "op=" + std::string(proto::OpKindName(kind)) +
-              " from=" + std::to_string(incoming->from.host) +
-              " xid=" + std::to_string(incoming->xid) + " gen=" + std::to_string(generation));
+          env->trace_span, "rpc.handle", address_.host,
+          "op=" + std::string(proto::OpKindName(kind)) + " from=" + std::to_string(from.host) +
+              " xid=" + std::to_string(env->xid) + " gen=" + std::to_string(generation));
     }
-    uint32_t wire = proto::WireSize(incoming->request);
+    uint32_t wire = proto::WireSize(env->request);
     co_await cpu_.Run(options_.costs.server_per_call + PayloadCost(wire));
     if (generation != pool_generation_) {
       // Crashed before the handler ran: the request died with the kernel.
@@ -257,9 +280,8 @@ sim::Task<void> Peer::Worker(uint64_t generation) {
     proto::Reply reply;
     if (handler_) {
       server_ops_.Add(kind);
-      // The request is moved into the handler — it arrived by value over the
-      // (simulated) wire and nothing else needs it.
-      reply = co_await handler_(std::move(incoming->request), incoming->from);
+      // The request is moved into the handler: nothing else needs it.
+      reply = co_await handler_(std::move(env->request), from);
     } else {
       reply = proto::ErrorReply(base::ErrNotSupported());
     }
@@ -274,7 +296,7 @@ sim::Task<void> Peer::Worker(uint64_t generation) {
     }
 
     if (proto::CachesReply(kind)) {
-      DupKey key{incoming->from.host, incoming->xid};
+      DupKey key{from.host, env->xid};
       auto it = dup_cache_.find(key);
       if (it != dup_cache_.end()) {
         it->second.done = true;
@@ -283,13 +305,12 @@ sim::Task<void> Peer::Worker(uint64_t generation) {
       }
     }
 
+    // The reply goes back in the request's envelope.
     bool handler_ok = reply.status.ok();
-    proto::Envelope env;
-    env.xid = incoming->xid;
-    env.is_reply = true;
-    env.trace_span = handle_span.id();
-    env.reply = std::move(reply);
-    SendEnvelope(incoming->from, std::move(env));
+    env->is_reply = true;
+    env->trace_span = handle_span.id();
+    env->reply = std::move(reply);
+    SendEnvelope(from, std::move(env));
     handle_span.End(std::string("ok=") + (handler_ok ? "1" : "0"));
   }
 }

@@ -21,6 +21,7 @@
 #ifndef SRC_RPC_PEER_H_
 #define SRC_RPC_PEER_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -35,7 +36,6 @@
 #include "src/net/network.h"
 #include "src/proto/messages.h"
 #include "src/sim/cpu.h"
-#include "src/sim/future.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
@@ -148,18 +148,39 @@ class Peer {
     bool done = false;
     proto::Reply reply;  // valid when done
   };
+  // A request on its way to a worker, in the envelope it arrived in; the
+  // worker sends the reply back in the same envelope.
   struct Incoming {
     net::Address from;
-    uint64_t xid;
-    proto::Request request;
-    uint64_t trace_span = 0;  // sender's span, parents the handler span
+    std::unique_ptr<proto::Envelope> envelope;
+  };
+  // One call in flight, kept in Call's own frame and mapped by xid in
+  // pending_: the reply slot, the suspended caller, and the attempt it
+  // waits on. A reply for the xid completes it whatever the attempt (a late
+  // reply to an earlier transmission answers the call as well); a timeout
+  // completes it only while it still waits on the timer's attempt.
+  struct CallRecord {
+    std::optional<proto::Reply> reply;
+    std::coroutine_handle<> waiter;
+    int attempt = 0;
+  };
+  struct AwaitReply {
+    CallRecord& record;
+    bool await_ready() const noexcept { return record.reply.has_value(); }
+    void await_suspend(std::coroutine_handle<> h) { record.waiter = h; }
+    proto::Reply await_resume() { return std::move(*record.reply); }
   };
 
   sim::Task<void> ReceiveLoop();
   sim::Task<void> Worker(uint64_t generation);
   void HandleIncomingRequest(net::Packet packet);
   void HandleIncomingReply(net::Packet packet);
-  void SendEnvelope(net::Address dst, proto::Envelope envelope);
+  // Fills the record's reply slot and wakes its caller, unless the slot is
+  // already filled (the reply and the timeout race; the loser is dropped).
+  void Complete(CallRecord& record, proto::Reply reply);
+  // An attempt's timer: `key` is xid << 8 | attempt.
+  void ExpireAttempt(uint64_t key);
+  void SendEnvelope(net::Address dst, std::unique_ptr<proto::Envelope> envelope);
   sim::Duration PayloadCost(uint32_t wire_bytes) const;
 
   sim::Simulator& simulator_;
@@ -176,7 +197,10 @@ class Peer {
   uint64_t pool_generation_ = 0;
 
   uint64_t next_xid_ = 1;
-  std::unordered_map<uint64_t, sim::Promise<proto::Reply>> pending_;
+  // Calls awaiting a reply. No destructor erases from it: a record left by a
+  // Call frame reaped at teardown is never read, since a reaped simulator
+  // cannot run again.
+  std::unordered_map<uint64_t, CallRecord*> pending_;
 
   std::unique_ptr<sim::Channel<Incoming>> work_queue_;
   std::unordered_map<DupKey, DupEntry, DupKeyHash> dup_cache_;

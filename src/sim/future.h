@@ -1,12 +1,13 @@
 // One-shot Future<T>/Promise<T> pair for the simulator.
 //
 // A Promise may be fulfilled at most once; TrySet is idempotent and reports
-// whether this call won. This is the primitive behind RPC timeouts: the
-// reply path and the timeout event race to TrySet the same promise, and the
-// loser's value is discarded.
+// whether this call won, and a later value is discarded. The buffer cache's
+// in-flight stores and fleet::MetaCache's coalesced fills use it. RPC
+// timeouts do not: rpc::Peer::Call keeps one record per call in its own
+// frame, which the reply and the attempt's timer race to complete.
 //
 // Future and Promise share state via shared_ptr and are freely copyable.
-// Each waiter gets its own copy of the value, unless it awaits Take().
+// Each waiter gets its own copy of the value.
 #ifndef SRC_SIM_FUTURE_H_
 #define SRC_SIM_FUTURE_H_
 
@@ -75,27 +76,6 @@ class [[nodiscard]] Future {
   }
 
   bool IsSet() const { return state_->value.has_value(); }
-
-  // Awaiting Take() resumes exactly like awaiting the future, but moves the
-  // value out instead of copying it. Only for a promise with one consumer:
-  // a later waiter would see a moved-from value. The promise stays
-  // fulfilled, so a racing TrySet still loses.
-  class Taker {
-   public:
-    bool await_ready() const noexcept { return state_->value.has_value(); }
-    void await_suspend(std::coroutine_handle<> h) { state_->waiters.push_back(h); }
-    T await_resume() {
-      CHECK(state_->value.has_value());
-      return std::move(*state_->value);
-    }
-
-   private:
-    friend class Future<T>;
-    explicit Taker(std::shared_ptr<typename Promise<T>::State> s) : state_(std::move(s)) {}
-
-    std::shared_ptr<typename Promise<T>::State> state_;
-  };
-  Taker Take() && { return Taker(std::move(state_)); }
 
  private:
   friend class Promise<T>;

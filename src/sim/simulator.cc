@@ -19,11 +19,11 @@ Simulator* g_current = nullptr;
 
 // Far-heap order: min (at, seq) at the front.
 struct FarLater {
-  bool operator()(const auto* a, const auto* b) const {
-    if (a->at != b->at) {
-      return a->at > b->at;
+  bool operator()(const auto& a, const auto& b) const {
+    if (a.at != b.at) {
+      return a.at > b.at;
     }
-    return a->seq > b->seq;
+    return a.seq > b.seq;
   }
 };
 
@@ -124,7 +124,7 @@ void Simulator::Enqueue(Time when, EventNode* node) {
   } else if (when - now_ < kWheelSpan) {
     PushWheel(node);
   } else {
-    far_.push_back(node);
+    far_.push_back(FarEntry{when, node->seq, node});
     std::push_heap(far_.begin(), far_.end(), FarLater{});
   }
 }
@@ -134,13 +134,13 @@ Time Simulator::PeekNextTime() const {
     return now_;
   }
   Time wheel_t = NextWheelTime();
-  Time far_t = far_.empty() ? kNoTime : far_.front()->at;
+  Time far_t = far_.empty() ? kNoTime : far_.front().at;
   return wheel_t < far_t ? wheel_t : far_t;
 }
 
 bool Simulator::RefillNowLane() {
   Time wheel_t = NextWheelTime();
-  Time far_t = far_.empty() ? kNoTime : far_.front()->at;
+  Time far_t = far_.empty() ? kNoTime : far_.front().at;
   Time t = wheel_t < far_t ? wheel_t : far_t;
   if (t == kNoTime) {
     return false;
@@ -167,9 +167,9 @@ bool Simulator::RefillNowLane() {
   // Far-heap run at exactly t: pops come out in seq order.
   EventNode* far_head = nullptr;
   EventNode* far_tail = nullptr;
-  while (!far_.empty() && far_.front()->at == t) {
+  while (!far_.empty() && far_.front().at == t) {
     std::pop_heap(far_.begin(), far_.end(), FarLater{});
-    EventNode* node = far_.back();
+    EventNode* node = far_.back().node;
     far_.pop_back();
     node->next = nullptr;
     if (far_tail != nullptr) {

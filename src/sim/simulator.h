@@ -16,9 +16,10 @@
 //               bucket never holds two distinct times and FIFO append is
 //               already seq order). An occupancy bitmap makes "next
 //               nonempty bucket" a word scan.
-//   far heap    when - Now() >= kWheelSpan: a binary min-heap of node
-//               pointers ordered by (at, seq) — RPC timeouts, daemon
-//               periods, crash schedules.
+//   far heap    when - Now() >= kWheelSpan: a binary min-heap of
+//               {at, seq, node} entries held by value and ordered by
+//               (at, seq), so a sift compares keys without loading nodes —
+//               RPC timeouts, daemon periods, crash schedules.
 //
 // When the now lane drains, the next bucket-or-heap time is found and every
 // node at that exact time is spliced into the now lane, merging the wheel
@@ -181,8 +182,14 @@ class Simulator {
   uint64_t bitmap_[kBitmapWords] = {};
   size_t wheel_count_ = 0;
 
-  // Far heap: node pointers ordered by (at, seq), min at front.
-  std::vector<EventNode*> far_;
+  // Far heap: each node's (at, seq) key beside its pointer, ordered by
+  // (at, seq), min at front.
+  struct FarEntry {
+    Time at;
+    uint64_t seq;
+    EventNode* node;
+  };
+  std::vector<FarEntry> far_;
 
   // Node arena: fixed-size chunks, recycled through an intrusive free list.
   std::vector<std::unique_ptr<EventNode[]>> chunks_;

@@ -125,13 +125,18 @@ OpenResult StateTable::OnOpen(const proto::FileHandle& fh, int host, bool write,
     // New arrivals don't cache either; nobody else caches to call back.
   } else if (WriterAndAnotherClient(entry)) {
     // Everyone stops caching. Each *other* client gets an invalidate
-    // callback, with writeback first if it may hold dirty blocks.
+    // callback, with writeback first if it may hold dirty blocks; so does a
+    // dirty holder with no open (left by a recovery reopen).
     entry.write_shared = true;
     for (const ClientInfo& c : entry.clients) {
       if (c.host != host) {
         result.callbacks.push_back(CallbackAction{c.host, /*writeback=*/c.host == dirty_holder,
                                                   /*invalidate=*/true});
       }
+    }
+    if (dirty_holder >= 0 && dirty_holder != host && FindClient(entry, dirty_holder) == nullptr) {
+      result.callbacks.push_back(
+          CallbackAction{dirty_holder, /*writeback=*/true, /*invalidate=*/true});
     }
     entry.last_writer = -1;
   } else if (dirty_holder >= 0 && dirty_holder != host) {

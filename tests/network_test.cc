@@ -1,10 +1,11 @@
 // Transport-level guards for the simulated network, most importantly the
-// envelope move discipline: packets carry requests and replies (including
-// multi-kilobyte write payloads) by value, so a stray copy anywhere on the
-// send -> deliver -> dispatch path silently doubles the per-RPC memory
-// traffic. proto::Envelope counts its copies; these tests pin the count to
-// zero on the happy path (direct and through a forwarding router) and to
-// exactly one per fault-injected duplicate.
+// envelope discipline: a packet carries its envelope by pointer, from the
+// sender through delivery and the rx channel to the worker that reuses it
+// for the reply, so a stray copy anywhere on the send -> deliver ->
+// dispatch path would silently double the per-RPC memory traffic.
+// proto::Envelope counts its copies; these tests pin the count to zero on
+// the happy path (direct and through a forwarding router) and to exactly
+// one per fault-injected duplicate.
 #include <gtest/gtest.h>
 
 #include <cstdint>

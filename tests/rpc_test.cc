@@ -335,6 +335,38 @@ TEST(RpcTest, ShutdownClearsPendingCallsImmediately) {
   rig.simulator.RunUntil(sim::Sec(1));
 }
 
+TEST(RpcTest, AnEarlierAttemptsTimerDoesNotTimeOutALaterAttempt) {
+  // A reply whose status is timedout (fleet::MetaCache passes a shard's on)
+  // makes Call retransmit at once, while attempt 1's 1 s timer is still
+  // queued. Attempt 2 waits 2 s and its reply comes after 1.5 s: attempt
+  // 1's timer, firing in between, must leave attempt 2 waiting.
+  RpcRig rig;
+  int executions = 0;
+  rig.server.set_handler(
+      // lint: coro-lambda-ok (handler and captures share the test scope)
+      [&executions, &rig](proto::Request, net::Address) -> sim::Task<proto::Reply> {
+        if (++executions == 1) {
+          co_return proto::ErrorReply(base::ErrTimedOut());
+        }
+        co_await sim::Sleep(rig.simulator, sim::Msec(1500));
+        co_return proto::OkReply(proto::NullRep{});
+      });
+  bool done = false;
+  rig.simulator.Spawn([](RpcRig& rig, bool& done) -> sim::Task<void> {
+    auto reply = co_await rig.client.Call(rig.server.address(), proto::Request(proto::NullReq{}));
+    EXPECT_TRUE(reply.ok());
+    if (reply.ok()) {
+      EXPECT_TRUE(reply->status.ok());
+    }
+    done = true;
+  }(rig, done));
+  rig.simulator.Run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(executions, 2);
+  EXPECT_EQ(rig.client.retransmissions(), 1u);
+  EXPECT_EQ(rig.client.pending_calls(), 0u);
+}
+
 TEST(RpcTest, RetriedCallTracesOneLogicalSpanWithAttemptChildren) {
   // A create handler slower than the client's timeout: attempt 1 times out,
   // the retransmit lands while the original execution is still in progress

@@ -188,23 +188,6 @@ TEST(FutureTest, TrySetIsIdempotent) {
   EXPECT_EQ(got, 1);
 }
 
-TEST(FutureTest, TakeMovesTheValueOutAndThePromiseStaysSet) {
-  // The RPC client's pattern: one consumer takes the reply, and the timeout
-  // racing it for the promise must still lose afterwards.
-  Simulator s;
-  Promise<std::vector<int>> p(s);
-  std::vector<int> got;
-  s.Spawn([](Promise<std::vector<int>> p, std::vector<int>& got) -> Task<void> {
-    got = co_await p.GetFuture().Take();
-  }(p, got));
-  s.Schedule(Sec(1), [&] { p.Set(std::vector<int>(4096, 7)); });
-  s.Run();
-  ASSERT_EQ(got.size(), 4096u);
-  EXPECT_EQ(got[0], 7);
-  EXPECT_TRUE(p.IsSet());
-  EXPECT_FALSE(p.TrySet({}));
-}
-
 TEST(MutexTest, MutualExclusionAndFifo) {
   Simulator s;
   Mutex m(s);

@@ -507,6 +507,24 @@ TEST(StateTableRecovery, ReopenedReadersKeepTheDirtyHolder) {
   EXPECT_TRUE(r.callbacks[0].writeback);
 }
 
+TEST(StateTableRecovery, WriteSharingCallsBackADirtyHolderWithNoOpen) {
+  // A reopens with dirty blocks only, beside readers B and C. B's write
+  // open makes the file write-shared: C is told to stop caching, and A,
+  // which has no open, must still write its dirty blocks back.
+  StateTable t;
+  t.ApplyReopen(kFile, kHostA, 0, 0, /*has_dirty=*/true, 9, 9);
+  t.ApplyReopen(kFile, kHostB, 1, 0, /*has_dirty=*/false, 9, 9);
+  t.ApplyReopen(kFile, kHostC, 1, 0, /*has_dirty=*/false, 9, 9);
+  ASSERT_EQ(StateOf(t), FileState::kMultReaders);
+  OpenResult r = t.OnOpen(kFile, kHostB, true, 9);
+  EXPECT_EQ(r.state, FileState::kWriteShared);
+  EXPECT_FALSE(r.cache_enabled);
+  ASSERT_EQ(r.callbacks.size(), 2u);
+  EXPECT_EQ(r.callbacks[0], (CallbackAction{kHostC, /*writeback=*/false, /*invalidate=*/true}));
+  EXPECT_EQ(r.callbacks[1], (CallbackAction{kHostA, /*writeback=*/true, /*invalidate=*/true}));
+  t.CheckInvariants();
+}
+
 TEST(StateTableRecovery, ReopenMatchesStateBuiltByNormalOpens) {
   // Property: rebuilding from per-client reopen summaries yields the same
   // (state, clients) as the original sequence of opens.
